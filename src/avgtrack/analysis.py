@@ -131,11 +131,13 @@ def theorem_constants(
     nu: float = 1.0,
     theta: float = 1.0,
     chi: float = 1.0,
+    lam2: float | None = None,
 ) -> TheoremConstants:
     """Assemble the scalar constants, defaulting the analysis constants to
-    their minimal compliant values (the bounds tighten as they shrink)."""
+    their minimal compliant values (the bounds tighten as they shrink).
+    `lam2` may carry lambda2(g) when the caller already has it."""
     gamma = float(sym_eig(Q)[0][0] / sym_eig(P)[0][-1])
-    alpha_bar = 1.0 / (2.0 * lambda2(g))
+    alpha_bar = 1.0 / (2.0 * (lambda2(g) if lam2 is None else lam2))
     beta_bar = f0 * (n_agents - 1)
     delta = min(gamma, mu * theta, nu * chi)
     varrho = max(mu * theta, nu * chi)
@@ -156,12 +158,11 @@ def consensus_manifold(rs: ReferenceSet, t: float, quad_steps: int = 256) -> NDA
 def direction_flip_count(w: NDArray) -> int:
     """Count sample-to-sample reversals of the control direction.
 
-    w is a (T, m) series of edge signals; a flip is a pair of consecutive
-    nonzero samples whose directions point into opposite half-spaces.
+    w is a (T, m) or (T,) series of edge signals; a flip is a pair of
+    consecutive nonzero samples whose directions point into opposite
+    half-spaces.
     """
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    if w.ndim == 1:
-        w = w[:, None]
+    w = np.asarray(w, dtype=float).reshape(len(w), -1)
     dots = np.einsum("tm,tm->t", w[:-1], w[1:])
     nz = (np.linalg.norm(w[:-1], axis=1) > 0) & (np.linalg.norm(w[1:], axis=1) > 0)
     return int(np.count_nonzero(nz & (dots < 0)))

@@ -1,17 +1,17 @@
 """Command-line front end: gain reports, simulation runs, canned scenarios.
 
 Exit codes: 0 success, 1 runtime/numerical failure, 2 config/validation
-failure. AVGTRACK_THREADS caps parallelism when a config file holds a list
-of scenarios (parameter sweep).
+failure. A config file may hold a list of scenarios (parameter sweep); they
+run one after another in file order, each into its own subdirectory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,7 @@ from . import scenarios as canned
 from . import sim
 from .config import Scenario, parse_scenario
 from .errors import AvgTrackError, ConfigError, NonFinite, NotConnected, NotStabilizable
-from .graph import lambda2
-from .report import diagnostics_series, write_outputs
+from .report import write_outputs
 from .signals import input_bound
 
 
@@ -60,7 +59,7 @@ def cmd_gains(args: argparse.Namespace) -> int:
     print(_fmt_matrix("P", gains.P))
     print(_fmt_matrix("K", gains.K))
     print(_fmt_matrix("Gamma", Gamma))
-    print(f"lambda2 = {lambda2(scn.graph):.6f}")
+    print(f"lambda2 = {scn.lambda2:.6f}")
     print(f"f0 = {input_bound(scn.reference_set):.6f}")
     print(f"c1 = {gains.c1:.6f}")
     print(f"c2 = {gains.c2:.6f}")
@@ -68,38 +67,34 @@ def cmd_gains(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one(scn: Scenario, out_dir: Path, overrides: dict) -> dict:
-    simcfg = scn.sim
-    if overrides.get("dt") or overrides.get("t_end"):
-        simcfg = sim.SimConfig(
-            t_end=overrides.get("t_end") or simcfg.t_end,
-            dt=overrides.get("dt") or simcfg.dt,
-            record_every=simcfg.record_every,
-            integrator=simcfg.integrator,
-        )
+def _with_overrides(scn: Scenario, overrides: dict) -> Scenario:
+    """The scenario with the given --dt / --t-end applied, both to the run
+    and to the config that summary.json records."""
+    given = {k: v for k, v in overrides.items() if v is not None}
+    raw = dict(scn.raw, sim=dict(scn.raw.get("sim", {}), **given))
+    return dataclasses.replace(scn, sim=dataclasses.replace(scn.sim, **given), raw=raw)
+
+
+def _run_one(scn: Scenario, out_dir: Path) -> dict:
     if scn.algorithm == "adaptive":
         gains = scn.build_adaptive_params()
     else:
         gains = scn.build_static_gains()
-    traj = sim.run(scn.graph, scn.reference_set, gains, simcfg, mode=scn.algorithm)
+    traj = sim.run(scn.graph, scn.reference_set, gains, scn.sim, mode=scn.algorithm)
     return write_outputs(out_dir, scn, gains, traj)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    scns = _load_configs(args.config, seed=args.seed)
     overrides = {"dt": args.dt, "t_end": args.t_end}
+    scns = [_with_overrides(s, overrides) for s in _load_configs(args.config, seed=args.seed)]
+    clash = sorted(name for name, k in Counter(s.name for s in scns).items() if k > 1)
+    if clash:
+        raise ConfigError(f"scenarios share the name(s) {clash} and so an output directory; "
+                          "give each scenario of a list its own 'name'")
     out_root = Path(args.out)
     try:
-        if len(scns) == 1:
-            _run_one(scns[0], out_root, overrides)
-        else:
-            threads = int(os.environ.get("AVGTRACK_THREADS", "4"))
-            with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-                futs = [
-                    pool.submit(_run_one, scn, out_root / scn.name, overrides) for scn in scns
-                ]
-                for f in futs:
-                    f.result()
+        for scn in scns:
+            _run_one(scn, out_root / scn.name if len(scns) > 1 else out_root)
     except NonFinite as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import control
 from .errors import ConfigError
-from .graph import Graph
+from .graph import Graph, lambda2 as graph_lambda2
 from .numerics import NumericsConfig
-from .signals import InputDescriptor, LinearPlant, ReferenceSet
+from .signals import InputDescriptor, LinearPlant, ReferenceSet, input_bound
 from .sim import SimConfig
 
 _TOP_KEYS = {
@@ -56,9 +57,12 @@ class Scenario:
     assumptions: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
-    def build_static_gains(self) -> control.StaticGains:
-        from .signals import input_bound
+    @cached_property
+    def lambda2(self) -> float:
+        """lambda2 of the graph, computed once: design, diagnostics and summary read it."""
+        return graph_lambda2(self.graph)
 
+    def build_static_gains(self) -> control.StaticGains:
         return control.design_gains(
             self.reference_set.plant,
             self.graph,
@@ -68,18 +72,14 @@ class Scenario:
             phi=self.phi,
             margins=self.margins,
             cfg=self.numerics,
+            lam2=self.lambda2,
         )
 
     def build_adaptive_params(self) -> control.AdaptiveParams:
-        from .numerics import solve_are
-
         a = self.adaptive
         if a is None:
             raise ConfigError("adaptive algorithm needs an 'adaptive' section")
-        sol = solve_are(
-            self.reference_set.plant.A, self.reference_set.plant.B, self.design_Q, self.numerics
-        )
-        K = -self.reference_set.plant.B.T @ sol.P
+        P, K = control.feedback_gain(self.reference_set.plant, self.design_Q, self.numerics)
         return control.AdaptiveParams(
             K=K,
             Gamma=K.T @ K,
@@ -89,7 +89,7 @@ class Scenario:
             chi=a["chi"],
             eps=self.eps,
             phi=self.phi,
-            P=sol.P,
+            P=P,
             alpha0=a.get("alpha0", 0.0),
             beta0=a.get("beta0", 0.0),
         )
@@ -102,22 +102,10 @@ def _parse_input(d: dict, where: str) -> InputDescriptor:
     if kind not in _INPUT_KEYS:
         raise ConfigError(f"{where}: unknown input kind {kind!r}")
     _check_keys(d, _INPUT_KEYS[kind], where)
-    if kind == "zero":
-        return InputDescriptor(kind="zero")
-    if kind == "constant":
-        return InputDescriptor(kind="constant", value=np.asarray(d["value"], dtype=float))
     if kind == "sinusoid":
-        return InputDescriptor(
-            kind="sinusoid",
-            amp=np.asarray(d["amp"], dtype=float),
-            omega=float(d.get("omega", 1.0)),
-            phase=float(d.get("phase", 0.0)),
-        )
-    return InputDescriptor(
-        kind="table",
-        times=np.asarray(d["times"], dtype=float),
-        values=np.asarray(d["values"], dtype=float),
-    )
+        d = {"omega": 1.0, **d}
+    # InputDescriptor converts the fields and checks that the kind has them
+    return InputDescriptor(**d)
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:

@@ -1,10 +1,11 @@
-"""The two distributed average-tracking laws: boundary-layer smoothing,
-static-gain closed loop, adaptive closed loop, and the gain design recipe."""
+"""The two distributed average-tracking laws: boundary-layer smoothing, the
+edge-coupling kernel of the static, discontinuous and adaptive closed loops,
+and the gain design recipe."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,16 +29,29 @@ def boundary_layer(w: NDArray, eps: float, phi: float, t: float) -> NDArray[np.f
     width. Rows of a 2-D w (one per edge) are smoothed independently.
     """
     w = np.asarray(w, dtype=float)
-    # the hypot chain gives row norms without overflow or underflow, to
-    # within m - 1 ulps for rows of length m
-    nrm = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
-    # The divisor never drops below ||w|| (1 + 4 m ulp). That outweighs the
-    # norm's error plus the rounding of the division and of a later
-    # sum-of-squares norm of h, so ||h|| <= 1 holds in doubles; the floor
-    # binds only where the width is already below that rounding. The width
-    # stays above zero so that w = 0 gives h = 0 after e^{-phi t} underflows.
     width = max(eps * np.exp(-phi * t), _TINY)
-    return w / np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[-1] * _EPS))
+    # The width stays above zero so that w = 0 gives h = 0 after e^{-phi t}
+    # underflows. Where the divisor overflows, those rows and their width
+    # are divided by the row's largest entry, which leaves h unchanged in
+    # exact arithmetic.
+    div = _divisor(w, width)
+    if not math.isfinite(div.max(initial=0.0)):
+        over = ~np.isfinite(div)
+        scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
+        w, width = w / scale, width / scale
+        div = _divisor(w, width)
+    return w / div
+
+
+def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
+    # The hypot chain gives row norms without underflow, to within m - 1
+    # ulps for rows of length m. The divisor never drops below
+    # ||w|| (1 + 4 m ulp). That outweighs the norm's error plus the rounding
+    # of the division and of a later sum-of-squares norm of h, so ||h|| <= 1
+    # holds in doubles; the floor binds only where the width is already
+    # below that rounding.
+    nrm = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
+    return np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[-1] * _EPS))
 
 
 def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
@@ -103,6 +117,14 @@ class NetworkState:
     beta: NDArray[np.float64] | None = None    # (E,)
 
 
+def feedback_gain(
+    plant: LinearPlant, Q: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(P, K): the stabilizing ARE solution and K = -B^T P, shared by both laws."""
+    P = solve_are(plant.A, plant.B, np.asarray(Q, dtype=float), cfg).P
+    return P, -plant.B.T @ P
+
+
 def design_gains(
     plant: LinearPlant,
     g: graphmod.Graph,
@@ -112,38 +134,88 @@ def design_gains(
     phi: float = 0.5,
     margins: tuple[float, float] = (1.0, 1.0),
     cfg: NumericsConfig = DEFAULT_CONFIG,
+    lam2: float | None = None,
 ) -> StaticGains:
     """Gain design recipe: ARE solve, then minimal compliant couplings.
 
     c1 = margin1 / (2*lambda2), c2 = margin2 * f0 * (N - 1); margins of 1
-    sit exactly on the design bounds.
+    sit exactly on the design bounds. `lam2` may carry lambda2(g) when the
+    caller already has it.
     """
     if not graphmod.is_connected(g):
         raise NotConnected("gain design requires a connected graph")
     if margins[0] < 1.0 or margins[1] < 1.0:
         raise ConfigError("margins must be >= 1")
-    sol = solve_are(plant.A, plant.B, np.asarray(Q, dtype=float), cfg)
-    K = -plant.B.T @ sol.P
-    lam2 = graphmod.lambda2(g)
+    P, K = feedback_gain(plant, Q, cfg)
+    if lam2 is None:
+        lam2 = graphmod.lambda2(g)
     c1 = margins[0] / (2.0 * lam2)
     c2 = margins[1] * f0 * (g.n_nodes - 1)
-    return StaticGains(K=K, c1=c1, c2=c2, eps=eps, phi=phi, P=sol.P)
+    return StaticGains(K=K, c1=c1, c2=c2, eps=eps, phi=phi, P=P)
 
 
-@lru_cache(maxsize=64)
-def _edge_structure(g: graphmod.Graph) -> tuple[NDArray, NDArray, NDArray]:
-    """(tails, heads, incidence) for fast edge-difference / accumulation ops."""
-    if g.n_edges == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int), np.zeros((g.n_nodes, 0))
-    e = np.asarray(g.edges, dtype=int)
-    return e[:, 0], e[:, 1], graphmod.incidence_matrix(g)
+class EdgeKernel:
+    """Edge coupling of one law on one graph, built once per run.
+
+    Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
+    with w_ij = K(x_i - x_j) and (a, b) = (c1, c2) in the static and
+    discontinuous laws, the edge gains (alpha, beta) in the adaptive law. A
+    call gathers x at the precomputed tail and head indices, scatters +u to
+    tails and -u to heads with one bincount over the (node, input) cells and
+    applies B^T once, so it costs O(E).
+    """
+
+    def __init__(
+        self,
+        g: graphmod.Graph,
+        plant: LinearPlant,
+        gains: StaticGains | AdaptiveParams,
+        mode: str = "static",
+    ):
+        if mode not in ("static", "adaptive", "discontinuous"):
+            raise ConfigError(f"unknown mode {mode!r}")
+        needed = AdaptiveParams if mode == "adaptive" else StaticGains
+        if not isinstance(gains, needed):
+            raise ConfigError(f"{mode} mode needs {needed.__name__}")
+        self.gains, self.mode, self._BT = gains, mode, plant.B.T
+        self.tails, self.heads = graphmod.edge_index(g)
+        cells = np.concatenate([self.tails, self.heads])[:, None] * plant.m + np.arange(plant.m)
+        self._cells, self._n_cells = cells.ravel(), g.n_nodes * plant.m
+
+    def __call__(
+        self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
+    ) -> tuple[NDArray, NDArray | None, NDArray | None]:
+        """(coupling, dalpha, dbeta) at time t and agent states x (N, n):
+        coupling[i] sums +-u_ij B^T over the edges at i; the edge-gain rates
+        are those of the adaptive law and None in the others."""
+        p = self.gains
+        d = x[self.tails] - x[self.heads]           # (E, n)
+        w = d @ p.K.T                                # (E, m)
+        if self.mode == "discontinuous":
+            h = discontinuous_sign(w)
+        else:
+            h = boundary_layer(w, p.eps, p.phi, t)
+        if self.mode == "adaptive":
+            u = alpha[:, None] * w + beta[:, None] * h
+        else:
+            u = p.c1 * w + p.c2 * h
+        cells = np.bincount(
+            self._cells, weights=np.concatenate([u, -u]).ravel(), minlength=self._n_cells
+        )
+        coupling = cells.reshape(-1, u.shape[1]) @ self._BT
+        if self.mode != "adaptive":
+            return coupling, None, None
+        dalpha = p.mu * (-p.theta * alpha + np.einsum("ei,ij,ej->e", d, p.Gamma, d))
+        # ||w||^2 / (||w|| + width) = w . h
+        dbeta = p.nu * (-p.chi * beta + np.einsum("em,em->e", w, h))
+        return coupling, dalpha, dbeta
 
 
 def edge_signals(
     x: NDArray, K: NDArray, g: graphmod.Graph
 ) -> NDArray[np.float64]:
     """Per-edge coupling signals K(x_i - x_j), one row per stored edge."""
-    ei, ej, _ = _edge_structure(g)
+    ei, ej = graphmod.edge_index(g)
     return (x[ei] - x[ej]) @ K.T
 
 
@@ -162,21 +234,7 @@ def static_rhs(
     sign term (chattering-comparison mode). `inputs` may carry a precomputed
     rs.eval_inputs(t) to avoid re-evaluation.
     """
-    A, B = rs.plant.A, rs.plant.B
-    x = state.x
-    t = state.t
-    f = rs.eval_inputs(t) if inputs is None else inputs
-    dx = x @ A.T + f @ B.T
-    ei, ej, D = _edge_structure(g)
-    if len(ei):
-        w = (x[ei] - x[ej]) @ gains.K.T            # (E, m)
-        if discontinuous:
-            h = discontinuous_sign(w)
-        else:
-            h = boundary_layer(w, gains.eps, gains.phi, t)
-        # incidence matrix scatters +term to tails, -term to heads
-        dx += D @ ((gains.c1 * w + gains.c2 * h) @ B.T)
-    return NetworkState(t=1.0, x=dx)
+    return _closed_loop(state, rs, gains, g, "discontinuous" if discontinuous else "static", inputs)
 
 
 def adaptive_rhs(
@@ -190,21 +248,20 @@ def adaptive_rhs(
     sigma-modified edge adaptation laws."""
     if state.alpha is None or state.beta is None:
         raise ConfigError("adaptive mode needs edge gains in the state")
-    A, B = rs.plant.A, rs.plant.B
-    x = state.x
-    t = state.t
-    f = rs.eval_inputs(t) if inputs is None else inputs
-    dx = x @ A.T + f @ B.T
-    ei, ej, D = _edge_structure(g)
-    dalpha = np.zeros_like(state.alpha)
-    dbeta = np.zeros_like(state.beta)
-    if len(ei):
-        d = x[ei] - x[ej]                          # (E, n)
-        w = d @ params.K.T                         # (E, m)
-        h = boundary_layer(w, params.eps, params.phi, t)
-        dx += D @ ((state.alpha[:, None] * w + state.beta[:, None] * h) @ B.T)
-        quad = np.einsum("ei,ij,ej->e", d, params.Gamma, d)
-        dalpha = params.mu * (-params.theta * state.alpha + quad)
-        # ||w||^2 / (||w|| + width) = w . h
-        dbeta = params.nu * (-params.chi * state.beta + np.einsum("em,em->e", w, h))
+    return _closed_loop(state, rs, params, g, "adaptive", inputs)
+
+
+def _closed_loop(
+    state: NetworkState,
+    rs: ReferenceSet,
+    gains: StaticGains | AdaptiveParams,
+    g: graphmod.Graph,
+    mode: str,
+    inputs: NDArray | None,
+) -> NetworkState:
+    # one call builds its own kernel; sim.run builds one per run
+    f = rs.eval_inputs(state.t) if inputs is None else inputs
+    kernel = EdgeKernel(g, rs.plant, gains, mode)
+    coupling, dalpha, dbeta = kernel(state.t, state.x, state.alpha, state.beta)
+    dx = state.x @ rs.plant.A.T + f @ rs.plant.B.T + coupling
     return NetworkState(t=1.0, x=dx, alpha=dalpha, beta=dbeta)

@@ -59,6 +59,12 @@ class Graph:
         return 2 * self.n_edges
 
 
+def edge_index(g: Graph) -> NDArray[np.intp]:
+    """2 x n_edges index array: the tail (lower index) and the head of each
+    stored edge."""
+    return np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+
+
 def incidence_matrix(g: Graph) -> NDArray[np.float64]:
     """n_nodes x n_edges incidence matrix.
 
@@ -75,11 +81,9 @@ def incidence_matrix(g: Graph) -> NDArray[np.float64]:
 def laplacian(g: Graph) -> NDArray[np.float64]:
     """Graph Laplacian: degree matrix minus adjacency matrix (= D D^T)."""
     L = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
-        L[i, i] += 1.0
-        L[j, j] += 1.0
-        L[i, j] -= 1.0
-        L[j, i] -= 1.0
+    i, j = edge_index(g)
+    L[i, j] = L[j, i] = -1.0      # simple graph: each pair at most once
+    np.fill_diagonal(L, -L.sum(axis=1))
     return L
 
 

@@ -12,7 +12,6 @@ from . import __version__, analysis
 from .config import Scenario
 from .control import AdaptiveParams, StaticGains
 from .errors import RhoExceedsGamma
-from .graph import lambda2
 from .signals import input_bound
 from .sim import Trajectory
 
@@ -30,13 +29,10 @@ def diagnostics_series(
     edge_sum = scn.graph.degree_sum()
     adaptive = traj.mode == "adaptive"
 
-    if adaptive:
-        consts = analysis.theorem_constants(
-            P, scn.design_Q, scn.graph, f0, N,
-            mu=gains.mu, nu=gains.nu, theta=gains.theta, chi=gains.chi,
-        )
-    else:
-        consts = analysis.theorem_constants(P, scn.design_Q, scn.graph, f0, N)
+    rates = dict(mu=gains.mu, nu=gains.nu, theta=gains.theta, chi=gains.chi) if adaptive else {}
+    consts = analysis.theorem_constants(
+        P, scn.design_Q, scn.graph, f0, N, lam2=scn.lambda2, **rates
+    )
 
     xi = analysis.consensus_error(traj.x)
     v1 = np.array([analysis.lyapunov_v1(xi[k], P) for k in range(len(traj.times))])
@@ -92,7 +88,7 @@ def build_summary(
     static_like = traj.mode != "adaptive"
     return {
         "gamma": diag["consts"].gamma,
-        "lambda2": lambda2(scn.graph),
+        "lambda2": scn.lambda2,
         "c1": gains.c1 if static_like else None,
         "c2": gains.c2 if static_like else None,
         "omega2_radius": diag["omega2_radius"],
@@ -112,6 +108,10 @@ def write_trajectory_csv(path: Path, scn: Scenario, traj: Trajectory) -> None:
     one edge row per edge per time (alpha/beta columns)."""
     n = scn.reference_set.plant.n
     track = analysis.tracking_error(traj.x, traj.r)
+    # row-by-row inner products, as np.linalg.norm takes them on one row;
+    # Python floats format as numpy's do and index faster
+    track_norm = np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0, 0].tolist()
+    x = traj.x.tolist()
     header = (
         ["kind", "t", "index"]
         + [f"x_{k}" for k in range(n)]
@@ -121,14 +121,15 @@ def write_trajectory_csv(path: Path, scn: Scenario, traj: Trajectory) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         for k, t in enumerate(traj.times):
+            stamp = f"{t:.10g}"
             for i in range(scn.reference_set.n_agents):
-                row = ["agent", f"{t:.10g}", i]
-                row += [f"{v:.12g}" for v in traj.x[k, i]]
-                row += [f"{np.linalg.norm(track[k, i]):.12g}", "", ""]
+                row = ["agent", stamp, i]
+                row += [f"{v:.12g}" for v in x[k][i]]
+                row += [f"{track_norm[k][i]:.12g}", "", ""]
                 w.writerow(row)
             if traj.alpha is not None:
                 for e in range(traj.alpha.shape[1]):
-                    row = ["edge", f"{t:.10g}", e] + [""] * n
+                    row = ["edge", stamp, e] + [""] * n
                     row += ["", f"{traj.alpha[k, e]:.12g}", f"{traj.beta[k, e]:.12g}"]
                     w.writerow(row)
 

@@ -4,6 +4,7 @@ and the variation-of-constants trajectory oracle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -69,6 +70,8 @@ class InputDescriptor:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, np.atleast_1d(np.asarray(v, dtype=float)))
+        for name in ("omega", "phase"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.kind == "constant" and self.value is None:
             raise ConfigError("constant input needs a value")
         if self.kind == "sinusoid" and self.amp is None:
@@ -146,7 +149,8 @@ class ReferenceSet:
     def n_agents(self) -> int:
         return self.initial_states.shape[0]
 
-    def _parametric_cache(self):
+    @cached_property
+    def _parametric(self):
         # amp*sin(omega t + phase) + const covers zero/constant/sinusoid in
         # one vectorized expression; table inputs fall back to eval_input.
         N, m = self.n_agents, self.plant.m
@@ -164,13 +168,11 @@ class ReferenceSet:
                 const[i] = d.value
             elif d.kind == "table":
                 tables.append(i)
-        cache = (amp, omega, phase, const, tuple(tables))
-        object.__setattr__(self, "_cache", cache)
-        return cache
+        return amp, omega, phase, const, tuple(tables)
 
     def eval_inputs(self, t: float) -> NDArray[np.float64]:
         """All f_i(t) stacked as an (N, m) array."""
-        amp, omega, phase, const, tables = getattr(self, "_cache", None) or self._parametric_cache()
+        amp, omega, phase, const, tables = self._parametric
         f = amp * np.sin(omega * t + phase)[:, None] + const
         for i in tables:
             f[i] = eval_input(self.inputs[i], t, self.plant.m)

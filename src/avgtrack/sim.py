@@ -73,12 +73,12 @@ def integrate(
             k3 = rhs(t + dt / 2.0, y + dt / 2.0 * k2)
             k4 = rhs(t + dt, y + dt * k3)
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # every step, so that the reported time is the first non-finite one
+        if not np.isfinite(y).all():
+            raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt)
         if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
-            if not np.all(np.isfinite(y)):
-                raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt)
-            if rec_idx[-1] != k + 1:
-                rec_idx.append(k + 1)
-                rec.append(y.copy())
+            rec_idx.append(k + 1)
+            rec.append(y.copy())
     times = np.array(rec_idx, dtype=float) * dt
     return times, np.array(rec)
 
@@ -95,34 +95,23 @@ def run(
     The filter initial condition s_i(0) = 0 forces x_i(0) = r_i(0). Adaptive
     edge gains start at the configured alpha0/beta0 (default 0).
     """
-    if mode not in ("static", "adaptive", "discontinuous"):
-        raise ConfigError(f"unknown mode {mode!r}")
     N, n = rs.n_agents, rs.plant.n
     if g.n_nodes != N:
         raise ConfigError("graph size must match the number of agents")
+    kernel = control.EdgeKernel(g, rs.plant, gains, mode)
     E = g.n_edges
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
     adaptive = mode == "adaptive"
-    if adaptive and not isinstance(gains, control.AdaptiveParams):
-        raise ConfigError("adaptive mode needs AdaptiveParams")
-    if not adaptive and not isinstance(gains, control.StaticGains):
-        raise ConfigError("static/discontinuous mode needs StaticGains")
 
     def rhs(t: float, y: NDArray) -> NDArray:
         x = y[:Nn].reshape(N, n)
         r = y[Nn : 2 * Nn].reshape(N, n)
-        f = rs.eval_inputs(t)
-        dr = r @ A.T + f @ B.T
-        if adaptive:
-            st = control.NetworkState(t=t, x=x, alpha=y[2 * Nn : 2 * Nn + E], beta=y[2 * Nn + E :])
-            d = control.adaptive_rhs(st, rs, gains, g, inputs=f)
-            return np.concatenate([d.x.ravel(), dr.ravel(), d.alpha, d.beta])
-        st = control.NetworkState(t=t, x=x)
-        d = control.static_rhs(
-            st, rs, gains, g, discontinuous=(mode == "discontinuous"), inputs=f
-        )
-        return np.concatenate([d.x.ravel(), dr.ravel()])
+        fB = rs.eval_inputs(t) @ B.T
+        # the edge gains are empty slices unless the law is adaptive
+        coupling, *rates = kernel(t, x, y[2 * Nn : 2 * Nn + E], y[2 * Nn + E :])
+        parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
+        return np.concatenate(parts + rates if adaptive else parts)
 
     r0 = rs.initial_states
     y0 = [r0.ravel(), r0.ravel()]

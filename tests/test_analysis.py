@@ -229,3 +229,8 @@ class TestDirectionFlips:
     def test_zero_samples_do_not_count(self):
         w = np.array([1.0, 0.0, -1.0])[:, None]
         assert direction_flip_count(w) == 0
+
+    def test_one_dimensional_series(self):
+        # a (T,) series is T samples of a scalar signal, not one sample
+        w = np.array([1.0, -1.0] * 5)
+        assert direction_flip_count(w) == direction_flip_count(w[:, None]) == 9

@@ -220,8 +220,7 @@ class TestRunCommand:
         for name in ("trajectory.csv", "diagnostics.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_sweep_writes_per_scenario_dirs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("AVGTRACK_THREADS", "2")
+    def test_sweep_writes_per_scenario_dirs(self, tmp_path):
         a = scenario_config("twin-integrator")
         b = scenario_config("ring-demo")
         a["sim"]["t_end"] = b["sim"]["t_end"] = 0.5
@@ -230,6 +229,35 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
         assert (out_dir / "twin-integrator" / "summary.json").exists()
         assert (out_dir / "ring-demo" / "summary.json").exists()
+
+    def test_sweep_rejects_shared_names(self, tmp_path, capsys):
+        # two unnamed scenarios would both write to out/unnamed
+        a = scenario_config("twin-integrator")
+        del a["name"]
+        a["sim"]["t_end"] = 0.1
+        out_dir = tmp_path / "sweep"
+        path = write_config(tmp_path, [a, dict(a)])
+        assert main(["run", "--config", path, "--out", str(out_dir)]) == 2
+        assert "unnamed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
+    def test_zero_override_exit_2(self, tmp_path, flag):
+        cfg = scenario_config("twin-integrator")
+        code, out = run_cli(tmp_path, cfg, flag, "0")
+        assert code == 2
+        assert not out.exists()
+
+    def test_summary_records_overrides(self, tmp_path):
+        cfg = scenario_config("twin-integrator")
+        code, out = run_cli(tmp_path, cfg, "--dt", "5e-4", "--t-end", "0.2")
+        assert code == 0
+        sim_cfg = json.loads((out / "summary.json").read_text())["config"]["sim"]
+        assert sim_cfg["dt"] == 5e-4 and sim_cfg["t_end"] == 0.2
+        assert sim_cfg["record_every"] == cfg["sim"]["record_every"]
+        with (out / "diagnostics.csv").open() as fh:
+            last = list(csv.reader(fh))[-1]
+        assert float(last[0]) == pytest.approx(0.2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_1(self, tmp_path, capsys):
@@ -246,6 +274,16 @@ class TestRunCommand:
         code, _ = run_cli(tmp_path, cfg)
         assert code == 1
         assert "t=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, field", [("constant", "value"), ("sinusoid", "amp")])
+    def test_input_missing_field_exit_2(self, tmp_path, capsys, kind, field):
+        # a missing input field is a config error, not a KeyError traceback
+        cfg = scenario_config("ring-demo")
+        agent = next(a for a in cfg["agents"] if a["input"]["kind"] == kind)
+        del agent["input"][field]
+        code, _ = run_cli(tmp_path, cfg)
+        assert code == 2
+        assert field in capsys.readouterr().err
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = scenario_config("twin-integrator")

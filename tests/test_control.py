@@ -93,13 +93,23 @@ class TestBoundaryLayer:
         eps=st.floats(0.0, 1e6),
         t=st.floats(0.0, 1e4),
     )
+    # ||w|| overflows the double range; h = 0 here lost the direction
+    @example(w=[1.5e308, 1.5e308], eps=1.0, t=0.0)
     def test_norm_at_most_one_at_any_scale(self, w, eps, t):
         # any finite w, down to subnormals and up to overflow of ||w||, with
         # widths that may underflow to zero
+        w = np.array(w)
         with np.errstate(over="ignore"):  # ||w|| itself may exceed the double range
-            h = boundary_layer(np.array(w), eps, 1.0, t)
+            h = boundary_layer(w, eps, 1.0, t)
         assert np.all(np.isfinite(h))
         assert np.linalg.norm(h) <= 1.0
+        # once the width (held at or above the smallest subnormal) is
+        # negligible against ||w||, h is the unit direction
+        top = np.abs(w).max()
+        width = max(eps * np.exp(-t), np.finfo(float).smallest_subnormal)
+        if top > 0 and width <= 1e-12 * top:
+            u = w / top
+            np.testing.assert_allclose(h, u / np.linalg.norm(u), rtol=0, atol=1e-11)
 
     def test_zero_after_width_underflow(self):
         # e^{-1000} underflows; w = 0 must still give h = 0, not 0/0

@@ -1,0 +1,185 @@
+"""The edge-coupling kernel against the dense incidence-matrix oracle, its
+sum invariant, and byte-determinism of repeated CLI runs."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import avgtrack as at
+from avgtrack import (
+    AdaptiveParams,
+    Graph,
+    InputDescriptor,
+    LinearPlant,
+    NetworkState,
+    ReferenceSet,
+    StaticGains,
+    adaptive_rhs,
+    boundary_layer,
+    discontinuous_sign,
+    edge_signals,
+    incidence_matrix,
+    static_rhs,
+)
+from avgtrack import graph as graphmod
+from avgtrack.cli import main
+from avgtrack.control import EdgeKernel
+from avgtrack.errors import ConfigError
+from avgtrack.scenarios import scenario_config
+
+LAWS = ("static", "discontinuous", "adaptive")
+
+
+def random_network(seed, n_nodes, law):
+    """A connected graph (random spanning tree plus random chords), a random
+    plant, gains for the law, states, inputs and edge gains, all from seed."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(i)), i) for i in range(1, n_nodes)}
+    for _ in range(int(rng.integers(0, 2 * n_nodes))):
+        i, j = sorted(int(v) for v in rng.integers(0, n_nodes, size=2))
+        if i != j:
+            edges.add((i, j))
+    g = Graph(n_nodes, tuple(sorted(edges)))
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    plant = LinearPlant(A=rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
+    K = rng.standard_normal((m, n))
+    eps, phi = rng.uniform(0.1, 5.0), rng.uniform(0.0, 2.0)
+    if law == "adaptive":
+        gains = AdaptiveParams(
+            K=K, Gamma=K.T @ K, mu=rng.uniform(0.1, 10), nu=rng.uniform(0.1, 10),
+            theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1), eps=eps, phi=phi, P=np.eye(n),
+        )
+    else:
+        gains = StaticGains(
+            K=K, c1=rng.uniform(0, 5), c2=rng.uniform(0, 5), eps=eps, phi=phi, P=np.eye(n)
+        )
+    rs = ReferenceSet(
+        plant=plant,
+        initial_states=np.zeros((n_nodes, n)),
+        inputs=tuple(
+            InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m), omega=1.0)
+            for _ in range(n_nodes)
+        ),
+    )
+    x = rng.standard_normal((n_nodes, n)) * 10.0 ** rng.integers(-3, 4)
+    E = g.n_edges
+    return g, rs, gains, x, rng.uniform(0, 3, E), rng.uniform(0, 3, E), rng.uniform(0, 10)
+
+
+def edge_inputs(g, gains, law, x, alpha, beta, t):
+    """Per-edge inputs u_e of the law, computed without the kernel."""
+    w = edge_signals(x, gains.K, g)
+    if law == "discontinuous":
+        h = discontinuous_sign(w)
+    else:
+        h = boundary_layer(w, gains.eps, gains.phi, t)
+    if law == "adaptive":
+        u = alpha[:, None] * w + beta[:, None] * h
+    else:
+        u = gains.c1 * w + gains.c2 * h
+    return u
+
+
+def kernel_rhs(g, rs, gains, law, x, alpha, beta, t):
+    state = NetworkState(t=t, x=x, alpha=alpha, beta=beta)
+    if law == "adaptive":
+        return adaptive_rhs(state, rs, gains, g)
+    return static_rhs(state, rs, gains, g, discontinuous=(law == "discontinuous"))
+
+
+class TestEdgeKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 30),
+        law=st.sampled_from(LAWS),
+    )
+    def test_matches_dense_incidence_oracle(self, seed, n_nodes, law):
+        g, rs, gains, x, alpha, beta, t = random_network(seed, n_nodes, law)
+        u = edge_inputs(g, gains, law, x, alpha, beta, t)
+        A, B = rs.plant.A, rs.plant.B
+        D = incidence_matrix(g)
+        f = rs.eval_inputs(t)
+        oracle = x @ A.T + f @ B.T + D @ (u @ B.T)
+        # entrywise scale: the sum of the absolute values of all products added
+        scale = (
+            np.abs(x) @ np.abs(A.T) + np.abs(f) @ np.abs(B.T)
+            + np.abs(D) @ np.abs(u) @ np.abs(B.T)
+        )
+        got = kernel_rhs(g, rs, gains, law, x, alpha, beta, t)
+        assert np.all(np.abs(got.x - oracle) <= 1e-12 * scale)
+        if law == "adaptive":
+            tails, heads = np.array(g.edges, dtype=int).reshape(-1, 2).T
+            d = x[tails] - x[heads]
+            w = edge_signals(x, gains.K, g)
+            h = boundary_layer(w, gains.eps, gains.phi, t)
+            np.testing.assert_allclose(
+                got.alpha,
+                gains.mu * (-gains.theta * alpha + np.einsum("ei,ij,ej->e", d, gains.Gamma, d)),
+                rtol=1e-12, atol=1e-12 * gains.mu * (gains.theta * alpha.max(initial=0) + 1),
+            )
+            np.testing.assert_allclose(
+                got.beta, gains.nu * (-gains.chi * beta + np.sum(w * h, axis=1)),
+                rtol=1e-12, atol=1e-12 * gains.nu * (gains.chi * beta.max(initial=0) + 1),
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 30),
+        law=st.sampled_from(LAWS),
+    )
+    # n = 1, m = 2: the two inputs' products cancel within u_e B^T itself
+    @example(seed=4014417995, n_nodes=3, law="adaptive")
+    def test_edge_terms_cancel_in_the_sum(self, seed, n_nodes, law):
+        # each edge adds +u to its tail and -u to its head, so the coupling
+        # sums to zero over the agents up to rounding
+        g, rs, gains, x, alpha, beta, t = random_network(seed, n_nodes, law)
+        kernel = EdgeKernel(g, rs.plant, gains, law)
+        coupling, _, _ = kernel(t, x, alpha, beta)
+        u = edge_inputs(g, gains, law, x, alpha, beta, t)
+        # rounding scales with the products u_e B^T before they cancel, as
+        # +u_e and -u_e, and across the m inputs
+        scale = 2 * (np.abs(u) @ np.abs(rs.plant.B.T)).sum(axis=0)
+        bound = 4 * np.finfo(float).eps * (g.n_edges + n_nodes) * scale
+        assert np.all(np.abs(coupling.sum(axis=0)) <= bound)
+
+    def test_run_never_builds_the_incidence_matrix(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("incidence_matrix called")
+
+        monkeypatch.setattr(graphmod, "incidence_matrix", refuse)
+        monkeypatch.setattr(at, "incidence_matrix", refuse)
+        for law in LAWS:
+            g, rs, gains, *_ = random_network(3, 8, law)
+            traj = at.run(g, rs, gains, at.SimConfig(0.05, 1e-3), mode=law)
+            assert np.all(np.isfinite(traj.x))
+
+    def test_mode_and_gains_checked(self):
+        g, rs, gains, *_ = random_network(4, 5, "static")
+        with pytest.raises(ConfigError):
+            EdgeKernel(g, rs.plant, gains, "adaptive")
+        with pytest.raises(ConfigError):
+            EdgeKernel(g, rs.plant, gains, "sliding")
+
+
+def test_repeated_runs_write_identical_bytes(tmp_path):
+    # all three laws in one sweep, run twice in one process
+    cfgs = []
+    for law in LAWS:
+        cfg = scenario_config("paper-sec5-adaptive" if law == "adaptive" else "paper-sec5-static")
+        cfg["name"] = law
+        cfg["algorithm"] = law
+        cfg["sim"]["t_end"] = 0.3
+        cfgs.append(cfg)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfgs))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    for law in LAWS:
+        for name in ("trajectory.csv", "diagnostics.csv", "summary.json"):
+            assert (outs[0] / law / name).read_bytes() == (outs[1] / law / name).read_bytes()

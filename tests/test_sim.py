@@ -55,6 +55,28 @@ class TestIntegrate:
             integrate(blowup, np.array([5.0]), SimConfig(5.0, 0.05))
         assert exc.value.time is not None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_time_independent_of_record_every(self):
+        # the Sec. 5 design on a 500-ring puts c1 = 1/(2 lambda2) far outside
+        # RK4's stability region at dt = 1e-3; the first non-finite step must
+        # be reported however sparsely the run records
+        n = 500
+        cfg = at.scenario_config("paper-sec5-static")
+        cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]}
+        cfg["agents"] = [
+            {"r0": [float(i), float(-i)],
+             "input": {"kind": "sinusoid", "amp": [(i + 1) / 2.0], "omega": 1.0, "phase": 0.0}}
+            for i in range(1, n + 1)
+        ]
+        scn = at.parse_scenario(cfg)
+        gains = scn.build_static_gains()
+        times = []
+        for every in (1, 500):
+            with pytest.raises(NonFinite) as exc:
+                at.run(scn.graph, scn.reference_set, gains, SimConfig(0.5, 1e-3, record_every=every))
+            times.append(exc.value.time)
+        assert times[0] == times[1] < 0.5
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SimConfig(t_end=1.0, dt=2.0)
