@@ -47,23 +47,31 @@ def sum_invariant(x: NDArray, r: NDArray) -> float | NDArray[np.float64]:
     s = np.asarray(x).sum(axis=-2) - np.asarray(r).sum(axis=-2)
     return np.linalg.norm(s, axis=-1)
 
-def lyapunov_v1(xi: NDArray, P: NDArray) -> float:
-    """Quadratic consensus energy xi^T (M (x) P) xi for one stacked sample (N, n)."""
+
+def _scalar(v: NDArray) -> float | NDArray[np.float64]:
+    # a single sample gives a Python float, a series an array
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def lyapunov_v1(xi: NDArray, P: NDArray) -> float | NDArray[np.float64]:
+    """Quadratic consensus energy xi^T (M (x) P) xi of one stacked sample
+    (N, n), or of each sample of a series (T, N, n)."""
     xi = np.asarray(xi, dtype=float)
-    c = xi - xi.mean(axis=0, keepdims=True)
-    return float(np.einsum("in,nm,im->", c, P, xi))
+    c = xi - xi.mean(axis=-2, keepdims=True)
+    return _scalar(np.einsum("...in,nm,...im->...", c, P, xi))
 
 
 def v1_envelope(
-    t: float,
+    t: float | NDArray,
     v1_0: float,
     gamma: float,
     c2: float,
     eps: float,
     phi: float,
     edge_count_sum: int,
-) -> float:
-    """Closed-form upper bound on V1(t) from the decay inequality.
+) -> float | NDArray[np.float64]:
+    """Closed-form upper bound on V1(t) from the decay inequality, at one
+    time or at each time of an array.
 
     e^{-gamma t} V1(0) plus c2 * sum_i |N_i| times the convolution integral
     of eps*e^{-gamma(t-tau) - phi tau}, with the te^{-gamma t} branch at
@@ -73,7 +81,7 @@ def v1_envelope(
         integral = eps * t * np.exp(-gamma * t)
     else:
         integral = eps / (gamma - phi) * (np.exp(-phi * t) - np.exp(-gamma * t))
-    return float(np.exp(-gamma * t) * v1_0 + c2 * edge_count_sum * integral)
+    return _scalar(np.exp(-gamma * t) * v1_0 + c2 * edge_count_sum * integral)
 
 
 def lyapunov_v2(
@@ -84,15 +92,17 @@ def lyapunov_v2(
     consts: TheoremConstants,
     mu: float,
     nu: float,
-) -> float:
-    """V1 plus the edge-gain deviation energy.
+) -> float | NDArray[np.float64]:
+    """V1 plus the edge-gain deviation energy, of one sample (xi (N, n),
+    edge gains (E,)) or of each sample of a series ((T, N, n) and (T, E)).
 
     Each undirected edge counts twice: the double sum runs over ordered
     neighbor pairs.
     """
     a = np.asarray(alpha_e, dtype=float) - consts.alpha_bar
     b = np.asarray(beta_e, dtype=float) - consts.beta_bar
-    return lyapunov_v1(xi, P) + 2.0 * float(np.sum(a**2 / (2.0 * mu) + b**2 / (2.0 * nu)))
+    gain_energy = np.sum(a**2 / (2.0 * mu) + b**2 / (2.0 * nu), axis=-1)
+    return _scalar(lyapunov_v1(xi, P) + 2.0 * gain_energy)
 
 
 def omega1_bound(consts: TheoremConstants, theta: float, chi: float, edge_count_sum: int) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import scenarios as canned
 from . import sim
+from .analysis import theorem_constants
 from .config import Scenario, parse_scenario
 from .errors import AvgTrackError, ConfigError, NonFinite, NotConnected, NotStabilizable
 from .report import write_outputs
@@ -41,7 +42,6 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
 
 def cmd_gains(args: argparse.Namespace) -> int:
     scn = _load_configs(args.config, seed=None)[0]
-    plant = scn.reference_set.plant
     try:
         gains = scn.build_static_gains()
     except NotConnected:
@@ -52,18 +52,20 @@ def cmd_gains(args: argparse.Namespace) -> int:
               "positive-definite solution", file=sys.stderr)
         return 2
     Gamma = gains.K.T @ gains.K
-    qmin = float(np.linalg.eigvalsh(scn.design_Q)[0])
-    pmax = float(np.linalg.eigvalsh(gains.P)[-1])
+    f0 = input_bound(scn.reference_set)
+    consts = theorem_constants(
+        gains.P, scn.design_Q, scn.graph, f0, scn.reference_set.n_agents, lam2=scn.lambda2
+    )
     print(f"scenario: {scn.name}")
     print("stabilizability: (A, B) is stabilizable")
     print(_fmt_matrix("P", gains.P))
     print(_fmt_matrix("K", gains.K))
     print(_fmt_matrix("Gamma", Gamma))
     print(f"lambda2 = {scn.lambda2:.6f}")
-    print(f"f0 = {input_bound(scn.reference_set):.6f}")
+    print(f"f0 = {f0:.6f}")
     print(f"c1 = {gains.c1:.6f}")
     print(f"c2 = {gains.c2:.6f}")
-    print(f"gamma = {qmin / pmax:.6f}")
+    print(f"gamma = {consts.gamma:.6f}")
     return 0
 
 

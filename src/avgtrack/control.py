@@ -56,10 +56,14 @@ def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
 
 def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
     """Unit direction w/||w||, zero at (numerically) zero w. Rows of a 2-D w
-    are normalised independently."""
+    are normalised independently; on rows where ||w|| overflows, it is the
+    zero-width boundary_layer, which rescales them first."""
     w = np.asarray(w, dtype=float)
     nrm = np.linalg.norm(w, axis=-1, keepdims=True)
-    return np.where(nrm > 1e-15, w / np.where(nrm > 0, nrm, 1.0), 0.0)
+    s = np.where(nrm > 1e-15, w / np.where(nrm > 0, nrm, 1.0), 0.0)
+    if not math.isfinite(nrm.max(initial=0.0)):
+        s = np.where(np.isinf(nrm), boundary_layer(w, 0.0, 0.0, 0.0), s)
+    return s
 
 
 @dataclass(frozen=True)

@@ -54,10 +54,6 @@ class Graph:
                 out.append(a)
         return sorted(out)
 
-    def degree_sum(self) -> int:
-        """Sum over nodes of |N_i| (counts ordered neighbor pairs; equals 2E)."""
-        return 2 * self.n_edges
-
 
 def edge_index(g: Graph) -> NDArray[np.intp]:
     """2 x n_edges index array: the tail (lower index) and the head of each

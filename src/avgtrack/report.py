@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -26,7 +25,7 @@ def diagnostics_series(
     rs = scn.reference_set
     f0 = input_bound(rs)
     N = rs.n_agents
-    edge_sum = scn.graph.degree_sum()
+    edge_sum = 2 * scn.graph.n_edges  # sum_i |N_i|, ordered neighbor pairs
     adaptive = traj.mode == "adaptive"
 
     rates = dict(mu=gains.mu, nu=gains.nu, theta=gains.theta, chi=gains.chi) if adaptive else {}
@@ -35,7 +34,7 @@ def diagnostics_series(
     )
 
     xi = analysis.consensus_error(traj.x)
-    v1 = np.array([analysis.lyapunov_v1(xi[k], P) for k in range(len(traj.times))])
+    v1 = analysis.lyapunov_v1(xi, P)
     sum_inv = np.asarray(analysis.sum_invariant(traj.x, traj.r))
     track = analysis.tracking_error(traj.x, traj.r)
     final_err = np.linalg.norm(track[-1], axis=1)
@@ -56,20 +55,15 @@ def diagnostics_series(
     }
 
     if not adaptive:
-        env = np.array([
-            analysis.v1_envelope(t, v1[0], consts.gamma, gains.c2, gains.eps, gains.phi, edge_sum)
-            for t in traj.times
-        ])
+        env = analysis.v1_envelope(
+            traj.times, v1[0], consts.gamma, gains.c2, gains.eps, gains.phi, edge_sum
+        )
         out["envelope"] = env
         out["envelope_violations"] = int(np.count_nonzero(v1 > env + ENVELOPE_SLACK))
     else:
-        v2 = np.array([
-            analysis.lyapunov_v2(
-                xi[k], P, traj.alpha[k], traj.beta[k], consts, gains.mu, gains.nu
-            )
-            for k in range(len(traj.times))
-        ])
-        out["V2"] = v2
+        out["V2"] = analysis.lyapunov_v2(
+            xi, P, traj.alpha, traj.beta, consts, gains.mu, gains.nu
+        )
         out["omega1_bound"] = analysis.omega1_bound(consts, gains.theta, gains.chi, edge_sum)
         try:
             out["omega2_radius"] = analysis.omega2_radius(
@@ -105,47 +99,36 @@ def build_summary(
 
 def write_trajectory_csv(path: Path, scn: Scenario, traj: Trajectory) -> None:
     """Long-format CSV: one agent row per agent per time; adaptive runs add
-    one edge row per edge per time (alpha/beta columns)."""
+    one edge row per edge per time (alpha/beta columns). Rows end in CRLF."""
     n = scn.reference_set.plant.n
     track = analysis.tracking_error(traj.x, traj.r)
-    # row-by-row inner products, as np.linalg.norm takes them on one row;
+    # row-by-row inner products, as np.linalg.norm takes them on one row
+    track_norm = np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0]
     # Python floats format as numpy's do and index faster
-    track_norm = np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0, 0].tolist()
-    x = traj.x.tolist()
-    header = (
-        ["kind", "t", "index"]
-        + [f"x_{k}" for k in range(n)]
-        + ["tracking_error_norm", "alpha", "beta"]
-    )
+    agents = np.concatenate([traj.x, track_norm], axis=-1).tolist()
+    edge_gains = None if traj.alpha is None else np.stack([traj.alpha, traj.beta], -1).tolist()
+    agent_row = "agent,%s,%d" + ",%.12g" * (n + 1) + ",,\r\n"
+    edge_row = "edge,%s,%d" + "," * (n + 1) + ",%.12g,%.12g\r\n"
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k, t in enumerate(traj.times):
+        fh.write("kind,t,index," + "".join(f"x_{k}," for k in range(n))
+                 + "tracking_error_norm,alpha,beta\r\n")
+        for k, t in enumerate(traj.times.tolist()):
             stamp = f"{t:.10g}"
-            for i in range(scn.reference_set.n_agents):
-                row = ["agent", stamp, i]
-                row += [f"{v:.12g}" for v in x[k][i]]
-                row += [f"{track_norm[k][i]:.12g}", "", ""]
-                w.writerow(row)
-            if traj.alpha is not None:
-                for e in range(traj.alpha.shape[1]):
-                    row = ["edge", stamp, e] + [""] * n
-                    row += ["", f"{traj.alpha[k, e]:.12g}", f"{traj.beta[k, e]:.12g}"]
-                    w.writerow(row)
+            rows = [agent_row % (stamp, i, *v) for i, v in enumerate(agents[k])]
+            if edge_gains is not None:
+                rows += [edge_row % (stamp, e, *ab) for e, ab in enumerate(edge_gains[k])]
+            fh.write("".join(rows))
 
 
 def write_diagnostics_csv(path: Path, diag: dict) -> None:
+    """One row per record time, with empty cells where the mode leaves a value undefined."""
+    cols = [diag[k] for k in ("times", "V1", "V2", "envelope", "sum_invariant")]
+    fmts = ["%.10g"] + ["%.12g"] * 4
+    row = ",".join("" if c is None else f for f, c in zip(fmts, cols)) + "\r\n"
+    values = np.column_stack([c for c in cols if c is not None]).tolist()
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "V1", "V2", "envelope", "sum_invariant"])
-        for k, t in enumerate(diag["times"]):
-            w.writerow([
-                f"{t:.10g}",
-                f"{diag['V1'][k]:.12g}",
-                "" if diag["V2"] is None else f"{diag['V2'][k]:.12g}",
-                "" if diag["envelope"] is None else f"{diag['envelope'][k]:.12g}",
-                f"{diag['sum_invariant'][k]:.12g}",
-            ])
+        fh.write("t,V1,V2,envelope,sum_invariant\r\n")
+        fh.write("".join(row % tuple(v) for v in values))
 
 
 def write_outputs(

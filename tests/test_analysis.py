@@ -98,6 +98,15 @@ class TestLyapunovV1:
             xi = consensus_error(rng.standard_normal((6, 2)))
             assert lyapunov_v1(xi, P) >= lam_min * np.sum(xi**2) - 1e-10
 
+    def test_series_equals_stacked_samples(self):
+        rng = np.random.default_rng(26)
+        P = at.solve_are(SEC5_A, SEC5_B, np.eye(2)).P
+        xi = consensus_error(rng.standard_normal((50, 6, 2)))
+        v = lyapunov_v1(xi, P)
+        assert v.shape == (50,)
+        np.testing.assert_array_equal(v, [lyapunov_v1(s, P) for s in xi])
+        assert type(lyapunov_v1(xi[0], P)) is float
+
 
 class TestEnvelope:
     def test_t0(self):
@@ -111,6 +120,15 @@ class TestEnvelope:
             base = v1_envelope(t, 1.0, 0.5, 2.0, 1.0, 0.5, 12)
             near = v1_envelope(t, 1.0, 0.5 + 1e-9, 2.0, 1.0, 0.5, 12)
             assert near == pytest.approx(base, abs=1e-6)
+
+    @pytest.mark.parametrize("phi", [0.7, 0.5])  # gamma != phi and the gamma == phi branch
+    def test_series_equals_stacked_samples(self, phi):
+        t = np.linspace(0.0, 20.0, 201)
+        env = v1_envelope(t, 3.3, 0.5, 2.0, 1.0, phi, 12)
+        assert env.shape == t.shape
+        stacked = [v1_envelope(s, 3.3, 0.5, 2.0, 1.0, phi, 12) for s in t]
+        np.testing.assert_array_equal(env, stacked)
+        assert type(stacked[0]) is float
 
 
 class TestLyapunovV2:
@@ -138,6 +156,20 @@ class TestLyapunovV2:
             for d in (0.0, 0.5, 1.0, 2.0)
         ]
         assert vals == sorted(vals)
+
+    def test_series_equals_stacked_samples(self):
+        c = self.consts()
+        rng = np.random.default_rng(27)
+        xi = consensus_error(rng.standard_normal((50, 6, 2)))
+        alpha = rng.uniform(0.0, 2.0, (50, 7))
+        beta = rng.uniform(0.0, 30.0, (50, 7))
+        v = lyapunov_v2(xi, np.eye(2), alpha, beta, c, 0.7, 1.3)
+        assert v.shape == (50,)
+        stacked = [
+            lyapunov_v2(xi[k], np.eye(2), alpha[k], beta[k], c, 0.7, 1.3) for k in range(50)
+        ]
+        np.testing.assert_array_equal(v, stacked)
+        assert type(stacked[0]) is float
 
 
 class TestOmegaBounds:

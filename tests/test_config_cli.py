@@ -7,6 +7,7 @@ import pytest
 import avgtrack as at
 from avgtrack.cli import main
 from avgtrack.errors import ConfigError
+from avgtrack.report import write_diagnostics_csv, write_trajectory_csv
 from avgtrack.scenarios import NAMES, scenario_config
 
 
@@ -290,3 +291,49 @@ class TestRunCommand:
         cfg["sim"]["dt"] = 100.0  # dt > t_end
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
+
+
+class TestWriters:
+    """Byte format of both CSV writers, with the same rows written through
+    the csv module as the oracle."""
+
+    def test_bytes_match_csv_module(self, tmp_path):
+        scn = at.parse_scenario(scenario_config("twin-integrator"))  # 2 agents, 1 edge, n = 2
+        big = 123456789.123456789
+        times = np.array([0.0, 1.0 / 3.0])
+        x = np.array([[[-0.0, 1e-20], [big, -2.5]], [[1e-20, -0.0], [3.0, -big]]])
+        alpha = np.array([[-0.0], [big]])
+        beta = np.array([[1e-20], [0.5]])
+        # zero references: the tracking error is x itself
+        traj = at.Trajectory(times, x, np.zeros_like(x), alpha, beta, "adaptive")
+        diag = {"times": times, "V1": np.array([-0.0, big]), "V2": np.array([1e-20, 2.0]),
+                "envelope": None, "sum_invariant": np.array([0.0, 1.2345678901234e-15])}
+
+        write_trajectory_csv(tmp_path / "trajectory.csv", scn, traj)
+        with (tmp_path / "oracle.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(GOLDEN_TRAJECTORY_HEADER)
+            for k, t in enumerate(times):
+                for i in range(2):
+                    norm = np.linalg.norm(x[k, i])
+                    w.writerow(["agent", f"{t:.10g}", i, *(f"{v:.12g}" for v in x[k, i]),
+                                f"{norm:.12g}", "", ""])
+                w.writerow(["edge", f"{t:.10g}", 0, "", "", "",
+                            f"{alpha[k, 0]:.12g}", f"{beta[k, 0]:.12g}"])
+        got = (tmp_path / "trajectory.csv").read_bytes()
+        assert got == (tmp_path / "oracle.csv").read_bytes()
+        assert b"agent,0,0,-0,1e-20," in got and b"123456789.123" in got
+
+        for v2, env in ((diag["V2"], None), (None, np.array([big, -0.0]))):
+            diag.update(V2=v2, envelope=env)
+            write_diagnostics_csv(tmp_path / "diagnostics.csv", diag)
+            with (tmp_path / "oracle.csv").open("w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(GOLDEN_DIAGNOSTICS_HEADER)
+                for k, t in enumerate(times):
+                    w.writerow([f"{t:.10g}", f"{diag['V1'][k]:.12g}",
+                                "" if v2 is None else f"{v2[k]:.12g}",
+                                "" if env is None else f"{env[k]:.12g}",
+                                f"{diag['sum_invariant'][k]:.12g}"])
+            got = (tmp_path / "diagnostics.csv").read_bytes()
+            assert got == (tmp_path / "oracle.csv").read_bytes()

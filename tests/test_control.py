@@ -137,6 +137,34 @@ class TestDiscontinuousSign:
             w = rng.standard_normal(3)
             assert np.linalg.norm(discontinuous_sign(w)) == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+        )
+    )
+    # ||w|| overflows the double range; the sign term was 0 here
+    @example(w=[1.5e308, 1.5e308])
+    def test_unit_direction_at_any_scale(self, w):
+        w = np.array(w)
+        with np.errstate(over="ignore"):  # ||w|| itself may exceed the double range
+            s = discontinuous_sign(w)
+        top = np.abs(w).max()
+        if top >= 1e-14:  # then ||w|| clears the zero threshold
+            u = w / top
+            np.testing.assert_allclose(s, u / np.linalg.norm(u), rtol=0, atol=1e-12)
+
+    def test_rescale_touches_only_overflowing_rows(self):
+        W = np.array([[1.5e308, -1.5e308], [3.0, 4.0], [1e-300, 0.0], [0.1, 0.2]])
+        with np.errstate(over="ignore"):
+            rows = discontinuous_sign(W)
+        np.testing.assert_allclose(rows[0], [0.5**0.5, -(0.5**0.5)], rtol=0, atol=1e-12)
+        # rows with a finite norm keep the bits of w / ||w||
+        for w, s in zip(W[1:], rows[1:]):
+            np.testing.assert_array_equal(s, discontinuous_sign(w))
+        np.testing.assert_array_equal(rows[1], W[1] / 5.0)
+        np.testing.assert_array_equal(rows[2], [0.0, 0.0])
+
 
 class TestDesignGains:
     def test_sec5_arithmetic(self):
