@@ -13,7 +13,7 @@ from .numerics import (
     matrix_exp,
     solve_are,
     solve_lyapunov,
-    sym_eig,
+    sym_eigvals,
 )
 from .signals import (
     InputDescriptor,
@@ -55,7 +55,7 @@ from .scenarios import scenario_config
 __all__ = [
     "Graph", "incidence_matrix", "laplacian", "is_connected", "lambda2",
     "AreSolution", "NumericsConfig", "is_stabilizable", "matrix_exp",
-    "solve_are", "solve_lyapunov", "sym_eig",
+    "solve_are", "solve_lyapunov", "sym_eigvals",
     "InputDescriptor", "LinearPlant", "ReferenceSet", "eval_input",
     "input_bound", "reference_trajectory",
     "AdaptiveParams", "NetworkState", "StaticGains", "adaptive_rhs",

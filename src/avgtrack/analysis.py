@@ -11,7 +11,7 @@ from numpy.typing import NDArray
 
 from .errors import RhoExceedsGamma
 from .graph import Graph, lambda2
-from .numerics import sym_eig
+from .numerics import sym_eigvals
 from .signals import ReferenceSet, reference_trajectory
 
 
@@ -124,7 +124,7 @@ def omega2_radius(
         raise RhoExceedsGamma(
             f"varrho={consts.varrho:g} >= gamma={consts.gamma:g}: bound vacuous"
         )
-    lam_min_p = float(sym_eig(P)[0][0])
+    lam_min_p = float(sym_eigvals(P)[0])
     per_pair = theta * consts.alpha_bar**2 + chi * consts.beta_bar**2
     return float(
         np.sqrt(edge_count_sum * per_pair / (2.0 * lam_min_p * (consts.gamma - consts.varrho)))
@@ -146,7 +146,7 @@ def theorem_constants(
     """Assemble the scalar constants, defaulting the analysis constants to
     their minimal compliant values (the bounds tighten as they shrink).
     `lam2` may carry lambda2(g) when the caller already has it."""
-    gamma = float(sym_eig(Q)[0][0] / sym_eig(P)[0][-1])
+    gamma = float(sym_eigvals(Q)[0] / sym_eigvals(P)[-1])
     alpha_bar = 1.0 / (2.0 * (lambda2(g) if lam2 is None else lam2))
     beta_bar = f0 * (n_agents - 1)
     delta = min(gamma, mu * theta, nu * chi)

@@ -1,8 +1,9 @@
 """Command-line front end: gain reports, simulation runs, canned scenarios.
 
-Exit codes: 0 success, 1 runtime/numerical failure, 2 config/validation
-failure. A config file may hold a list of scenarios (parameter sweep); they
-run one after another in file order, each into its own subdirectory.
+Exit codes: 0 success, 1 runtime/numerical failure, 2 config/validation or
+gain-design failure; `main` alone maps errors to them. A config file may hold
+a list of scenarios (parameter sweep); they run one after another in file
+order, each into its own subdirectory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from . import scenarios as canned
 from . import sim
 from .analysis import theorem_constants
 from .config import Scenario, parse_scenario
-from .errors import AvgTrackError, ConfigError, NonFinite, NotConnected, NotStabilizable
+from .errors import (
+    AvgTrackError, ConfigError, NonFinite, NotConnected, NotStabilizable, NotSymmetric,
+)
 from .report import write_outputs
 from .signals import input_bound
 
@@ -32,6 +35,8 @@ def _load_configs(path: str, seed: int | None) -> list[Scenario]:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     items = raw if isinstance(raw, list) else [raw]
+    if not items:
+        raise ConfigError(f"config {path} holds an empty list of scenarios")
     return [parse_scenario(item, seed=seed) for item in items]
 
 
@@ -42,15 +47,7 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
 
 def cmd_gains(args: argparse.Namespace) -> int:
     scn = _load_configs(args.config, seed=None)[0]
-    try:
-        gains = scn.build_static_gains()
-    except NotConnected:
-        print("design step 2 failed: the communication graph is not connected", file=sys.stderr)
-        return 2
-    except NotStabilizable:
-        print("design step 1 failed: (A, B) is not stabilizable, the ARE has no "
-              "positive-definite solution", file=sys.stderr)
-        return 2
+    gains = scn.build_static_gains()
     Gamma = gains.K.T @ gains.K
     f0 = input_bound(scn.reference_set)
     consts = theorem_constants(
@@ -94,28 +91,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"scenarios share the name(s) {clash} and so an output directory; "
                           "give each scenario of a list its own 'name'")
     out_root = Path(args.out)
-    try:
-        for scn in scns:
-            _run_one(scn, out_root / scn.name if len(scns) > 1 else out_root)
-    except NonFinite as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
-    except (NotConnected, NotStabilizable) as exc:
-        print(f"design failed: {exc}", file=sys.stderr)
-        return 2
+    for scn in scns:
+        _run_one(scn, out_root / scn.name if len(scns) > 1 else out_root)
     return 0
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    try:
-        cfg = canned.scenario_config(args.name)
-    except KeyError:
-        print(
-            f"unknown scenario {args.name!r}; valid names: {', '.join(canned.NAMES)}",
-            file=sys.stderr,
-        )
-        return 2
-    json.dump(cfg, sys.stdout, indent=2)
+    json.dump(canned.scenario_config(args.name), sys.stdout, indent=2)
     print()
     return 0
 
@@ -143,14 +125,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the only place that turns errors into exit codes."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (NotConnected, NotStabilizable, NotSymmetric) as exc:
+        print(f"design failed: {exc}", file=sys.stderr)
+        return 2
     except NonFinite as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"run failed: {exc}", file=sys.stderr)
         return 1
     except AvgTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)

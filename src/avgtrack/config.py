@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -20,23 +20,27 @@ _TOP_KEYS = {
 }
 _DESIGN_KEYS = {"Q", "margins", "eps", "phi"}
 _ADAPTIVE_KEYS = {"mu", "nu", "theta", "chi", "alpha0", "beta0"}
-_SIM_KEYS = {"t_end", "dt", "record_every", "integrator"}
 _INPUT_KEYS = {
     "zero": {"kind"},
     "constant": {"kind", "value"},
     "sinusoid": {"kind", "amp", "omega", "phase"},
     "table": {"kind", "times", "values"},
 }
-_NUMERICS_KEYS = {
-    "sym_tol", "lyap_residual_tol", "are_residual_tol", "are_step_tol",
-    "are_max_iter", "rank_rtol",
-}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _section(cls, d: dict, where: str):
+    """`cls` built from the config section `d`, whose keys must be fields of
+    `cls`; the class converts and checks the values."""
+    _check_keys(d, {f.name for f in fields(cls)}, where)
+    return cls(**d)
 
 
 @dataclass
@@ -54,7 +58,6 @@ class Scenario:
     adaptive: dict | None
     sim: SimConfig
     numerics: NumericsConfig
-    assumptions: dict = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
     @cached_property
@@ -76,34 +79,19 @@ class Scenario:
         )
 
     def build_adaptive_params(self) -> control.AdaptiveParams:
-        a = self.adaptive
-        if a is None:
+        if self.adaptive is None:
             raise ConfigError("adaptive algorithm needs an 'adaptive' section")
         P, K = control.feedback_gain(self.reference_set.plant, self.design_Q, self.numerics)
         return control.AdaptiveParams(
-            K=K,
-            Gamma=K.T @ K,
-            mu=a["mu"],
-            nu=a["nu"],
-            theta=a["theta"],
-            chi=a["chi"],
-            eps=self.eps,
-            phi=self.phi,
-            P=P,
-            alpha0=a.get("alpha0", 0.0),
-            beta0=a.get("beta0", 0.0),
+            K=K, Gamma=K.T @ K, eps=self.eps, phi=self.phi, P=P, **self.adaptive
         )
 
 
 def _parse_input(d: dict, where: str) -> InputDescriptor:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"{where}: input needs a 'kind'")
-    kind = d["kind"]
+    kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in _INPUT_KEYS:
-        raise ConfigError(f"{where}: unknown input kind {kind!r}")
+        raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(_INPUT_KEYS)}")
     _check_keys(d, _INPUT_KEYS[kind], where)
-    if kind == "sinusoid":
-        d = {"omega": 1.0, **d}
     # InputDescriptor converts the fields and checks that the kind has them
     return InputDescriptor(**d)
 
@@ -112,22 +100,23 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
     """Validate a scenario dict and build the typed objects.
 
     `seed` feeds only agents whose r0 is null (randomized initial states);
-    fully specified scenarios are seed-free.
+    fully specified scenarios are seed-free. A missing key or a value of the
+    wrong type or shape raises ConfigError, as every other invalid config does.
     """
-    if not isinstance(cfg, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "scenario")
-    for key in ("graph", "plant", "agents", "algorithm", "sim"):
-        if key not in cfg:
-            raise ConfigError(f"missing required key {key!r}")
+    try:
+        return _parse(cfg, seed)
+    except KeyError as exc:
+        raise ConfigError(f"missing key {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"malformed value: {exc}") from exc
 
+
+def _parse(cfg: dict, seed: int | None) -> Scenario:
+    _check_keys(cfg, _TOP_KEYS, "scenario config")
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
-    g = Graph(n_nodes=int(gd["n"]), edges=tuple(tuple(e) for e in gd.get("edges", [])))
-
-    pd = cfg["plant"]
-    _check_keys(pd, {"A", "B"}, "plant")
-    plant = LinearPlant(A=np.asarray(pd["A"], dtype=float), B=np.asarray(pd["B"], dtype=float))
+    g = Graph(n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
+    plant = _section(LinearPlant, cfg["plant"], "plant")
 
     rng = np.random.default_rng(0 if seed is None else seed)
     r0s, inputs = [], []
@@ -148,32 +137,20 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
 
     dd = cfg.get("design", {})
     _check_keys(dd, _DESIGN_KEYS, "design")
-    Q = np.asarray(dd.get("Q", np.eye(plant.n).tolist()), dtype=float)
-    margins = tuple(float(v) for v in dd.get("margins", (1.0, 1.0)))
-    eps = float(dd.get("eps", 5.0))
-    phi = float(dd.get("phi", 0.5))
+    Q = np.asarray(dd.get("Q", np.eye(plant.n)), dtype=float)
+    if Q.shape != (plant.n, plant.n):
+        raise ConfigError(f"design.Q must be {plant.n} x {plant.n}, got shape {Q.shape}")
+    m1, m2 = dd.get("margins", (1.0, 1.0))
 
+    # the section's keys are AdaptiveParams fields, all of them numbers
     ad = cfg.get("adaptive")
-    if algorithm == "adaptive":
-        if ad is None:
-            raise ConfigError("adaptive algorithm needs an 'adaptive' section")
+    if ad is not None:
         _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
-        for key in ("mu", "nu", "theta", "chi"):
-            if key not in ad:
-                raise ConfigError(f"adaptive section missing {key!r}")
-
-    sd = cfg["sim"]
-    _check_keys(sd, _SIM_KEYS, "sim")
-    sim = SimConfig(
-        t_end=float(sd["t_end"]),
-        dt=float(sd.get("dt", 1e-3)),
-        record_every=int(sd.get("record_every", 1)),
-        integrator=sd.get("integrator", "rk4"),
-    )
-
-    nd = cfg.get("numerics", {})
-    _check_keys(nd, _NUMERICS_KEYS, "numerics")
-    numerics = NumericsConfig(**{k: v for k, v in nd.items()})
+        ad = {k: float(v) for k, v in ad.items()}
+    if algorithm == "adaptive":
+        missing = sorted({"mu", "nu", "theta", "chi"} - set(ad or ()))
+        if missing:
+            raise ConfigError(f"adaptive algorithm needs {missing} in an 'adaptive' section")
 
     return Scenario(
         name=str(cfg.get("name", "unnamed")),
@@ -181,12 +158,11 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
         reference_set=rs,
         algorithm=algorithm,
         design_Q=Q,
-        margins=margins,  # type: ignore[arg-type]
-        eps=eps,
-        phi=phi,
-        adaptive=dict(ad) if ad else None,
-        sim=sim,
-        numerics=numerics,
-        assumptions=dict(cfg.get("assumptions", {})),
+        margins=(float(m1), float(m2)),
+        eps=float(dd.get("eps", 5.0)),
+        phi=float(dd.get("phi", 0.5)),
+        adaptive=ad,
+        sim=_section(SimConfig, cfg["sim"], "sim"),
+        numerics=_section(NumericsConfig, cfg.get("numerics", {}), "numerics"),
         raw=cfg,
     )

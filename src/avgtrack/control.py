@@ -78,8 +78,8 @@ class StaticGains:
     P: NDArray[np.float64]       # ARE solution behind K
 
     def __post_init__(self):
-        if self.eps <= 0 or self.phi <= 0:
-            raise ConfigError("eps and phi must be positive")
+        if not (0 < self.eps < math.inf and 0 < self.phi < math.inf):  # NaN fails too
+            raise ConfigError("eps and phi must be positive and finite")
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError("coupling strengths must be nonnegative")
 
@@ -101,10 +101,12 @@ class AdaptiveParams:
     beta0: float = 0.0
 
     def __post_init__(self):
-        if min(self.mu, self.nu, self.theta, self.chi) <= 0:
-            raise ConfigError("mu, nu, theta, chi must be positive")
-        if self.eps <= 0 or self.phi <= 0:
-            raise ConfigError("eps and phi must be positive")
+        if not all(0 < v < math.inf for v in (self.mu, self.nu, self.theta, self.chi)):
+            raise ConfigError("mu, nu, theta, chi must be positive and finite")
+        if not (0 < self.eps < math.inf and 0 < self.phi < math.inf):  # NaN fails too
+            raise ConfigError("eps and phi must be positive and finite")
+        if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
+            raise ConfigError("alpha0 and beta0 must be finite")
 
 
 @dataclass
@@ -148,8 +150,8 @@ def design_gains(
     """
     if not graphmod.is_connected(g):
         raise NotConnected("gain design requires a connected graph")
-    if margins[0] < 1.0 or margins[1] < 1.0:
-        raise ConfigError("margins must be >= 1")
+    if not (1.0 <= margins[0] < math.inf and 1.0 <= margins[1] < math.inf):
+        raise ConfigError("margins must be finite and >= 1")
     P, K = feedback_gain(plant, Q, cfg)
     if lam2 is None:
         lam2 = graphmod.lambda2(g)

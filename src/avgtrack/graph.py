@@ -23,8 +23,10 @@ class Graph:
     edges: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ConfigError("graph needs at least one node")
+        n = int(self.n_nodes)
+        if n != self.n_nodes or n < 1:
+            raise ConfigError(f"graph needs a whole number of nodes >= 1, got {self.n_nodes!r}")
+        object.__setattr__(self, "n_nodes", n)
         norm_edges = []
         seen = set()
         for e in self.edges:
@@ -44,15 +46,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
 
 
 def edge_index(g: Graph) -> NDArray[np.intp]:
@@ -110,5 +103,4 @@ def lambda2(g: Graph) -> float:
     """
     if not is_connected(g):
         raise NotConnected("lambda2 requires a connected graph")
-    vals, _ = numerics.sym_eig(laplacian(g))
-    return float(vals[1])
+    return float(numerics.sym_eigvals(laplacian(g))[1])

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: symmetric eigensolver, Lyapunov and Riccati
+"""Dense linear-algebra kernel: symmetric eigenvalues, Lyapunov and Riccati
 solvers, matrix exponential, and the PBH stabilizability test.
 
 Everything here targets small systems (n up to ~10 for plants, a few hundred
@@ -7,12 +7,14 @@ for Laplacians); dense O(n^3)-and-worse methods are deliberate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import (
+    ConfigError,
     NoConvergence,
     NonFinite,
     NotStabilizable,
@@ -23,14 +25,23 @@ from .errors import (
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Tolerances for the numerics kernel. Defaults match the documented contracts."""
+    """Tolerances for the numerics kernel. Defaults match the documented
+    contracts; every value is positive and finite, and has its default's type."""
 
-    sym_tol: float = 1e-10          # symmetry check for sym_eig inputs
     lyap_residual_tol: float = 1e-10
     are_residual_tol: float = 1e-9
     are_step_tol: float = 1e-12     # successive-iterate Frobenius tolerance
     are_max_iter: int = 100
     rank_rtol: float = 1e-10        # relative singular-value cutoff (PBH)
+
+    def __post_init__(self):
+        for f in fields(self):
+            given = getattr(self, f.name)
+            value = type(f.default)(given)
+            if value != given or not 0 < value < math.inf:
+                raise ConfigError(f"numerics.{f.name} must be a positive finite "
+                                  f"{type(f.default).__name__}, got {given!r}")
+            object.__setattr__(self, f.name, value)
 
 
 DEFAULT_CONFIG = NumericsConfig()
@@ -45,18 +56,13 @@ class AreSolution:
     iterations: int
 
 
-def sym_eig(m: NDArray, sym_tol: float | None = None) -> tuple[NDArray, NDArray]:
-    """Eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    """
+def sym_eigvals(m: NDArray) -> NDArray[np.float64]:
+    """Eigenvalues, ascending, of a matrix symmetric to 1e-10 relative."""
     m = np.asarray(m, dtype=float)
-    tol = DEFAULT_CONFIG.sym_tol if sym_tol is None else sym_tol
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
-    if np.abs(m - m.T).max(initial=0.0) > tol * scale:
+    if np.abs(m - m.T).max(initial=0.0) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    return vals, vecs
+    return np.linalg.eigvalsh((m + m.T) / 2.0)
 
 
 def solve_lyapunov(
@@ -133,7 +139,7 @@ def is_stabilizable(A: NDArray, B: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
     return True
 
 
-def _initial_gain(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) -> NDArray:
+def _initial_gain(A: NDArray, B: NDArray, Q: NDArray) -> NDArray:
     """Stabilizing initial gain from the stable invariant subspace of the
     Hamiltonian matrix H = [[A, -B B^T], [-Q, -A^T]].
 
@@ -172,12 +178,11 @@ def solve_are(
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     Q = np.asarray(Q, dtype=float)
     if not is_stabilizable(A, B, cfg):
-        raise NotStabilizable("(A, B) fails the PBH stabilizability test")
-    qvals, _ = sym_eig(Q)
-    if qvals[0] <= 0:
+        raise NotStabilizable("(A, B) is not stabilizable: it fails the PBH test")
+    if sym_eigvals(Q)[0] <= 0:
         raise SingularSystem("Q must be positive definite")
 
-    K = _initial_gain(A, B, Q, cfg)
+    K = _initial_gain(A, B, Q)
     P_prev = None
     best = None  # (residual, P, iteration); rounding can jitter late iterates
     for it in range(1, cfg.are_max_iter + 1):

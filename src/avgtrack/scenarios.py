@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 
+from .errors import ConfigError
+
 
 def _ring_edges(n: int) -> list[list[int]]:
     return [[i, (i + 1) % n] for i in range(n)]
@@ -97,5 +99,5 @@ NAMES = tuple(sorted(_BUILDERS))
 def scenario_config(name: str) -> dict:
     """Return a deep copy of the named canned scenario config."""
     if name not in _BUILDERS:
-        raise KeyError(name)
+        raise ConfigError(f"unknown scenario {name!r}; valid names: {', '.join(NAMES)}")
     return copy.deepcopy(_BUILDERS[name]())

@@ -58,7 +58,7 @@ class InputDescriptor:
     kind: str
     value: NDArray[np.float64] | None = None       # constant
     amp: NDArray[np.float64] | None = None         # sinusoid
-    omega: float = 0.0
+    omega: float = 1.0
     phase: float = 0.0
     times: NDArray[np.float64] | None = None       # table
     values: NDArray[np.float64] | None = None      # table, shape (len(times), m)

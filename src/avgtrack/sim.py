@@ -6,6 +6,7 @@ variation-of-constants path in `signals` stays available as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,10 +27,14 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt <= 0 or self.dt > self.t_end:
-            raise ConfigError("need 0 < dt <= t_end")
-        if self.record_every < 1:
-            raise ConfigError("record_every must be >= 1")
+        every = int(self.record_every)
+        if every != self.record_every or every < 1:
+            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        object.__setattr__(self, "record_every", every)
+        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "dt", float(self.dt))
+        if not 0 < self.dt <= self.t_end < math.inf:
+            raise ConfigError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
         if self.integrator not in ("rk4", "euler"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
 

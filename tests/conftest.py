@@ -8,6 +8,11 @@ SEC5_A = np.array([[0.0, 1.0], [-1.0, -2.0]])
 SEC5_B = np.array([[0.0], [1.0]])
 
 
+def neighbors(g, i):
+    """The sorted neighbours of node i in graph g."""
+    return sorted(b if a == i else a for a, b in g.edges if i in (a, b))
+
+
 @pytest.fixture(scope="session")
 def sec5_static_scn():
     return at.parse_scenario(at.scenario_config("paper-sec5-static"))

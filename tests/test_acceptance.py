@@ -30,7 +30,7 @@ from avgtrack import (
 )
 from avgtrack.report import diagnostics_series
 from avgtrack.scenarios import scenario_config
-from conftest import SEC5_A, SEC5_B, random_stabilizable, ring_graph
+from conftest import SEC5_A, SEC5_B, neighbors, random_stabilizable, ring_graph
 
 
 def verdict(num: int, label: str, ok: bool) -> None:
@@ -211,7 +211,7 @@ def _component_count(g: Graph) -> int:
             if v in seen:
                 continue
             seen.add(v)
-            stack.extend(g.neighbors(v))
+            stack.extend(neighbors(g, v))
     return comps
 
 

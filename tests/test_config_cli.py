@@ -95,6 +95,15 @@ class TestParseScenario:
         scn = at.parse_scenario(cfg)
         assert scn.numerics.are_max_iter == 50
 
+    def test_sinusoid_omega_default_matches_library(self):
+        # a config and InputDescriptor share one default for omega
+        cfg = scenario_config("paper-sec5-static")
+        del cfg["agents"][0]["input"]["omega"]
+        parsed = at.parse_scenario(cfg).reference_set.inputs[0]
+        built = at.InputDescriptor(kind="sinusoid", amp=cfg["agents"][0]["input"]["amp"])
+        for t in (0.0, 0.3, 1.7, 12.5):
+            np.testing.assert_array_equal(at.eval_input(parsed, t), at.eval_input(built, t))
+
 
 class TestScenarioCommand:
     def test_emits_parseable_json(self, capsys):
@@ -291,6 +300,64 @@ class TestRunCommand:
         cfg["sim"]["dt"] = 100.0  # dt > t_end
         code, _ = run_cli(tmp_path, cfg)
         assert code == 2
+
+
+MISSING = object()
+
+
+def _set(cfg, path, value):
+    """Set (or, for MISSING, delete) the entry at `path`, a tuple of keys
+    and list indices; absent sections are created."""
+    *parents, last = path
+    for key in parents:
+        cfg = cfg[key] if isinstance(cfg, list) else cfg.setdefault(key, {})
+    if value is MISSING:
+        del cfg[last]
+    else:
+        cfg[last] = value
+
+
+SEC5_RATES = {"mu": 10.0, "nu": 10.0, "theta": 0.01, "chi": 0.01}
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("sim", "t_end"), "abc", id="t_end-string"),
+    pytest.param(("sim", "dt"), None, id="dt-null"),
+    pytest.param(("sim", "record_every"), 2.7, id="record_every-fraction"),
+    pytest.param(("graph", "n"), "six", id="n-string"),
+    pytest.param(("graph", "n"), MISSING, id="n-missing"),
+    pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], id="Q-ragged"),
+    pytest.param(("design", "Q"), [[1.0, 0.5], [0.0, 1.0]], id="Q-not-symmetric"),
+    pytest.param(("design", "Q"), np.eye(3).tolist(), id="Q-wrong-size"),
+    pytest.param(("design", "margins"), [1], id="margins-one"),
+    pytest.param(("design", "eps"), float("nan"), id="eps-nan"),
+    pytest.param(("design", "margins"), [float("nan"), 1.0], id="margins-nan"),
+    pytest.param(("graph", "n"), 6.5, id="n-fraction"),
+    pytest.param(("agents", 0, "r0"), [1.0, -1.0, 0.0], id="r0-wrong-length"),
+    pytest.param(("agents", 0, "input", "amp"), ["x"], id="amp-string"),
+    pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), id="mu-string"),
+    pytest.param(("adaptive",), dict(SEC5_RATES, alpha0=float("nan")), id="alpha0-nan"),
+    pytest.param(("numerics", "are_max_iter"), "x", id="are_max_iter-string"),
+    pytest.param(("numerics", "sym_tol"), 1e-10, id="sym_tol-removed"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, path, value):
+    """A malformed value ends in exit code 2 and one error line, never in a
+    traceback (an exception escaping main) or a run."""
+    cfg = scenario_config("paper-sec5-static")
+    if path == ("adaptive",):
+        cfg["algorithm"] = "adaptive"
+    _set(cfg, path, value)
+    code, out = run_cli(tmp_path, cfg, "--t-end", "0.01")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(("config error: ", "design failed: ")) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_empty_scenario_list_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, [])
+    assert main(["gains", "--config", path]) == 2
+    assert "empty list" in capsys.readouterr().err
 
 
 class TestWriters:

@@ -11,6 +11,7 @@ from avgtrack import (
     laplacian,
 )
 from avgtrack.errors import ConfigError, NotConnected
+from conftest import neighbors
 
 P2 = Graph(2, ((0, 1),))
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -39,8 +40,8 @@ class TestValidation:
     def test_neighbor_symmetry(self):
         g = TRIANGLE
         for i in range(3):
-            for j in g.neighbors(i):
-                assert i in g.neighbors(j)
+            for j in neighbors(g, i):
+                assert i in neighbors(g, j)
 
 
 class TestIncidence:
