@@ -8,9 +8,9 @@ from functools import cached_property
 import numpy as np
 
 from . import control
-from .errors import ConfigError
+from .errors import ConfigError, NotSymmetric
 from .graph import Graph, lambda2 as graph_lambda2
-from .numerics import NumericsConfig
+from .numerics import NumericsConfig, sym_eigvals
 from .signals import InputDescriptor, LinearPlant, ReferenceSet, input_bound
 from .sim import SimConfig
 
@@ -26,6 +26,8 @@ _INPUT_KEYS = {
     "sinusoid": {"kind", "amp", "omega", "phase"},
     "table": {"kind", "times", "values"},
 }
+# what converting a value of the wrong type or shape raises
+_MALFORMED = (TypeError, ValueError, IndexError, OverflowError)
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -36,11 +38,49 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _at(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with `where` put at the front of the message
+    of an error it raises for a bad value."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise ConfigError(f"{where}: malformed value: {exc}") from exc
+
+
 def _section(cls, d: dict, where: str):
     """`cls` built from the config section `d`, whose keys must be fields of
     `cls`; the class converts and checks the values."""
     _check_keys(d, {f.name for f in fields(cls)}, where)
-    return cls(**d)
+    return _at(where, cls, **d)
+
+
+def _initial_state(r0, n: int) -> np.ndarray:
+    r0 = np.asarray(r0, dtype=float)
+    if r0.shape != (n,):
+        raise ConfigError(f"must hold {n} numbers, got shape {r0.shape}")
+    return r0
+
+
+def _margins(m) -> tuple[float, float]:
+    m1, m2 = m
+    return float(m1), float(m2)
+
+
+def _design_q(value, n: int) -> np.ndarray:
+    """design.Q as a symmetric positive definite n x n array. solve_are checks
+    the same, but a bad Q is a config fault, not a numerical failure."""
+    Q = np.asarray(value, dtype=float)
+    if Q.shape != (n, n):
+        raise ConfigError(f"must be {n} x {n}, got shape {Q.shape}")
+    try:
+        smallest = sym_eigvals(Q)[0]
+    except NotSymmetric:
+        raise ConfigError("must be symmetric") from None
+    if not smallest > 0:
+        raise ConfigError(f"must be positive definite, but its smallest eigenvalue is {smallest:g}")
+    return Q
 
 
 @dataclass
@@ -93,7 +133,7 @@ def _parse_input(d: dict, where: str) -> InputDescriptor:
         raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(_INPUT_KEYS)}")
     _check_keys(d, _INPUT_KEYS[kind], where)
     # InputDescriptor converts the fields and checks that the kind has them
-    return InputDescriptor(**d)
+    return _at(where, InputDescriptor, **d)
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
@@ -107,7 +147,7 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
         return _parse(cfg, seed)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except _MALFORMED as exc:
         raise ConfigError(f"malformed value: {exc}") from exc
 
 
@@ -115,17 +155,18 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "scenario config")
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
-    g = Graph(n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
+    g = _at("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
     plant = _section(LinearPlant, cfg["plant"], "plant")
 
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = None    # built at the first null r0: a fully specified scenario needs none
     r0s, inputs = [], []
     for k, agent in enumerate(cfg["agents"]):
         _check_keys(agent, {"r0", "input"}, f"agents[{k}]")
         r0 = agent.get("r0")
         if r0 is None:
+            rng = rng or np.random.default_rng(0 if seed is None else seed)
             r0 = rng.standard_normal(plant.n)
-        r0s.append(np.asarray(r0, dtype=float))
+        r0s.append(_at(f"agents[{k}].r0", _initial_state, r0, plant.n))
         inputs.append(_parse_input(agent.get("input", {"kind": "zero"}), f"agents[{k}].input"))
     rs = ReferenceSet(plant=plant, initial_states=np.array(r0s), inputs=tuple(inputs))
     if g.n_nodes != rs.n_agents:
@@ -137,16 +178,15 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
 
     dd = cfg.get("design", {})
     _check_keys(dd, _DESIGN_KEYS, "design")
-    Q = np.asarray(dd.get("Q", np.eye(plant.n)), dtype=float)
-    if Q.shape != (plant.n, plant.n):
-        raise ConfigError(f"design.Q must be {plant.n} x {plant.n}, got shape {Q.shape}")
-    m1, m2 = dd.get("margins", (1.0, 1.0))
+    Q = _at("design.Q", _design_q, dd["Q"] if "Q" in dd else np.eye(plant.n), plant.n)
+    margins = _at("design.margins", _margins, dd.get("margins", (1.0, 1.0)))
+    eps, phi = (_at(f"design.{k}", float, dd.get(k, v)) for k, v in (("eps", 5.0), ("phi", 0.5)))
 
     # the section's keys are AdaptiveParams fields, all of them numbers
     ad = cfg.get("adaptive")
     if ad is not None:
         _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
-        ad = {k: float(v) for k, v in ad.items()}
+        ad = {k: _at(f"adaptive.{k}", float, v) for k, v in ad.items()}
     if algorithm == "adaptive":
         missing = sorted({"mu", "nu", "theta", "chi"} - set(ad or ()))
         if missing:
@@ -158,9 +198,9 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         reference_set=rs,
         algorithm=algorithm,
         design_Q=Q,
-        margins=(float(m1), float(m2)),
-        eps=float(dd.get("eps", 5.0)),
-        phi=float(dd.get("phi", 0.5)),
+        margins=margins,
+        eps=eps,
+        phi=phi,
         adaptive=ad,
         sim=_section(SimConfig, cfg["sim"], "sim"),
         numerics=_section(NumericsConfig, cfg.get("numerics", {}), "numerics"),

@@ -5,6 +5,7 @@ and the gain design recipe."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +21,19 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
 
 
-def boundary_layer(w: NDArray, eps: float, phi: float, t: float) -> NDArray[np.float64]:
+def boundary_layer(
+    w: NDArray, eps: float | NDArray, phi: float | NDArray, t: float
+) -> NDArray[np.float64]:
     """Smoothed unit direction w / (||w|| + eps * e^{-phi t}).
 
     Continuous everywhere (including w = 0). The norm is strictly below 1 in
     exact arithmetic and at most 1 in doubles, for every finite w and
     eps, phi, t >= 0. The eps*e^{-phi t} term is the shrinking boundary-layer
-    width. Rows of a 2-D w (one per edge) are smoothed independently.
+    width. Rows of a 2-D w (one per edge) are smoothed independently, and
+    eps and phi may be columns with one entry per row.
     """
     w = np.asarray(w, dtype=float)
-    width = max(eps * np.exp(-phi * t), _TINY)
+    width = np.maximum(eps * np.exp(-phi * t), _TINY)
     # The width stays above zero so that w = 0 gives h = 0 after e^{-phi t}
     # underflows. Where the divisor overflows, those rows and their width
     # are divided by the row's largest entry, which leaves h unchanged in
@@ -169,24 +173,53 @@ class EdgeKernel:
     call gathers x at the precomputed tail and head indices, scatters +u to
     tails and -u to heads with one bincount over the (node, input) cells and
     applies B^T once, so it costs O(E).
+
+    `g` and `gains` may instead be equal-length sequences. The kernel then
+    couples the disjoint union of the graphs (`self.graph`), block b with
+    gains[b]: it holds c1, c2, eps, phi (one number where all blocks agree)
+    and the initial edge gains alpha0/beta0 per edge, while K, and in the
+    adaptive law Gamma and the rates mu, nu, theta, chi, must be the same in
+    every block. Every term is edge-local, so no block sees another's.
     """
 
     def __init__(
         self,
-        g: graphmod.Graph,
+        g: graphmod.Graph | Sequence[graphmod.Graph],
         plant: LinearPlant,
-        gains: StaticGains | AdaptiveParams,
+        gains: StaticGains | AdaptiveParams | Sequence[StaticGains | AdaptiveParams],
         mode: str = "static",
     ):
         if mode not in ("static", "adaptive", "discontinuous"):
             raise ConfigError(f"unknown mode {mode!r}")
+        graphs, blocks = ([g], [gains]) if isinstance(g, graphmod.Graph) else (list(g), list(gains))
         needed = AdaptiveParams if mode == "adaptive" else StaticGains
-        if not isinstance(gains, needed):
+        if not all(isinstance(p, needed) for p in blocks):
             raise ConfigError(f"{mode} mode needs {needed.__name__}")
-        self.gains, self.mode, self._BT = gains, mode, plant.B.T
-        self.tails, self.heads = graphmod.edge_index(g)
+        shared = ("K", "Gamma", "mu", "nu", "theta", "chi") if mode == "adaptive" else ("K",)
+        p0 = blocks[0]
+        if any(_bits(getattr(p, k)) != _bits(getattr(p0, k)) for p in blocks for k in shared):
+            raise ConfigError(f"the blocks of one kernel must share {', '.join(shared)}")
+        counts = [h.n_edges for h in graphs]
+
+        def per_edge(name: str) -> NDArray[np.float64]:
+            return np.repeat([float(getattr(p, name)) for p in blocks], counts)
+
+        def column(name: str) -> float | NDArray[np.float64]:
+            # one number when all blocks hold the same bits: a shared width
+            # then costs one exp per call, not one per edge
+            same = len({_bits(getattr(p, name)) for p in blocks}) == 1
+            return float(getattr(p0, name)) if same else per_edge(name)[:, None]
+
+        if mode == "adaptive":
+            self.alpha0, self.beta0 = per_edge("alpha0"), per_edge("beta0")
+        else:
+            self.c1, self.c2 = column("c1"), column("c2")
+        self.eps, self.phi = column("eps"), column("phi")
+        self.gains, self.mode, self._BT = p0, mode, plant.B.T
+        self.graph = graphmod.disjoint_union(graphs)
+        self.tails, self.heads = graphmod.edge_index(self.graph)
         cells = np.concatenate([self.tails, self.heads])[:, None] * plant.m + np.arange(plant.m)
-        self._cells, self._n_cells = cells.ravel(), g.n_nodes * plant.m
+        self._cells, self._n_cells = cells.ravel(), self.graph.n_nodes * plant.m
 
     def __call__(
         self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
@@ -200,11 +233,11 @@ class EdgeKernel:
         if self.mode == "discontinuous":
             h = discontinuous_sign(w)
         else:
-            h = boundary_layer(w, p.eps, p.phi, t)
+            h = boundary_layer(w, self.eps, self.phi, t)
         if self.mode == "adaptive":
             u = alpha[:, None] * w + beta[:, None] * h
         else:
-            u = p.c1 * w + p.c2 * h
+            u = self.c1 * w + self.c2 * h
         cells = np.bincount(
             self._cells, weights=np.concatenate([u, -u]).ravel(), minlength=self._n_cells
         )
@@ -215,6 +248,10 @@ class EdgeKernel:
         # ||w||^2 / (||w|| + width) = w . h
         dbeta = p.nu * (-p.chi * beta + np.einsum("em,em->e", w, h))
         return coupling, dalpha, dbeta
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=float).tobytes()
 
 
 def edge_signals(

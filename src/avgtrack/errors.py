@@ -32,12 +32,15 @@ class NoConvergence(AvgTrackError):
 class NonFinite(AvgTrackError):
     """A computation produced NaN/Inf.
 
-    For simulation runs, `time` carries the first offending time stamp.
+    For simulation runs, `time` carries the first offending time stamp and
+    `block` the first block of a batched run (sim.run_blocks) that holds a
+    non-finite value at that time.
     """
 
-    def __init__(self, message: str, time: float | None = None):
+    def __init__(self, message: str, time: float | None = None, block: int | None = None):
         super().__init__(message)
         self.time = time
+        self.block = block
 
 
 class RhoExceedsGamma(AvgTrackError):

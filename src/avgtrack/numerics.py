@@ -37,9 +37,12 @@ class NumericsConfig:
     def __post_init__(self):
         for f in fields(self):
             given = getattr(self, f.name)
-            value = type(f.default)(given)
-            if value != given or not 0 < value < math.inf:
-                raise ConfigError(f"numerics.{f.name} must be a positive finite "
+            try:
+                value = type(f.default)(given)
+            except (TypeError, ValueError, OverflowError):
+                value = None
+            if value is None or value != given or not 0 < value < math.inf:
+                raise ConfigError(f"{f.name} must be a positive finite "
                                   f"{type(f.default).__name__}, got {given!r}")
             object.__setattr__(self, f.name, value)
 

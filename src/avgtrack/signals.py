@@ -3,6 +3,7 @@ and the variation-of-constants trajectory oracle."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -80,7 +81,9 @@ class InputDescriptor:
             if self.times is None or self.values is None:
                 raise ConfigError("table input needs times and values")
             t = self.times
-            v = np.atleast_2d(self.values)
+            v = self.values
+            # a flat list as long as the grid is the one input's column
+            v = v[:, None] if v.ndim == 1 and len(v) == len(t) else np.atleast_2d(v)
             if v.shape[0] != t.shape[0]:
                 raise ConfigError("table times/values length mismatch")
             if np.any(np.diff(t) <= 0):
@@ -177,6 +180,22 @@ class ReferenceSet:
         for i in tables:
             f[i] = eval_input(self.inputs[i], t, self.plant.m)
         return f
+
+
+def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
+    """The signals of all sets in order, as one set on their shared plant.
+    A single set is returned as it is."""
+    if len(sets) == 1:
+        return sets[0]
+    plant = sets[0].plant
+    if any(not (np.array_equal(s.plant.A, plant.A) and np.array_equal(s.plant.B, plant.B))
+           for s in sets):
+        raise ConfigError("reference sets to concatenate must share the plant (A, B)")
+    return ReferenceSet(
+        plant=plant,
+        initial_states=np.concatenate([s.initial_states for s in sets]),
+        inputs=tuple(d for s in sets for d in s.inputs),
+    )
 
 
 def input_bound(rs: ReferenceSet) -> float:

@@ -7,8 +7,9 @@ variation-of-constants path in `signals` stays available as an oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable
+from numbers import Real
 
 import numpy as np
 from numpy.typing import NDArray
@@ -16,7 +17,7 @@ from numpy.typing import NDArray
 from . import control
 from .errors import ConfigError, NonFinite
 from .graph import Graph
-from .signals import ReferenceSet
+from .signals import ReferenceSet, concat_references
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,16 @@ class SimConfig:
     integrator: str = "rk4"
 
     def __post_init__(self):
-        every = int(self.record_every)
-        if every != self.record_every or every < 1:
-            raise ConfigError(f"record_every must be an integer >= 1, got {self.record_every!r}")
-        object.__setattr__(self, "record_every", every)
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "dt", float(self.dt))
+        for name in ("t_end", "dt"):
+            given = getattr(self, name)
+            try:
+                object.__setattr__(self, name, float(given))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} must be a number, got {given!r}") from None
+        every = self.record_every
+        if not (isinstance(every, Real) and math.isfinite(every) and int(every) == every >= 1):
+            raise ConfigError(f"record_every must be an integer >= 1, got {every!r}")
+        object.__setattr__(self, "record_every", int(every))
         if not 0 < self.dt <= self.t_end < math.inf:
             raise ConfigError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
         if self.integrator not in ("rk4", "euler"):
@@ -56,17 +61,22 @@ def integrate(
     rhs: Callable[[float, NDArray], NDArray],
     initial: NDArray,
     cfg: SimConfig,
+    owner: NDArray[np.intp] | None = None,
 ) -> tuple[NDArray, NDArray]:
     """Fixed-step RK4 (or explicit Euler) on a flat state vector.
 
     Time stamps are computed as step_index * dt (no accumulated addition),
     and the time-varying terms of the vector field see the exact stage
-    times. Returns (times, states) with states[k] at times[k].
+    times. Returns (times, states) with states[k] at times[k]. `owner` may
+    give the block of each state entry; a NonFinite then names the lowest
+    block with a non-finite entry.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     y = np.array(initial, dtype=float)
-    rec_idx = [0]
-    rec = [y.copy()]
+    rec_idx = list(range(0, n_steps, cfg.record_every)) + [n_steps]
+    rec = np.empty((len(rec_idx), y.size))
+    rec[0] = y
+    n_rec = 1
     dt = cfg.dt
     for k in range(n_steps):
         t = k * dt
@@ -80,12 +90,14 @@ def integrate(
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # every step, so that the reported time is the first non-finite one
         if not np.isfinite(y).all():
-            raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt)
-        if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
-            rec_idx.append(k + 1)
-            rec.append(y.copy())
+            block = None if owner is None else int(owner[~np.isfinite(y)].min())
+            raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt,
+                            block=block)
+        if k + 1 == rec_idx[n_rec]:
+            rec[n_rec] = y
+            n_rec += 1
     times = np.array(rec_idx, dtype=float) * dt
-    return times, np.array(rec)
+    return times, rec
 
 
 def run(
@@ -98,13 +110,36 @@ def run(
     """Integrate the selected closed loop together with the references.
 
     The filter initial condition s_i(0) = 0 forces x_i(0) = r_i(0). Adaptive
-    edge gains start at the configured alpha0/beta0 (default 0).
+    edge gains start at the configured alpha0/beta0 (default 0). This is
+    run_blocks with one block.
     """
-    N, n = rs.n_agents, rs.plant.n
-    if g.n_nodes != N:
-        raise ConfigError("graph size must match the number of agents")
-    kernel = control.EdgeKernel(g, rs.plant, gains, mode)
-    E = g.n_edges
+    return run_blocks([(g, rs, gains)], cfg, mode)[0]
+
+
+def run_blocks(
+    blocks: Sequence[tuple[Graph, ReferenceSet, control.StaticGains | control.AdaptiveParams]],
+    cfg: SimConfig,
+    mode: str = "static",
+) -> list[Trajectory]:
+    """Integrate several (graph, references, gains) blocks as one closed loop
+    on the disjoint union of their graphs, and return one Trajectory per
+    block, in order, whose arrays are views into the run's.
+
+    The blocks must share the plant, K and (adaptive law) the rates; the
+    EdgeKernel checks that. Every term is edge-local, so a block's states see
+    the same operations as in a run of its own. They keep its bits when the
+    block's graph has three or more edges and the plant at most seven states
+    and inputs; beyond that, numpy forms a row of a product by a route that
+    depends on the row's place in it. A non-finite value raises NonFinite at
+    the first step that has one, with `block` the lowest block that does.
+    """
+    for g, rs, _ in blocks:
+        if g.n_nodes != rs.n_agents:
+            raise ConfigError("graph size must match the number of agents")
+    graphs, sets, gains = zip(*blocks)
+    rs = concat_references(sets)
+    kernel = control.EdgeKernel(graphs, rs.plant, gains, mode)
+    N, n, E = rs.n_agents, rs.plant.n, kernel.graph.n_edges
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
     adaptive = mode == "adaptive"
@@ -119,16 +154,26 @@ def run(
         return np.concatenate(parts + rates if adaptive else parts)
 
     r0 = rs.initial_states
-    y0 = [r0.ravel(), r0.ravel()]
-    if adaptive:
-        y0 += [np.full(E, gains.alpha0, dtype=float), np.full(E, gains.beta0, dtype=float)]
-    times, ys = integrate(rhs, np.concatenate(y0), cfg)
+    y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])
+    nodes = np.cumsum([0] + [g.n_nodes for g in graphs])
+    edges = np.cumsum([0] + [g.n_edges for g in graphs])
+    node_owner = np.repeat(np.arange(len(graphs)), np.diff(nodes) * n)
+    edge_owner = np.repeat(np.arange(len(graphs)), np.diff(edges))
+    owner = np.concatenate([node_owner, node_owner] + [edge_owner, edge_owner] * adaptive)
+    times, ys = integrate(rhs, np.concatenate(y0), cfg, owner)
     T = len(times)
-    return Trajectory(
-        times=times,
-        x=ys[:, :Nn].reshape(T, N, n),
-        r=ys[:, Nn : 2 * Nn].reshape(T, N, n),
-        alpha=ys[:, 2 * Nn : 2 * Nn + E] if adaptive else None,
-        beta=ys[:, 2 * Nn + E :] if adaptive else None,
-        mode=mode,
-    )
+    x = ys[:, :Nn].reshape(T, N, n)
+    r = ys[:, Nn : 2 * Nn].reshape(T, N, n)
+    alpha = ys[:, 2 * Nn : 2 * Nn + E] if adaptive else None
+    beta = ys[:, 2 * Nn + E :] if adaptive else None
+    return [
+        Trajectory(
+            times=times,
+            x=x[:, n0:n1],
+            r=r[:, n0:n1],
+            alpha=alpha[:, e0:e1] if adaptive else None,
+            beta=beta[:, e0:e1] if adaptive else None,
+            mode=mode,
+        )
+        for n0, n1, e0, e1 in zip(nodes, nodes[1:], edges, edges[1:])
+    ]

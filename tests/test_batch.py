@@ -1,0 +1,282 @@
+"""A scenario list integrates as one closed loop per group on the disjoint
+union of its graphs: every block keeps the bits of a run of its own, and a
+blow-up names its scenario."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import avgtrack as at
+from avgtrack import cli, sim
+from avgtrack.cli import main
+from avgtrack.control import EdgeKernel
+from avgtrack.errors import ConfigError
+from avgtrack.graph import disjoint_union
+from avgtrack.scenarios import scenario_config
+from avgtrack.signals import concat_references
+
+RING6 = [[i, (i + 1) % 6] for i in range(6)]
+FIVE = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 2]]   # 5-ring plus a chord
+OUTPUTS = ("trajectory.csv", "diagnostics.csv", "summary.json")
+
+
+def variant(law, name, edges, eps=5.0, phi=0.5, dt=1e-3, t_end=0.3, const=False):
+    """A Sec. 5 scenario on another graph: its own inputs, initial states,
+    boundary layer and time step, recorded at every step."""
+    cfg = scenario_config("paper-sec5-adaptive" if law == "adaptive" else "paper-sec5-static")
+    n = 1 + max(max(e) for e in edges)
+    cfg.update(name=name, algorithm=law, graph={"n": n, "edges": edges})
+    cfg["agents"] = [
+        {"r0": [0.7 * i, 0.3 - i],
+         "input": ({"kind": "constant", "value": [0.25 * i]} if const and i % 2 else
+                   {"kind": "sinusoid", "amp": [(i + 1) / 2.0], "omega": 1.0 + 0.1 * i,
+                    "phase": 0.2 * i})}
+        for i in range(1, n + 1)
+    ]
+    cfg["design"].update(eps=eps, phi=phi)
+    cfg["sim"] = {"t_end": t_end, "dt": dt, "record_every": 1}
+    return cfg
+
+
+def mixed_list():
+    """Three laws; in each, a 6-ring and a 5-node graph (so another c1 and
+    c2) with another eps/phi in one group, and a third adaptive scenario with
+    its own initial edge gains. A finer dt puts one scenario in a group of
+    its own, and the 2-node and 3-node graphs run alone too."""
+    cfgs = []
+    for law in ("static", "discontinuous", "adaptive"):
+        cfgs.append(variant(law, f"{law}-ring6", RING6))
+        cfgs.append(variant(law, f"{law}-five", FIVE, eps=4.0, phi=0.7, const=True))
+    cfgs.append(variant("static", "static-fine-dt", RING6, eps=3.0, phi=0.4, dt=5e-4))
+    cfgs.append(variant("static", "static-pair", [[0, 1]]))
+    cfgs.append(variant("adaptive", "adaptive-path3", [[0, 1], [1, 2]]))
+    cfgs.append(variant("adaptive", "adaptive-ring6-b", RING6, eps=2.0, phi=0.3, const=True))
+    cfgs[-1]["adaptive"].update(alpha0=0.5, beta0=0.25)
+    return cfgs
+
+
+def write(tmp_path, name, cfg):
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_list_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
+    cfgs = mixed_list()
+    groups = []
+    run_blocks = sim.run_blocks
+
+    def recording(blocks, cfg, mode="static"):
+        trajs = run_blocks(blocks, cfg, mode)
+        groups.append((blocks, cfg, mode, trajs))
+        return trajs
+
+    monkeypatch.setattr(sim, "run_blocks", recording)
+    assert main(["run", "--config", write(tmp_path, "list.json", cfgs),
+                 "--out", str(tmp_path / "list")]) == 0
+    monkeypatch.undo()
+
+    # each law's ring6/five pair (and the second adaptive ring) ran as one
+    # union; the fine-dt, 2-node and 3-node scenarios ran alone
+    assert sorted(len(blocks) for blocks, *_ in groups) == [1, 1, 1, 2, 2, 3]
+    for blocks, cfg, mode, trajs in groups:
+        for (g, rs, gains), traj in zip(blocks, trajs):
+            alone = at.run(g, rs, gains, cfg, mode)
+            for key in ("times", "x", "r", "alpha", "beta"):
+                got, want = getattr(traj, key), getattr(alone, key)
+                assert (got is None and want is None) or np.array_equal(got, want), key
+
+    for cfg in cfgs:
+        out = tmp_path / "alone" / cfg["name"]
+        assert main(["run", "--config", write(tmp_path, "one.json", cfg), "--out", str(out)]) == 0
+        listed = tmp_path / "list" / cfg["name"]
+        for name in OUTPUTS:
+            assert (listed / name).read_bytes() == (out / name).read_bytes()
+
+
+def random_blocks(seed, law, n, m, n_blocks):
+    """Blocks that share a random plant, K and rates, each on a random
+    connected graph of 4 to 11 nodes (so at least three edges) with its own
+    inputs, initial states and per-block constants."""
+    rng = np.random.default_rng(seed)
+    plant = at.LinearPlant(A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
+    K = 0.3 * rng.standard_normal((m, n))
+    rates = dict(mu=rng.uniform(0.1, 1), nu=rng.uniform(0.1, 1),
+                 theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1))
+    blocks = []
+    for _ in range(n_blocks):
+        N = int(rng.integers(4, 12))
+        edges = {(int(rng.integers(i)), i) for i in range(1, N)}
+        for _ in range(int(rng.integers(0, N))):
+            i, j = sorted(int(v) for v in rng.integers(0, N, size=2))
+            if i != j:
+                edges.add((i, j))
+        eps, phi = rng.uniform(0.1, 5), rng.uniform(0.0, 2)
+        if law == "adaptive":
+            gains = at.AdaptiveParams(K=K, Gamma=K.T @ K, eps=eps, phi=phi, P=np.eye(n),
+                                      alpha0=rng.uniform(0, 2), beta0=rng.uniform(0, 2), **rates)
+        else:
+            gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
+                                   eps=eps, phi=phi, P=np.eye(n))
+        inputs = tuple(
+            at.InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m),
+                               omega=rng.uniform(0.5, 2), phase=rng.uniform(0, 6))
+            for _ in range(N)
+        )
+        rs = at.ReferenceSet(plant=plant, initial_states=0.5 * rng.standard_normal((N, n)),
+                             inputs=inputs)
+        blocks.append((at.Graph(N, tuple(sorted(edges))), rs, gains))
+    return blocks
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    law=st.sampled_from(("static", "discontinuous", "adaptive")),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    n_blocks=st.integers(2, 4),
+)
+def test_blocks_keep_the_bits_of_runs_alone(seed, law, n, m, n_blocks):
+    # inside the group key's bounds: three or more edges, at most 7 states
+    # and inputs (with 8 states and one input, most blocks change bits)
+    blocks = random_blocks(seed, law, n, m, n_blocks)
+    cfg = at.SimConfig(t_end=0.02, dt=1e-3)
+    for block, traj in zip(blocks, sim.run_blocks(blocks, cfg, law)):
+        alone = at.run(*block, cfg, law)
+        for key in ("x", "r", "alpha", "beta"):
+            got, want = getattr(traj, key), getattr(alone, key)
+            assert (got is None and want is None) or np.array_equal(got, want), key
+
+
+def test_run_is_the_one_block_case():
+    scn = at.parse_scenario(variant("adaptive", "a", FIVE, const=True))
+    gains = scn.build_adaptive_params()
+    traj = at.run(scn.graph, scn.reference_set, gains, scn.sim, "adaptive")
+    (block,) = sim.run_blocks([(scn.graph, scn.reference_set, gains)], scn.sim, "adaptive")
+    for key in ("times", "x", "r", "alpha", "beta"):
+        assert np.array_equal(getattr(traj, key), getattr(block, key))
+
+
+def test_blocks_are_views_of_one_run():
+    scns = [at.parse_scenario(variant("static", n, e)) for n, e in (("a", RING6), ("b", FIVE))]
+    blocks = [(s.graph, s.reference_set, s.build_static_gains()) for s in scns]
+    a, b = sim.run_blocks(blocks, scns[0].sim, "static")
+    assert a.x.shape[1:] == (6, 2) and b.x.shape[1:] == (5, 2)
+    # slices of the run's one record array, not copies
+    assert np.may_share_memory(a.x, b.x) and np.may_share_memory(a.x, b.r)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_in_a_group_names_its_scenario(tmp_path, capsys):
+    # margins of 1e5 put c1 far outside RK4's stability region at dt 1e-3;
+    # K is unchanged, so the scenario shares the group of "calm"
+    stiff = variant("static", "stiff", FIVE)
+    stiff["design"]["margins"] = [1e5, 1.0]
+    first = variant("static", "first", RING6, dt=5e-4)
+    cfgs = [first, variant("static", "calm", RING6), stiff, variant("static", "after", FIVE)]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "list.json", cfgs), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: scenario 'stiff': non-finite state at t=")
+    assert err.count("\n") == 1
+    # the group before keeps its outputs; the failed group writes none
+    assert all((out / "first" / name).is_file() for name in OUTPUTS)
+    assert not any((out / name).exists() for name in ("calm", "stiff", "after"))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_two_blocks_failing_at_one_step_name_the_first(tmp_path, capsys):
+    cfgs = [variant("static", "calm", RING6)]
+    for name in ("stiff-a", "stiff-b"):
+        cfgs.append(variant("static", name, RING6))
+        cfgs[-1]["design"]["margins"] = [1e5, 1.0]
+    assert main(["run", "--config", write(tmp_path, "list.json", cfgs),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "scenario 'stiff-a'" in capsys.readouterr().err
+
+
+def test_group_key():
+    cfgs = {c["name"]: c for c in mixed_list()}
+    keys = {}
+    for i, (name, cfg) in enumerate(cfgs.items()):
+        scn = at.parse_scenario(cfg)
+        keys[name] = cli._group_key(i, scn, cli._design(scn))
+    assert keys["static-ring6"] == keys["static-five"] != keys["static-fine-dt"]
+    assert keys["static-ring6"] != keys["discontinuous-ring6"]
+    assert keys["adaptive-ring6"] == keys["adaptive-five"] == keys["adaptive-ring6-b"]
+    # numpy forms one- and two-row products by other routes
+    assert keys["static-pair"] != keys["static-ring6"]
+    assert keys["adaptive-path3"] != keys["adaptive-ring6"]
+    rates = variant("adaptive", "fast", RING6)
+    rates["adaptive"]["mu"] = 20.0
+    scn = at.parse_scenario(rates)
+    assert cli._group_key(0, scn, cli._design(scn)) != keys["adaptive-ring6"]
+
+
+def test_group_key_runs_eight_states_alone():
+    # with eight states and one input, a row of numpy's d @ K.T can take
+    # other bits depending on its place among the rows
+    def eight_states(name):
+        cfg = variant("static", name, RING6)
+        cfg["plant"] = {"A": (-np.eye(8)).tolist(), "B": [[1.0]] + [[0.0]] * 7}
+        cfg["design"]["Q"] = np.eye(8).tolist()
+        for agent in cfg["agents"]:
+            agent["r0"] = agent["r0"] * 4
+        return at.parse_scenario(cfg)
+
+    a, b = eight_states("a"), eight_states("b")
+    assert cli._group_key(0, a, cli._design(a)) != cli._group_key(1, b, cli._design(b))
+
+
+class TestUnion:
+    def test_disjoint_union_offsets_nodes_and_keeps_edge_order(self):
+        g = disjoint_union([at.Graph(3, ((0, 1), (1, 2))), at.Graph(2, ((0, 1),)),
+                            at.Graph(3, ((0, 2),))])
+        assert g.n_nodes == 8
+        assert g.edges == ((0, 1), (1, 2), (3, 4), (5, 7))
+
+    def test_single_graph_and_set_returned_as_they_are(self):
+        scn = at.parse_scenario(scenario_config("ring-demo"))
+        assert disjoint_union([scn.graph]) is scn.graph
+        assert concat_references([scn.reference_set]) is scn.reference_set
+
+    def test_concat_references_stacks_signals(self):
+        a = at.parse_scenario(variant("static", "a", RING6)).reference_set
+        b = at.parse_scenario(variant("static", "b", FIVE, const=True)).reference_set
+        rs = concat_references([a, b])
+        assert rs.n_agents == 11
+        np.testing.assert_array_equal(rs.initial_states[6:], b.initial_states)
+        for t in (0.0, 0.37, 2.5):
+            np.testing.assert_array_equal(rs.eval_inputs(t)[:6], a.eval_inputs(t))
+            np.testing.assert_array_equal(rs.eval_inputs(t)[6:], b.eval_inputs(t))
+
+    def test_concat_references_needs_one_plant(self):
+        a = at.parse_scenario(scenario_config("ring-demo")).reference_set
+        b = at.parse_scenario(scenario_config("twin-integrator")).reference_set
+        with pytest.raises(ConfigError, match="plant"):
+            concat_references([a, b])
+
+    def test_kernel_blocks_must_share_k(self):
+        a = at.parse_scenario(variant("static", "a", RING6))
+        b = at.parse_scenario(variant("static", "b", FIVE))
+        ga, gb = a.build_static_gains(), b.build_static_gains()
+        plant = a.reference_set.plant
+        EdgeKernel([a.graph, b.graph], plant, [ga, gb], "static")
+        other = at.StaticGains(K=2 * gb.K, c1=gb.c1, c2=gb.c2, eps=gb.eps, phi=gb.phi, P=gb.P)
+        with pytest.raises(ConfigError, match="share K"):
+            EdgeKernel([a.graph, b.graph], plant, [ga, other], "static")
+
+    def test_kernel_holds_block_constants_per_edge(self):
+        a = at.parse_scenario(variant("static", "a", RING6))
+        b = at.parse_scenario(variant("static", "b", FIVE, eps=4.0, phi=0.7))
+        ga, gb = a.build_static_gains(), b.build_static_gains()
+        k = EdgeKernel([a.graph, b.graph], a.reference_set.plant, [ga, gb], "static")
+        np.testing.assert_array_equal(k.c1[:, 0], [ga.c1] * 6 + [gb.c1] * 6)
+        np.testing.assert_array_equal(k.eps[:, 0], [5.0] * 6 + [4.0] * 6)
+        # a shared width stays one number
+        same = EdgeKernel([a.graph, a.graph], a.reference_set.plant, [ga, ga], "static")
+        assert same.eps == ga.eps and same.phi == ga.phi

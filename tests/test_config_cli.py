@@ -83,6 +83,23 @@ class TestParseScenario:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_explicit_r0_builds_no_generator(self, monkeypatch):
+        # a Generator costs about 16 us, and its first one imports
+        # numpy.random, about 6 MB of resident memory
+        def refuse(*args):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        at.parse_scenario(scenario_config("paper-sec5-static"), seed=3)
+
+    def test_partly_null_r0_keeps_its_draws(self):
+        # the generator is built at the first null r0 and draws in agent order
+        cfg = scenario_config("ring-demo")
+        for agent in cfg["agents"][1:]:
+            agent["r0"] = None
+        r0 = at.parse_scenario(cfg, seed=5).reference_set.initial_states
+        np.testing.assert_array_equal(r0[1:], np.random.default_rng(5).standard_normal((3, 2)))
+
     def test_explicit_r0_is_seed_free(self):
         cfg = scenario_config("twin-integrator")
         a = at.parse_scenario(cfg, seed=1).reference_set.initial_states
@@ -352,6 +369,50 @@ def test_malformed_config_exit_2(tmp_path, capsys, path, value):
     assert code == 2
     assert err.startswith(("config error: ", "design failed: ")) and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("Q", [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
+    cfg = scenario_config("paper-sec5-static")
+    cfg["design"]["Q"] = Q
+    code, out = run_cli(tmp_path, cfg, "--t-end", "0.01")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: design.Q: must be positive definite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, value, where", [
+    (("sim", "dt"), None, "sim: dt "),
+    (("sim", "record_every"), float("inf"), "sim: record_every "),
+    (("graph", "n"), "six", "graph: "),
+    (("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: "),
+    (("design", "margins"), [1], "design.margins: "),
+    (("design", "eps"), "wide", "design.eps: "),
+    (("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: "),
+    (("agents", 2, "input", "amp"), ["x"], "agents[2].input: "),
+    (("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: "),
+    (("numerics", "are_max_iter"), "x", "numerics: are_max_iter "),
+    (("plant", "A"), [[1.0, 2.0]], "plant: "),
+    # int(inf) raises OverflowError, which escaped as a traceback
+    (("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter "),
+    (("graph", "n"), float("inf"), "graph: "),
+    (("graph", "edges"), [[0, float("inf")]], "graph: "),
+])
+def test_config_error_names_where(tmp_path, capsys, path, value, where):
+    cfg = scenario_config("paper-sec5-static")
+    if path == ("adaptive",):
+        cfg["algorithm"] = "adaptive"
+    _set(cfg, path, value)
+    code, _ = run_cli(tmp_path, cfg, "--t-end", "0.01")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: " + where)
+
+
+def test_flat_table_input_runs(tmp_path):
+    cfg = scenario_config("ring-demo")
+    cfg["agents"][2]["input"] = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 2.0]}
+    code, out = run_cli(tmp_path, cfg, "--t-end", "0.1")
+    assert code == 0 and (out / "summary.json").is_file()
 
 
 def test_empty_scenario_list_exit_2(tmp_path, capsys):

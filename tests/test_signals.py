@@ -38,6 +38,20 @@ class TestEvalInput:
         assert eval_input(d, 0.5)[0] == pytest.approx(1.0)
         assert eval_input(d, 5.0)[0] == pytest.approx(2.0)  # hold-last policy
 
+    def test_table_flat_values_are_one_column(self):
+        flat = InputDescriptor(kind="table", times=[0, 1], values=[1.0, 2.0])
+        column = InputDescriptor(kind="table", times=[0, 1], values=[[1.0], [2.0]])
+        np.testing.assert_array_equal(flat.values, column.values)
+        assert flat.dim(1) == 1
+        assert eval_input(flat, 0.5)[0] == 1.5
+
+    def test_table_single_time_flat_values_stay_a_row(self):
+        # one grid time and m values: one sample of an m-input table, as before
+        d = InputDescriptor(kind="table", times=[0.0], values=[1.0, 2.0])
+        assert d.values.shape == (1, 2)
+        with pytest.raises(ConfigError, match="length mismatch"):
+            InputDescriptor(kind="table", times=[0, 1, 2], values=[1.0, 2.0])
+
     def test_bound_never_exceeded(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
