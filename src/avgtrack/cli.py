@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 runtime/numerical failure, 2 config/validation or
 gain-design failure; `main` alone maps errors to them. A config file may hold
-a list of scenarios (parameter sweep). Scenarios that share the law, the
-plant, K, the sim block and the adaptive rates integrate as one closed loop
-on the disjoint union of their graphs. Groups run one at a time, in the order
-of their first scenario, and each writes its scenarios' files (byte-identical
-to runs alone) once it has run; a failing group writes none and ends the run.
+a list of scenarios (parameter sweep). Scenarios that share the plant, K and
+the sim block integrate as one closed loop on the disjoint union of their
+graphs, whatever their laws and adaptive rates. Groups run one at a time, in
+the order of their first scenario, and each writes its scenarios' files
+(byte-identical to runs alone) once it has run; a failing group writes none
+and ends the run.
 """
 
 from __future__ import annotations
@@ -49,24 +50,30 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
     return f"{name} =\n" + "\n".join(rows)
 
 
-def cmd_gains(args: argparse.Namespace) -> int:
-    scn = _load_configs(args.config, seed=None)[0]
+def _gain_report(scn: Scenario) -> str:
     gains = scn.build_static_gains()
-    Gamma = gains.K.T @ gains.K
     f0 = input_bound(scn.reference_set)
     consts = theorem_constants(
         gains.P, scn.design_Q, scn.graph, f0, scn.reference_set.n_agents, lam2=scn.lambda2
     )
-    print(f"scenario: {scn.name}")
-    print("stabilizability: (A, B) is stabilizable")
-    print(_fmt_matrix("P", gains.P))
-    print(_fmt_matrix("K", gains.K))
-    print(_fmt_matrix("Gamma", Gamma))
-    print(f"lambda2 = {scn.lambda2:.6f}")
-    print(f"f0 = {f0:.6f}")
-    print(f"c1 = {gains.c1:.6f}")
-    print(f"c2 = {gains.c2:.6f}")
-    print(f"gamma = {consts.gamma:.6f}")
+    return "\n".join([
+        f"scenario: {scn.name}",
+        "stabilizability: (A, B) is stabilizable",
+        _fmt_matrix("P", gains.P),
+        _fmt_matrix("K", gains.K),
+        _fmt_matrix("Gamma", gains.K.T @ gains.K),
+        f"lambda2 = {scn.lambda2:.6f}",
+        f"f0 = {f0:.6f}",
+        f"c1 = {gains.c1:.6f}",
+        f"c2 = {gains.c2:.6f}",
+        f"gamma = {consts.gamma:.6f}",
+    ])
+
+
+def cmd_gains(args: argparse.Namespace) -> int:
+    # every scenario is designed before anything is printed, as `run` does
+    reports = [_gain_report(scn) for scn in _load_configs(args.config, seed=None)]
+    print("\n\n".join(reports))
     return 0
 
 
@@ -84,18 +91,15 @@ def _design(scn: Scenario) -> StaticGains | AdaptiveParams:
 
 def _group_key(i: int, scn: Scenario, gains: StaticGains | AdaptiveParams) -> tuple:
     """Scenarios with equal keys run as one closed loop on the disjoint union
-    of their graphs: they share the law, A, B and K bit for bit, the whole
-    sim block and, in the adaptive law, the rates mu, nu, theta, chi."""
+    of their graphs: they share A, B and K bit for bit and the whole sim
+    block, whatever their laws and adaptive rates."""
     # Where numpy forms a product with one or two edge rows, or over eight or
     # more states or inputs, a row's bits can depend on its place in the
     # product, so such a scenario would not keep its bits in a union
     plant = scn.reference_set.plant
     if scn.graph.n_edges < 3 or max(plant.n, plant.m) > 7:
         return ("alone", i)
-    key = (scn.algorithm, plant.A.tobytes(), plant.B.tobytes(), gains.K.tobytes(), scn.sim)
-    if scn.algorithm == "adaptive":
-        key += (gains.mu, gains.nu, gains.theta, gains.chi)
-    return key
+    return (plant.A.tobytes(), plant.B.tobytes(), gains.K.tobytes(), scn.sim)
 
 
 def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]]) -> None:
@@ -104,7 +108,7 @@ def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]])
     try:
         trajs = sim.run_blocks(
             [(scn.graph, scn.reference_set, gains) for scn, gains, _ in group], first.sim,
-            mode=first.algorithm,
+            mode=[scn.algorithm for scn, _, _ in group],
         )
     except NonFinite as exc:
         raise NonFinite(f"scenario {group[exc.block][0].name!r}: {exc}", time=exc.time) from exc

@@ -162,22 +162,31 @@ def design_gains(
     return StaticGains(K=K, c1=c1, c2=c2, eps=eps, phi=phi, P=P)
 
 
+LAWS = ("discontinuous", "static", "adaptive")   # the order of a kernel's edge slices
+
+
 class EdgeKernel:
-    """Edge coupling of one law on one graph, built once per run.
+    """Edge coupling of the three laws on one graph, built once per run.
 
     Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
-    with w_ij = K(x_i - x_j) and (a, b) = (c1, c2) in the static and
-    discontinuous laws, the edge gains (alpha, beta) in the adaptive law. A
-    call gathers x at the precomputed tail and head indices, scatters +u to
-    tails and -u to heads with one bincount over the (node, input) cells and
-    applies B^T once, so it costs O(E).
+    with w_ij = K(x_i - x_j). On static and discontinuous edges (a, b) =
+    (c1, c2), on adaptive edges the edge gains (alpha, beta); h is
+    discontinuous_sign on discontinuous edges and boundary_layer on the
+    others. A call gathers x at the precomputed tail and head indices,
+    scatters +u to tails and -u to heads with one bincount over the
+    (node, input) cells and applies B^T once, so it costs O(E).
 
-    `g` and `gains` may instead be equal-length sequences. The kernel then
-    couples the disjoint union of the graphs (`self.graph`), block b with
-    gains[b]: it holds c1, c2, eps, phi (one number where all blocks agree)
-    and the initial edge gains alpha0/beta0 per edge, while K, and in the
-    adaptive law Gamma and the rates mu, nu, theta, chi, must be the same in
-    every block. Every term is edge-local, so no block sees another's.
+    `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
+    also stay one law for all). The kernel then couples the disjoint union of
+    the graphs (`self.graph`), block b with gains[b] under law mode[b]. The
+    blocks come in the order of LAWS, so each law's edges are one slice, and
+    no function is called on an empty slice. The kernel holds c1, c2 on the
+    static and discontinuous edges, eps, phi on the static and adaptive
+    edges, and mu, nu, theta, chi on the adaptive edges, each as one number
+    where all those blocks hold the same bits, else one entry per edge; the
+    initial edge gains alpha0/beta0 are held per adaptive edge. K must be the
+    same in every block, and Gamma in every adaptive block. Every term is
+    edge-local, so no block sees another's.
     """
 
     def __init__(
@@ -185,35 +194,56 @@ class EdgeKernel:
         g: graphmod.Graph | Sequence[graphmod.Graph],
         plant: LinearPlant,
         gains: StaticGains | AdaptiveParams | Sequence[StaticGains | AdaptiveParams],
-        mode: str = "static",
+        mode: str | Sequence[str] = "static",
     ):
-        if mode not in ("static", "adaptive", "discontinuous"):
-            raise ConfigError(f"unknown mode {mode!r}")
         graphs, blocks = ([g], [gains]) if isinstance(g, graphmod.Graph) else (list(g), list(gains))
-        needed = AdaptiveParams if mode == "adaptive" else StaticGains
-        if not all(isinstance(p, needed) for p in blocks):
-            raise ConfigError(f"{mode} mode needs {needed.__name__}")
-        shared = ("K", "Gamma", "mu", "nu", "theta", "chi") if mode == "adaptive" else ("K",)
-        p0 = blocks[0]
-        if any(_bits(getattr(p, k)) != _bits(getattr(p0, k)) for p in blocks for k in shared):
-            raise ConfigError(f"the blocks of one kernel must share {', '.join(shared)}")
+        modes = [mode] * len(blocks) if isinstance(mode, str) else list(mode)
+        if len(modes) != len(blocks):
+            raise ConfigError(f"{len(modes)} modes for {len(blocks)} blocks")
+        for m, p in zip(modes, blocks):
+            if m not in LAWS:
+                raise ConfigError(f"unknown mode {m!r}")
+            needed = AdaptiveParams if m == "adaptive" else StaticGains
+            if not isinstance(p, needed):
+                raise ConfigError(f"{m} mode needs {needed.__name__}")
+        if modes != sorted(modes, key=LAWS.index):
+            raise ConfigError(f"the blocks of one kernel must come in the order {LAWS}")
+        adaptive = [p for p, m in zip(blocks, modes) if m == "adaptive"]
+        for shared, name in ((blocks, "K"), (adaptive, "Gamma")):
+            if any(_bits(getattr(p, name)) != _bits(getattr(shared[0], name)) for p in shared):
+                raise ConfigError(f"the blocks of one kernel must share {name}")
         counts = [h.n_edges for h in graphs]
 
-        def per_edge(name: str) -> NDArray[np.float64]:
-            return np.repeat([float(getattr(p, name)) for p in blocks], counts)
+        def held(name: str, laws: tuple[str, ...], per_edge: bool = False):
+            # one number when all blocks under `laws` hold the same bits: a
+            # shared width then costs one exp per call, not one per edge
+            vals = [float(getattr(p, name)) for p, m in zip(blocks, modes) if m in laws]
+            if not vals:
+                return None
+            if len({_bits(v) for v in vals}) == 1 and not per_edge:
+                return vals[0]
+            return np.repeat(vals, [c for c, m in zip(counts, modes) if m in laws])
 
-        def column(name: str) -> float | NDArray[np.float64]:
-            # one number when all blocks hold the same bits: a shared width
-            # then costs one exp per call, not one per edge
-            same = len({_bits(getattr(p, name)) for p in blocks}) == 1
-            return float(getattr(p0, name)) if same else per_edge(name)[:, None]
+        def column(name: str, laws: tuple[str, ...]):
+            v = held(name, laws)
+            return v[:, None] if isinstance(v, np.ndarray) else v
 
-        if mode == "adaptive":
-            self.alpha0, self.beta0 = per_edge("alpha0"), per_edge("beta0")
-        else:
-            self.c1, self.c2 = column("c1"), column("c2")
-        self.eps, self.phi = column("eps"), column("phi")
-        self.gains, self.mode, self._BT = p0, mode, plant.B.T
+        fixed, smooth = ("discontinuous", "static"), ("static", "adaptive")
+        self.c1, self.c2 = column("c1", fixed), column("c2", fixed)
+        self.eps, self.phi = column("eps", smooth), column("phi", smooth)
+        self.mu, self.nu, self.theta, self.chi = (
+            held(k, ("adaptive",)) for k in ("mu", "nu", "theta", "chi")
+        )
+        self.alpha0 = held("alpha0", ("adaptive",), per_edge=True)
+        self.beta0 = held("beta0", ("adaptive",), per_edge=True)
+        laws = set(modes)
+        # edges [0, n_sign) are discontinuous, [n_sign, n_fixed) static, the rest adaptive
+        self._n_sign = sum(c for c, m in zip(counts, modes) if m == "discontinuous")
+        self._n_fixed = self._n_sign + sum(c for c, m in zip(counts, modes) if m == "static")
+        self._sign, self._adaptive = "discontinuous" in laws, "adaptive" in laws
+        self._smooth, self._fixed = laws != {"discontinuous"}, laws != {"adaptive"}
+        self._KT, self._BT = blocks[0].K.T, plant.B.T
+        self._Gamma = adaptive[0].Gamma if adaptive else None
         self.graph = graphmod.disjoint_union(graphs)
         self.tails, self.heads = graphmod.edge_index(self.graph)
         cells = np.concatenate([self.tails, self.heads])[:, None] * plant.m + np.arange(plant.m)
@@ -222,30 +252,35 @@ class EdgeKernel:
     def __call__(
         self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
     ) -> tuple[NDArray, NDArray | None, NDArray | None]:
-        """(coupling, dalpha, dbeta) at time t and agent states x (N, n):
-        coupling[i] sums +-u_ij B^T over the edges at i; the edge-gain rates
-        are those of the adaptive law and None in the others."""
-        p = self.gains
+        """(coupling, dalpha, dbeta) at time t, agent states x (N, n) and the
+        gains alpha, beta of the adaptive edges: coupling[i] sums +-u_ij B^T
+        over the edges at i; the edge-gain rates cover the adaptive edges and
+        are None where there are none."""
         d = x[self.tails] - x[self.heads]           # (E, n)
-        w = d @ p.K.T                                # (E, m)
-        if self.mode == "discontinuous":
-            h = discontinuous_sign(w)
-        else:
-            h = boundary_layer(w, self.eps, self.phi, t)
-        if self.mode == "adaptive":
-            u = alpha[:, None] * w + beta[:, None] * h
-        else:
-            u = self.c1 * w + self.c2 * h
+        w = d @ self._KT                             # (E, m)
+        ns, nf = self._n_sign, self._n_fixed
+        h = _joined(discontinuous_sign(w[:ns]) if self._sign else None,
+                    boundary_layer(w[ns:], self.eps, self.phi, t) if self._smooth else None)
+        u = _joined(self.c1 * w[:nf] + self.c2 * h[:nf] if self._fixed else None,
+                    alpha[:, None] * w[nf:] + beta[:, None] * h[nf:] if self._adaptive else None)
         cells = np.bincount(
             self._cells, weights=np.concatenate([u, -u]).ravel(), minlength=self._n_cells
         )
         coupling = cells.reshape(-1, u.shape[1]) @ self._BT
-        if self.mode != "adaptive":
+        if not self._adaptive:
             return coupling, None, None
-        dalpha = p.mu * (-p.theta * alpha + np.einsum("ei,ij,ej->e", d, p.Gamma, d))
+        d, w, h = d[nf:], w[nf:], h[nf:]
+        dalpha = self.mu * (-self.theta * alpha + np.einsum("ei,ij,ej->e", d, self._Gamma, d))
         # ||w||^2 / (||w|| + width) = w . h
-        dbeta = p.nu * (-p.chi * beta + np.einsum("em,em->e", w, h))
+        dbeta = self.nu * (-self.chi * beta + np.einsum("em,em->e", w, h))
         return coupling, dalpha, dbeta
+
+
+def _joined(first: NDArray | None, second: NDArray | None) -> NDArray:
+    """The rows of two consecutive edge slices; a lone slice as it is."""
+    if first is None or second is None:
+        return second if first is None else first
+    return np.concatenate([first, second])
 
 
 def _bits(v) -> bytes:

@@ -121,61 +121,72 @@ def run(
 def run_blocks(
     blocks: Sequence[tuple[Graph, ReferenceSet, control.StaticGains | control.AdaptiveParams]],
     cfg: SimConfig,
-    mode: str = "static",
+    mode: str | Sequence[str] = "static",
 ) -> list[Trajectory]:
     """Integrate several (graph, references, gains) blocks as one closed loop
     on the disjoint union of their graphs, and return one Trajectory per
-    block, in order, whose arrays are views into the run's.
+    block, in the order given, whose arrays are views into the run's.
 
-    The blocks must share the plant, K and (adaptive law) the rates; the
+    `mode` is one law for all blocks, or one law per block. The union holds
+    the blocks in the order of control.LAWS (file order within a law), so
+    each law's edges are one slice of the EdgeKernel, and the state is
+    [x, r, alpha, beta] with alpha and beta on the adaptive edges only. The
+    blocks must share the plant, K and, among adaptive blocks, Gamma; the
     EdgeKernel checks that. Every term is edge-local, so a block's states see
     the same operations as in a run of its own. They keep its bits when the
     block's graph has three or more edges and the plant at most seven states
     and inputs; beyond that, numpy forms a row of a product by a route that
     depends on the row's place in it. A non-finite value raises NonFinite at
-    the first step that has one, with `block` the lowest block that does.
+    the first step that has one, with `block` the lowest index, in the order
+    given, of a block that does.
     """
+    modes = [mode] * len(blocks) if isinstance(mode, str) else list(mode)
+    if len(modes) != len(blocks) or not set(modes) <= set(control.LAWS):
+        raise ConfigError(f"need one of the modes {control.LAWS} per block, got {mode!r}")
     for g, rs, _ in blocks:
         if g.n_nodes != rs.n_agents:
             raise ConfigError("graph size must match the number of agents")
-    graphs, sets, gains = zip(*blocks)
+    order = sorted(range(len(blocks)), key=lambda b: control.LAWS.index(modes[b]))
+    graphs, sets, gains = zip(*(blocks[b] for b in order))
+    laws = [modes[b] for b in order]
     rs = concat_references(sets)
-    kernel = control.EdgeKernel(graphs, rs.plant, gains, mode)
-    N, n, E = rs.n_agents, rs.plant.n, kernel.graph.n_edges
+    kernel = control.EdgeKernel(graphs, rs.plant, gains, laws)
+    adaptive = "adaptive" in laws
+    nodes = np.cumsum([0] + [g.n_nodes for g in graphs])
+    # alpha and beta cover the adaptive edges only
+    edges = np.cumsum([0] + [g.n_edges * (law == "adaptive") for g, law in zip(graphs, laws)])
+    N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
-    adaptive = mode == "adaptive"
 
     def rhs(t: float, y: NDArray) -> NDArray:
         x = y[:Nn].reshape(N, n)
         r = y[Nn : 2 * Nn].reshape(N, n)
         fB = rs.eval_inputs(t) @ B.T
-        # the edge gains are empty slices unless the law is adaptive
-        coupling, *rates = kernel(t, x, y[2 * Nn : 2 * Nn + E], y[2 * Nn + E :])
+        # the edge gains are empty slices unless a block is adaptive
+        coupling, *rates = kernel(t, x, y[2 * Nn : 2 * Nn + Ea], y[2 * Nn + Ea :])
         parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
         return np.concatenate(parts + rates if adaptive else parts)
 
     r0 = rs.initial_states
     y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])
-    nodes = np.cumsum([0] + [g.n_nodes for g in graphs])
-    edges = np.cumsum([0] + [g.n_edges for g in graphs])
-    node_owner = np.repeat(np.arange(len(graphs)), np.diff(nodes) * n)
-    edge_owner = np.repeat(np.arange(len(graphs)), np.diff(edges))
+    node_owner = np.repeat(order, np.diff(nodes) * n)
+    edge_owner = np.repeat(order, np.diff(edges))
     owner = np.concatenate([node_owner, node_owner] + [edge_owner, edge_owner] * adaptive)
     times, ys = integrate(rhs, np.concatenate(y0), cfg, owner)
     T = len(times)
     x = ys[:, :Nn].reshape(T, N, n)
     r = ys[:, Nn : 2 * Nn].reshape(T, N, n)
-    alpha = ys[:, 2 * Nn : 2 * Nn + E] if adaptive else None
-    beta = ys[:, 2 * Nn + E :] if adaptive else None
-    return [
-        Trajectory(
+    alpha = ys[:, 2 * Nn : 2 * Nn + Ea]
+    beta = ys[:, 2 * Nn + Ea :]
+    trajs = [None] * len(blocks)
+    for b, law, n0, n1, e0, e1 in zip(order, laws, nodes, nodes[1:], edges, edges[1:]):
+        trajs[b] = Trajectory(
             times=times,
             x=x[:, n0:n1],
             r=r[:, n0:n1],
-            alpha=alpha[:, e0:e1] if adaptive else None,
-            beta=beta[:, e0:e1] if adaptive else None,
-            mode=mode,
+            alpha=alpha[:, e0:e1] if law == "adaptive" else None,
+            beta=beta[:, e0:e1] if law == "adaptive" else None,
+            mode=law,
         )
-        for n0, n1, e0, e1 in zip(nodes, nodes[1:], edges, edges[1:])
-    ]
+    return trajs

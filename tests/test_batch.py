@@ -3,6 +3,7 @@ union of its graphs: every block keeps the bits of a run of its own, and a
 blow-up names its scenario."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgtrack as at
-from avgtrack import cli, sim
+from avgtrack import cli, control, sim
 from avgtrack.cli import main
 from avgtrack.control import EdgeKernel
-from avgtrack.errors import ConfigError
+from avgtrack.errors import ConfigError, NonFinite
 from avgtrack.graph import disjoint_union
 from avgtrack.scenarios import scenario_config
 from avgtrack.signals import concat_references
@@ -79,12 +80,12 @@ def test_list_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "list")]) == 0
     monkeypatch.undo()
 
-    # each law's ring6/five pair (and the second adaptive ring) ran as one
-    # union; the fine-dt, 2-node and 3-node scenarios ran alone
-    assert sorted(len(blocks) for blocks, *_ in groups) == [1, 1, 1, 2, 2, 3]
-    for blocks, cfg, mode, trajs in groups:
-        for (g, rs, gains), traj in zip(blocks, trajs):
-            alone = at.run(g, rs, gains, cfg, mode)
+    # the three laws' ring6/five pairs and the second adaptive ring ran as
+    # one union; the fine-dt, 2-node and 3-node scenarios ran alone
+    assert sorted(len(blocks) for blocks, *_ in groups) == [1, 1, 1, 7]
+    for blocks, cfg, modes, trajs in groups:
+        for (g, rs, gains), law, traj in zip(blocks, modes, trajs):
+            alone = at.run(g, rs, gains, cfg, law)
             for key in ("times", "x", "r", "alpha", "beta"):
                 got, want = getattr(traj, key), getattr(alone, key)
                 assert (got is None and want is None) or np.array_equal(got, want), key
@@ -97,17 +98,22 @@ def test_list_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
             assert (listed / name).read_bytes() == (out / name).read_bytes()
 
 
-def random_blocks(seed, law, n, m, n_blocks):
-    """Blocks that share a random plant, K and rates, each on a random
-    connected graph of 4 to 11 nodes (so at least three edges) with its own
-    inputs, initial states and per-block constants."""
+def random_blocks(seed, laws, n, m, own_rates=False):
+    """Blocks under the given laws that share a random plant, K and (unless
+    `own_rates`) adaptive rates, each on a random connected graph of 4 to 11
+    nodes (so at least three edges) with its own inputs, initial states and
+    per-block constants."""
     rng = np.random.default_rng(seed)
     plant = at.LinearPlant(A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
     K = 0.3 * rng.standard_normal((m, n))
-    rates = dict(mu=rng.uniform(0.1, 1), nu=rng.uniform(0.1, 1),
-                 theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1))
+
+    def draw_rates():
+        return dict(mu=rng.uniform(0.1, 1), nu=rng.uniform(0.1, 1),
+                    theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1))
+
+    rates = draw_rates()
     blocks = []
-    for _ in range(n_blocks):
+    for law in laws:
         N = int(rng.integers(4, 12))
         edges = {(int(rng.integers(i)), i) for i in range(1, N)}
         for _ in range(int(rng.integers(0, N))):
@@ -117,7 +123,8 @@ def random_blocks(seed, law, n, m, n_blocks):
         eps, phi = rng.uniform(0.1, 5), rng.uniform(0.0, 2)
         if law == "adaptive":
             gains = at.AdaptiveParams(K=K, Gamma=K.T @ K, eps=eps, phi=phi, P=np.eye(n),
-                                      alpha0=rng.uniform(0, 2), beta0=rng.uniform(0, 2), **rates)
+                                      alpha0=rng.uniform(0, 2), beta0=rng.uniform(0, 2),
+                                      **(draw_rates() if own_rates else rates))
         else:
             gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
                                    eps=eps, phi=phi, P=np.eye(n))
@@ -143,10 +150,31 @@ def random_blocks(seed, law, n, m, n_blocks):
 def test_blocks_keep_the_bits_of_runs_alone(seed, law, n, m, n_blocks):
     # inside the group key's bounds: three or more edges, at most 7 states
     # and inputs (with 8 states and one input, most blocks change bits)
-    blocks = random_blocks(seed, law, n, m, n_blocks)
+    blocks = random_blocks(seed, [law] * n_blocks, n, m)
     cfg = at.SimConfig(t_end=0.02, dt=1e-3)
     for block, traj in zip(blocks, sim.run_blocks(blocks, cfg, law)):
         alone = at.run(*block, cfg, law)
+        for key in ("x", "r", "alpha", "beta"):
+            got, want = getattr(traj, key), getattr(alone, key)
+            assert (got is None and want is None) or np.array_equal(got, want), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    laws=st.lists(st.sampled_from(("static", "discontinuous", "adaptive")), min_size=2,
+                  max_size=5),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+)
+def test_blocks_of_mixed_laws_keep_the_bits_of_runs_alone(seed, laws, n, m):
+    # the union reorders the blocks by law, and each adaptive block has its
+    # own rates; every block still sees the operations of a run of its own
+    blocks = random_blocks(seed, laws, n, m, own_rates=True)
+    cfg = at.SimConfig(t_end=0.02, dt=1e-3)
+    for block, law, traj in zip(blocks, laws, sim.run_blocks(blocks, cfg, laws)):
+        alone = at.run(*block, cfg, law)
+        assert traj.mode == law
         for key in ("x", "r", "alpha", "beta"):
             got, want = getattr(traj, key), getattr(alone, key)
             assert (got is None and want is None) or np.array_equal(got, want), key
@@ -213,6 +241,44 @@ def test_two_blocks_failing_at_one_step_name_the_first(tmp_path, capsys):
     assert "scenario 'stiff-a'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blocks_of_two_laws_failing_at_one_step_name_the_first_in_the_file(tmp_path, capsys):
+    # the union puts the discontinuous block before the static one, so the
+    # lowest block there is the later one in the file
+    cfgs = [variant("static", "calm", RING6)]
+    for law in ("static", "discontinuous"):
+        cfgs.append(variant(law, f"stiff-{law}", RING6))
+        cfgs[-1]["design"]["margins"] = [1e5, 1.0]
+    times = []
+    for cfg in cfgs[1:]:
+        scn = at.parse_scenario(cfg)
+        with pytest.raises(NonFinite) as alone:
+            at.run(scn.graph, scn.reference_set, scn.build_static_gains(), scn.sim, scn.algorithm)
+        times.append(alone.value.time)
+    assert times[0] == times[1]
+    assert main(["run", "--config", write(tmp_path, "list.json", cfgs),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: scenario 'stiff-static': non-finite state at t={times[0]:g}")
+
+
+@pytest.mark.parametrize("law, own, other", [
+    ("static", "boundary_layer", "discontinuous_sign"),
+    ("discontinuous", "discontinuous_sign", "boundary_layer"),
+])
+def test_one_law_calls_nothing_on_an_empty_slice(monkeypatch, law, own, other):
+    calls = Counter()
+    for name in (own, other):
+        def counted(*args, _f=getattr(control, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(control, name, counted)
+    scn = at.parse_scenario(variant(law, "a", RING6))
+    at.run(scn.graph, scn.reference_set, scn.build_static_gains(), scn.sim, law)
+    # one call per RK4 stage: 300 steps of four
+    assert calls[own] == 4 * 300 and calls[other] == 0
+
+
 def test_group_key():
     cfgs = {c["name"]: c for c in mixed_list()}
     keys = {}
@@ -220,7 +286,8 @@ def test_group_key():
         scn = at.parse_scenario(cfg)
         keys[name] = cli._group_key(i, scn, cli._design(scn))
     assert keys["static-ring6"] == keys["static-five"] != keys["static-fine-dt"]
-    assert keys["static-ring6"] != keys["discontinuous-ring6"]
+    # the law and the adaptive rates are no part of the key
+    assert keys["static-ring6"] == keys["discontinuous-ring6"] == keys["adaptive-ring6"]
     assert keys["adaptive-ring6"] == keys["adaptive-five"] == keys["adaptive-ring6-b"]
     # numpy forms one- and two-row products by other routes
     assert keys["static-pair"] != keys["static-ring6"]
@@ -228,7 +295,7 @@ def test_group_key():
     rates = variant("adaptive", "fast", RING6)
     rates["adaptive"]["mu"] = 20.0
     scn = at.parse_scenario(rates)
-    assert cli._group_key(0, scn, cli._design(scn)) != keys["adaptive-ring6"]
+    assert cli._group_key(0, scn, cli._design(scn)) == keys["adaptive-ring6"]
 
 
 def test_group_key_runs_eight_states_alone():
@@ -283,6 +350,15 @@ class TestUnion:
         other = at.StaticGains(K=2 * gb.K, c1=gb.c1, c2=gb.c2, eps=gb.eps, phi=gb.phi, P=gb.P)
         with pytest.raises(ConfigError, match="share K"):
             EdgeKernel([a.graph, b.graph], plant, [ga, other], "static")
+
+    def test_kernel_blocks_come_in_law_order(self):
+        a = at.parse_scenario(variant("static", "a", RING6))
+        b = at.parse_scenario(variant("discontinuous", "b", FIVE))
+        ga, gb = a.build_static_gains(), b.build_static_gains()
+        plant = a.reference_set.plant
+        EdgeKernel([b.graph, a.graph], plant, [gb, ga], ["discontinuous", "static"])
+        with pytest.raises(ConfigError, match="order"):
+            EdgeKernel([a.graph, b.graph], plant, [ga, gb], ["static", "discontinuous"])
 
     def test_kernel_holds_block_constants_per_edge(self):
         a = at.parse_scenario(variant("static", "a", RING6))

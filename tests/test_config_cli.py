@@ -161,6 +161,29 @@ class TestGainsCommand:
         out = capsys.readouterr().out
         assert "K =\n  [-1.000000]" in out
 
+    def test_list_reports_every_scenario_in_file_order(self, tmp_path, capsys):
+        cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
+        cfgs[0]["name"], cfgs[1]["name"] = "b", "a"
+        assert main(["gains", "--config", write_config(tmp_path, cfgs)]) == 0
+        out = capsys.readouterr().out
+        assert [ln for ln in out.splitlines() if ln.startswith("scenario:")] == [
+            "scenario: b", "scenario: a"]
+        alone = []
+        for cfg in cfgs:
+            assert main(["gains", "--config", write_config(tmp_path, cfg)]) == 0
+            alone.append(capsys.readouterr().out)
+        # each scenario's block as it prints alone, one blank line between
+        assert out == "\n".join(alone)
+
+    def test_list_with_a_disconnected_second_graph_exit_2(self, tmp_path, capsys):
+        cfgs = [scenario_config("ring-demo"), scenario_config("ring-demo")]
+        cfgs[1]["name"] = "split"
+        cfgs[1]["graph"]["edges"] = [[0, 1], [2, 3]]
+        assert main(["gains", "--config", write_config(tmp_path, cfgs)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("design failed: ") and "connected" in err
+        assert out == ""
+
     def test_disconnected_exit_2(self, tmp_path, capsys):
         cfg = scenario_config("ring-demo")
         cfg["graph"]["edges"] = [[0, 1], [2, 3]]
