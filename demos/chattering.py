@@ -9,6 +9,7 @@ almost every step once the agents are close.
 import numpy as np
 
 import avgtrack as at
+from avgtrack.control import edge_signals
 
 
 def main() -> None:
@@ -28,7 +29,7 @@ def main() -> None:
     for mode in ("static", "discontinuous"):
         traj = at.run(g, rs, gains, cfg, mode=mode)
         quarter = traj.times >= 0.75 * traj.times[-1]
-        w = np.array([at.edge_signals(x, gains.K, g)[0] for x in traj.x[quarter]])
+        w = np.array([edge_signals(x, gains.K, g)[0] for x in traj.x[quarter]])
         flips = at.direction_flip_count(w)
         err = float(np.linalg.norm(at.tracking_error(traj.x[-1], traj.r[-1])))
         print(f"{mode:15s} direction flips (final quarter) = {flips:5d}   "

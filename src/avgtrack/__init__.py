@@ -5,7 +5,7 @@ that certify a run."""
 
 __version__ = "0.1.0"
 
-from .graph import Graph, incidence_matrix, laplacian, is_connected, lambda2
+from .graph import Graph, laplacian, is_connected, lambda2
 from .numerics import (
     AreSolution,
     NumericsConfig,
@@ -25,14 +25,10 @@ from .signals import (
 )
 from .control import (
     AdaptiveParams,
-    NetworkState,
     StaticGains,
-    adaptive_rhs,
     boundary_layer,
     design_gains,
     discontinuous_sign,
-    edge_signals,
-    static_rhs,
 )
 from .sim import SimConfig, Trajectory, integrate, run
 from .analysis import (
@@ -53,14 +49,13 @@ from .config import Scenario, parse_scenario
 from .scenarios import scenario_config
 
 __all__ = [
-    "Graph", "incidence_matrix", "laplacian", "is_connected", "lambda2",
+    "Graph", "laplacian", "is_connected", "lambda2",
     "AreSolution", "NumericsConfig", "is_stabilizable", "matrix_exp",
     "solve_are", "solve_lyapunov", "sym_eigvals",
     "InputDescriptor", "LinearPlant", "ReferenceSet", "eval_input",
     "input_bound", "reference_trajectory",
-    "AdaptiveParams", "NetworkState", "StaticGains", "adaptive_rhs",
-    "boundary_layer", "design_gains", "discontinuous_sign", "edge_signals",
-    "static_rhs",
+    "AdaptiveParams", "StaticGains", "boundary_layer", "design_gains",
+    "discontinuous_sign",
     "SimConfig", "Trajectory", "integrate", "run",
     "TheoremConstants", "consensus_error", "consensus_manifold",
     "direction_flip_count", "lyapunov_v1", "lyapunov_v2", "omega1_bound",

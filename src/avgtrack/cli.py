@@ -27,7 +27,8 @@ from .analysis import theorem_constants
 from .config import Scenario, parse_scenario
 from .control import AdaptiveParams, StaticGains
 from .errors import (
-    AvgTrackError, ConfigError, NonFinite, NotConnected, NotStabilizable, NotSymmetric,
+    AvgTrackError, ConfigError, NoConvergence, NonFinite, NotConnected, NotStabilizable,
+    NotSymmetric, SingularSystem,
 )
 from .report import write_outputs
 from .signals import input_bound
@@ -106,10 +107,12 @@ def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]])
     # the group's record arrays die with the call
     first = group[0][0]
     try:
-        trajs = sim.run_blocks(
-            [(scn.graph, scn.reference_set, gains) for scn, gains, _ in group], first.sim,
-            mode=[scn.algorithm for scn, _, _ in group],
-        )
+        # the per-step check reports a blow-up; numpy's warnings would add lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            trajs = sim.run_blocks(
+                [(scn.graph, scn.reference_set, gains) for scn, gains, _ in group], first.sim,
+                mode=[scn.algorithm for scn, _, _ in group],
+            )
     except NonFinite as exc:
         raise NonFinite(f"scenario {group[exc.block][0].name!r}: {exc}", time=exc.time) from exc
     for (scn, gains, out_dir), traj in zip(group, trajs):
@@ -172,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NotConnected, NotStabilizable, NotSymmetric) as exc:
+    except (NotConnected, NotStabilizable, NotSymmetric, NoConvergence, SingularSystem) as exc:
         print(f"design failed: {exc}", file=sys.stderr)
         return 2
     except NonFinite as exc:

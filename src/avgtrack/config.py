@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from . import control
-from .errors import ConfigError, NotSymmetric
+from .errors import MALFORMED, ConfigError, NotSymmetric, located
 from .graph import Graph, lambda2 as graph_lambda2
 from .numerics import NumericsConfig, sym_eigvals
 from .signals import InputDescriptor, LinearPlant, ReferenceSet, input_bound
@@ -26,8 +27,6 @@ _INPUT_KEYS = {
     "sinusoid": {"kind", "amp", "omega", "phase"},
     "table": {"kind", "times", "values"},
 }
-# what converting a value of the wrong type or shape raises
-_MALFORMED = (TypeError, ValueError, IndexError, OverflowError)
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -38,34 +37,18 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _at(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with `where` put at the front of the message
-    of an error it raises for a bad value."""
-    try:
-        return build(*args, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    except _MALFORMED as exc:
-        raise ConfigError(f"{where}: malformed value: {exc}") from exc
-
-
 def _section(cls, d: dict, where: str):
     """`cls` built from the config section `d`, whose keys must be fields of
     `cls`; the class converts and checks the values."""
     _check_keys(d, {f.name for f in fields(cls)}, where)
-    return _at(where, cls, **d)
+    return located(where, cls, **d)
 
 
 def _initial_state(r0, n: int) -> np.ndarray:
     r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (n,):
-        raise ConfigError(f"must hold {n} numbers, got shape {r0.shape}")
+    if r0.shape != (n,) or not all(map(math.isfinite, r0.tolist())):
+        raise ConfigError(f"must hold {n} finite numbers, got {r0.tolist()}")
     return r0
-
-
-def _margins(m) -> tuple[float, float]:
-    m1, m2 = m
-    return float(m1), float(m2)
 
 
 def _design_q(value, n: int) -> np.ndarray:
@@ -133,7 +116,7 @@ def _parse_input(d: dict, where: str) -> InputDescriptor:
         raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(_INPUT_KEYS)}")
     _check_keys(d, _INPUT_KEYS[kind], where)
     # InputDescriptor converts the fields and checks that the kind has them
-    return _at(where, InputDescriptor, **d)
+    return located(where, InputDescriptor, **d)
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
@@ -147,7 +130,7 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
         return _parse(cfg, seed)
     except KeyError as exc:
         raise ConfigError(f"missing key {exc}") from exc
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed value: {exc}") from exc
 
 
@@ -155,7 +138,7 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "scenario config")
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
-    g = _at("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
+    g = located("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
     plant = _section(LinearPlant, cfg["plant"], "plant")
 
     rng = None    # built at the first null r0: a fully specified scenario needs none
@@ -166,7 +149,7 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         if r0 is None:
             rng = rng or np.random.default_rng(0 if seed is None else seed)
             r0 = rng.standard_normal(plant.n)
-        r0s.append(_at(f"agents[{k}].r0", _initial_state, r0, plant.n))
+        r0s.append(located(f"agents[{k}].r0", _initial_state, r0, plant.n))
         inputs.append(_parse_input(agent.get("input", {"kind": "zero"}), f"agents[{k}].input"))
     rs = ReferenceSet(plant=plant, initial_states=np.array(r0s), inputs=tuple(inputs))
     if g.n_nodes != rs.n_agents:
@@ -178,15 +161,16 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
 
     dd = cfg.get("design", {})
     _check_keys(dd, _DESIGN_KEYS, "design")
-    Q = _at("design.Q", _design_q, dd["Q"] if "Q" in dd else np.eye(plant.n), plant.n)
-    margins = _at("design.margins", _margins, dd.get("margins", (1.0, 1.0)))
-    eps, phi = (_at(f"design.{k}", float, dd.get(k, v)) for k, v in (("eps", 5.0), ("phi", 0.5)))
+    Q = located("design.Q", _design_q, dd["Q"] if "Q" in dd else np.eye(plant.n), plant.n)
+    margins = located("design.margins", control.design_margins, dd.get("margins", (1.0, 1.0)))
+    eps, phi = (located(f"design.{k}", control.in_range, k, dd.get(k, v))
+                for k, v in (("eps", 5.0), ("phi", 0.5)))
 
-    # the section's keys are AdaptiveParams fields, all of them numbers
+    # AdaptiveParams fields, all numbers, checked whatever the algorithm
     ad = cfg.get("adaptive")
     if ad is not None:
         _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
-        ad = {k: _at(f"adaptive.{k}", float, v) for k, v in ad.items()}
+        ad = {k: located(f"adaptive.{k}", control.in_range, k, v) for k, v in ad.items()}
     if algorithm == "adaptive":
         missing = sorted({"mu", "nu", "theta", "chi"} - set(ad or ()))
         if missing:

@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import graph as graphmod
-from .errors import ConfigError
+from .errors import ConfigError, located
 from .numerics import NumericsConfig, DEFAULT_CONFIG, solve_are
 from .signals import LinearPlant, ReferenceSet
 
@@ -82,8 +82,8 @@ class StaticGains:
     P: NDArray[np.float64]       # ARE solution behind K
 
     def __post_init__(self):
-        if not (0 < self.eps < math.inf and 0 < self.phi < math.inf):  # NaN fails too
-            raise ConfigError("eps and phi must be positive and finite")
+        for name in ("eps", "phi"):
+            located(name, in_range, name, getattr(self, name))
         if self.c1 < 0 or self.c2 < 0:
             raise ConfigError("coupling strengths must be nonnegative")
 
@@ -105,12 +105,25 @@ class AdaptiveParams:
     beta0: float = 0.0
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.mu, self.nu, self.theta, self.chi)):
-            raise ConfigError("mu, nu, theta, chi must be positive and finite")
-        if not (0 < self.eps < math.inf and 0 < self.phi < math.inf):  # NaN fails too
-            raise ConfigError("eps and phi must be positive and finite")
-        if not (math.isfinite(self.alpha0) and math.isfinite(self.beta0)):
-            raise ConfigError("alpha0 and beta0 must be finite")
+        for name in ("mu", "nu", "theta", "chi", "eps", "phi", "alpha0", "beta0"):
+            located(name, in_range, name, getattr(self, name))
+
+
+def in_range(name: str, value) -> float:
+    """`value` as a float in the range of the gain field `name`: alpha0 and
+    beta0 finite, the others positive and finite. Shared with the parser."""
+    v, positive = float(value), name not in ("alpha0", "beta0")
+    if not (0 if positive else -math.inf) < v < math.inf:     # NaN fails too
+        raise ConfigError(f"must be {'positive and ' * positive}finite, got {v!r}")
+    return v
+
+
+def design_margins(value) -> tuple[float, float]:
+    """The two design margins as floats, each finite and >= 1. Shared with the parser."""
+    m1, m2 = (float(m) for m in value)
+    if not (1.0 <= m1 < math.inf and 1.0 <= m2 < math.inf):
+        raise ConfigError(f"must be finite and >= 1, got [{m1!r}, {m2!r}]")
+    return m1, m2
 
 
 @dataclass
@@ -154,8 +167,7 @@ def design_gains(
     """
     if lam2 is None:
         lam2 = graphmod.lambda2(g)
-    if not (1.0 <= margins[0] < math.inf and 1.0 <= margins[1] < math.inf):
-        raise ConfigError("margins must be finite and >= 1")
+    margins = located("margins", design_margins, margins)
     P, K = feedback_gain(plant, Q, cfg)
     c1 = margins[0] / (2.0 * lam2)
     c2 = margins[1] * f0 * (g.n_nodes - 1)
@@ -178,15 +190,19 @@ class EdgeKernel:
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
-    the graphs (`self.graph`), block b with gains[b] under law mode[b]. The
-    blocks come in the order of LAWS, so each law's edges are one slice, and
-    no function is called on an empty slice. The kernel holds c1, c2 on the
-    static and discontinuous edges, eps, phi on the static and adaptive
-    edges, and mu, nu, theta, chi on the adaptive edges, each as one number
-    where all those blocks hold the same bits, else one entry per edge; the
-    initial edge gains alpha0/beta0 are held per adaptive edge. K must be the
-    same in every block, and Gamma in every adaptive block. Every term is
-    edge-local, so no block sees another's.
+    the graphs, block b with gains[b] under law mode[b]. It holds the blocks
+    in the order of LAWS, the caller's order within a law, so each law's
+    edges are one slice, and no function is called on an empty slice. In
+    that order, `order` and `laws` give each block's index in the caller's
+    order and its law, and `node_offsets` and `gain_offsets` where its nodes
+    start in the union and its edge gains among the adaptive edges, with the
+    totals at the end. The kernel holds c1, c2 on the static and
+    discontinuous edges, eps, phi on the static and adaptive edges, and mu,
+    nu, theta, chi on the adaptive edges, each as one number where all those
+    blocks hold the same bits, else one entry per edge; the initial edge
+    gains alpha0/beta0 are held per adaptive edge. K must be the same in
+    every block, and Gamma in every adaptive block. Every term is edge-local,
+    so no block sees another's.
     """
 
     def __init__(
@@ -206,13 +222,16 @@ class EdgeKernel:
             needed = AdaptiveParams if m == "adaptive" else StaticGains
             if not isinstance(p, needed):
                 raise ConfigError(f"{m} mode needs {needed.__name__}")
-        if modes != sorted(modes, key=LAWS.index):
-            raise ConfigError(f"the blocks of one kernel must come in the order {LAWS}")
+        self.order = sorted(range(len(blocks)), key=lambda b: LAWS.index(modes[b]))
+        graphs, blocks = [graphs[b] for b in self.order], [blocks[b] for b in self.order]
+        self.laws = modes = [modes[b] for b in self.order]
         adaptive = [p for p, m in zip(blocks, modes) if m == "adaptive"]
         for shared, name in ((blocks, "K"), (adaptive, "Gamma")):
             if any(_bits(getattr(p, name)) != _bits(getattr(shared[0], name)) for p in shared):
                 raise ConfigError(f"the blocks of one kernel must share {name}")
         counts = [h.n_edges for h in graphs]
+        self.node_offsets = np.cumsum([0] + [h.n_nodes for h in graphs])
+        self.gain_offsets = np.cumsum([0] + [c * (m == "adaptive") for c, m in zip(counts, modes)])
 
         def held(name: str, laws: tuple[str, ...], per_edge: bool = False):
             # one number when all blocks under `laws` hold the same bits: a
@@ -244,10 +263,10 @@ class EdgeKernel:
         self._smooth, self._fixed = laws != {"discontinuous"}, laws != {"adaptive"}
         self._KT, self._BT = blocks[0].K.T, plant.B.T
         self._Gamma = adaptive[0].Gamma if adaptive else None
-        self.graph = graphmod.disjoint_union(graphs)
-        self.tails, self.heads = graphmod.edge_index(self.graph)
+        index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
+        self.tails, self.heads = np.concatenate(index, axis=1)
         cells = np.concatenate([self.tails, self.heads])[:, None] * plant.m + np.arange(plant.m)
-        self._cells, self._n_cells = cells.ravel(), self.graph.n_nodes * plant.m
+        self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
 
     def __call__(
         self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None

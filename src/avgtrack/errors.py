@@ -1,4 +1,4 @@
-"""Exception hierarchy for the avgtrack package."""
+"""Exception hierarchy for the avgtrack package, and `located` for config errors."""
 
 
 class AvgTrackError(Exception):
@@ -45,3 +45,18 @@ class NonFinite(AvgTrackError):
 
 class RhoExceedsGamma(AvgTrackError):
     """The ultimate bound is vacuous: max{mu*theta, nu*chi} >= gamma."""
+
+
+# what converting a value of the wrong type or shape raises
+MALFORMED = (TypeError, ValueError, IndexError, OverflowError)
+
+
+def located(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with `where` put at the front of the message
+    of an error it raises for a bad value."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    except MALFORMED as exc:
+        raise ConfigError(f"{where}: malformed value: {exc}") from exc

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,17 +45,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-
-def disjoint_union(graphs: Sequence[Graph]) -> Graph:
-    """The graphs side by side: node i of graphs[b] becomes node i plus the
-    node count of graphs[:b], and the edges of graphs[b] follow those of
-    graphs[b - 1] in their own order. A single graph is returned as it is."""
-    if len(graphs) == 1:
-        return graphs[0]
-    offsets = np.cumsum([0] + [h.n_nodes for h in graphs]).tolist()
-    edges = tuple((i + o, j + o) for h, o in zip(graphs, offsets) for i, j in h.edges)
-    return Graph(offsets[-1], edges)
 
 
 def edge_index(g: Graph) -> NDArray[np.intp]:

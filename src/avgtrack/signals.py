@@ -3,6 +3,7 @@ and the variation-of-constants trajectory oracle."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -67,12 +68,16 @@ class InputDescriptor:
     def __post_init__(self):
         if self.kind not in ("zero", "constant", "sinusoid", "table"):
             raise ConfigError(f"unknown input kind {self.kind!r}")
-        for name in ("value", "amp", "times", "values"):
+        for name in ("value", "amp", "times", "values", "omega", "phase"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, np.atleast_1d(np.asarray(v, dtype=float)))
-        for name in ("omega", "phase"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+                scalar = name in ("omega", "phase")
+                v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
+                # an input holds few numbers, and a loop over them beats np.isfinite
+                numbers = [v] if scalar else v.ravel().tolist()
+                if not all(map(math.isfinite, numbers)):
+                    raise ConfigError(f"{name} must be finite, got {numbers}")
+                object.__setattr__(self, name, v)
         if self.kind == "constant" and self.value is None:
             raise ConfigError("constant input needs a value")
         if self.kind == "sinusoid" and self.amp is None:

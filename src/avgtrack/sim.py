@@ -43,7 +43,7 @@ class SimConfig:
         steps = self.t_end / self.dt    # integrate runs round(steps) steps
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"t_end/dt = {steps:.10g} must be a whole number of steps")
-        if self.integrator not in ("rk4", "euler"):
+        if self.integrator != "rk4":
             raise ConfigError(f"unknown integrator {self.integrator!r}")
 
 
@@ -65,7 +65,7 @@ def integrate(
     cfg: SimConfig,
     owner: NDArray[np.intp] | None = None,
 ) -> tuple[NDArray, NDArray]:
-    """Fixed-step RK4 (or explicit Euler) on a flat state vector.
+    """Fixed-step RK4 on a flat state vector.
 
     Time stamps are computed as step_index * dt (no accumulated addition),
     and the time-varying terms of the vector field see the exact stage
@@ -82,14 +82,11 @@ def integrate(
     dt = cfg.dt
     for k in range(n_steps):
         t = k * dt
-        if cfg.integrator == "euler":
-            y = y + dt * rhs(t, y)
-        else:
-            k1 = rhs(t, y)
-            k2 = rhs(t + dt / 2.0, y + dt / 2.0 * k1)
-            k3 = rhs(t + dt / 2.0, y + dt / 2.0 * k2)
-            k4 = rhs(t + dt, y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt / 2.0, y + dt / 2.0 * k1)
+        k3 = rhs(t + dt / 2.0, y + dt / 2.0 * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # every step, so that the reported time is the first non-finite one
         if not np.isfinite(y).all():
             block = None if owner is None else int(owner[~np.isfinite(y)].min())
@@ -127,34 +124,25 @@ def run_blocks(
     on the disjoint union of their graphs, and return one Trajectory per
     block, in the order given, whose arrays are views into the run's.
 
-    `mode` is one law for all blocks, or one law per block. The union holds
-    the blocks in the order of control.LAWS (file order within a law), so
-    each law's edges are one slice of the EdgeKernel, and the state is
-    [x, r, alpha, beta] with alpha and beta on the adaptive edges only. The
-    blocks must share the plant, K and, among adaptive blocks, Gamma; the
-    EdgeKernel checks that. Every term is edge-local, so a block's states see
-    the same operations as in a run of its own. They keep its bits when the
-    block's graph has three or more edges and the plant at most seven states
-    and inputs; beyond that, numpy forms a row of a product by a route that
-    depends on the row's place in it. A non-finite value raises NonFinite at
-    the first step that has one, with `block` the lowest index, in the order
-    given, of a block that does.
+    `mode` is one law for all blocks, or one law per block. The blocks must
+    share the plant, K and, among adaptive blocks, Gamma. The state
+    [x, r, alpha, beta], with alpha and beta on the adaptive edges only,
+    follows the order in which the EdgeKernel holds the blocks. Every term
+    is edge-local, so a block's states see the same operations as in a run
+    of its own. They keep its bits when the block's graph has three or more
+    edges and the plant at most seven states and inputs; beyond that, numpy
+    forms a row of a product by a route that depends on the row's place. A
+    non-finite value raises NonFinite at the first step that has one, with
+    `block` the lowest index, in the order given, of a block that does.
     """
-    modes = [mode] * len(blocks) if isinstance(mode, str) else list(mode)
-    if len(modes) != len(blocks) or not set(modes) <= set(control.LAWS):
-        raise ConfigError(f"need one of the modes {control.LAWS} per block, got {mode!r}")
     for g, rs, _ in blocks:
         if g.n_nodes != rs.n_agents:
             raise ConfigError("graph size must match the number of agents")
-    order = sorted(range(len(blocks)), key=lambda b: control.LAWS.index(modes[b]))
-    graphs, sets, gains = zip(*(blocks[b] for b in order))
-    laws = [modes[b] for b in order]
-    rs = concat_references(sets)
-    kernel = control.EdgeKernel(graphs, rs.plant, gains, laws)
-    adaptive = "adaptive" in laws
-    nodes = np.cumsum([0] + [g.n_nodes for g in graphs])
-    # alpha and beta cover the adaptive edges only
-    edges = np.cumsum([0] + [g.n_edges * (law == "adaptive") for g, law in zip(graphs, laws)])
+    graphs, sets, gains = zip(*blocks)
+    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, mode)
+    order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
+    rs = concat_references([sets[b] for b in order])
+    adaptive = kernel.alpha0 is not None
     N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
@@ -180,7 +168,7 @@ def run_blocks(
     alpha = ys[:, 2 * Nn : 2 * Nn + Ea]
     beta = ys[:, 2 * Nn + Ea :]
     trajs = [None] * len(blocks)
-    for b, law, n0, n1, e0, e1 in zip(order, laws, nodes, nodes[1:], edges, edges[1:]):
+    for b, law, n0, n1, e0, e1 in zip(order, kernel.laws, nodes, nodes[1:], edges, edges[1:]):
         trajs[b] = Trajectory(
             times=times,
             x=x[:, n0:n1],

@@ -21,13 +21,13 @@ from avgtrack import (
     design_gains,
     direction_flip_count,
     discontinuous_sign,
-    edge_signals,
-    incidence_matrix,
     lambda2,
     laplacian,
     reference_trajectory,
     solve_are,
 )
+from avgtrack.control import edge_signals
+from avgtrack.graph import incidence_matrix
 from avgtrack.report import diagnostics_series
 from avgtrack.scenarios import scenario_config
 from conftest import SEC5_A, SEC5_B, neighbors, random_stabilizable, ring_graph

@@ -15,7 +15,6 @@ from avgtrack import cli, control, sim
 from avgtrack.cli import main
 from avgtrack.control import EdgeKernel
 from avgtrack.errors import ConfigError, NonFinite
-from avgtrack.graph import disjoint_union
 from avgtrack.scenarios import scenario_config
 from avgtrack.signals import concat_references
 
@@ -180,6 +179,55 @@ def test_blocks_of_mixed_laws_keep_the_bits_of_runs_alone(seed, laws, n, m):
             assert (got is None and want is None) or np.array_equal(got, want), key
 
 
+def coupling_by_block(blocks, laws, states, t):
+    """Each block's coupling and edge-gain rates from one kernel over all
+    blocks, in the order given; states[b] holds block b's (x, alpha, beta)."""
+    kernel = EdgeKernel([g for g, _, _ in blocks], blocks[0][1].plant,
+                        [p for _, _, p in blocks], laws)
+    assert [laws[b] for b in kernel.order] == kernel.laws
+    assert kernel.laws == sorted(laws, key=control.LAWS.index)
+    x = np.concatenate([states[b][0] for b in kernel.order])
+    gains = [states[b][1:] for b in kernel.order if laws[b] == "adaptive"]
+    alpha, beta = (np.concatenate(v) for v in zip(*gains)) if gains else (None, None)
+    coupling, dalpha, dbeta = kernel(t, x, alpha, beta)
+    nodes, edges = kernel.node_offsets, kernel.gain_offsets
+    out = [None] * len(blocks)
+    for k, b in enumerate(kernel.order):
+        rates = (None, None) if laws[b] != "adaptive" else (
+            dalpha[edges[k] : edges[k + 1]], dbeta[edges[k] : edges[k + 1]])
+        out[b] = (coupling[nodes[k] : nodes[k + 1]], *rates)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    laws=st.lists(st.sampled_from(("static", "discontinuous", "adaptive")), min_size=2,
+                  max_size=5),
+    n=st.integers(1, 7),
+    m=st.integers(1, 7),
+    data=st.data(),
+)
+def test_kernel_takes_the_blocks_in_any_order(seed, laws, n, m, data):
+    # a kernel over a permutation of the blocks gives each block the bits
+    # of a kernel over the blocks in law order
+    blocks = random_blocks(seed, laws, n, m, own_rates=True)
+    rng = np.random.default_rng(seed)
+    states = [(rng.standard_normal((g.n_nodes, n)), rng.uniform(0, 2, g.n_edges),
+               rng.uniform(0, 2, g.n_edges)) for g, _, _ in blocks]
+    t = rng.uniform(0, 3)
+    ordered = sorted(range(len(blocks)), key=lambda b: control.LAWS.index(laws[b]))
+    perm = data.draw(st.permutations(range(len(blocks))))
+    want = coupling_by_block([blocks[b] for b in ordered], [laws[b] for b in ordered],
+                             [states[b] for b in ordered], t)
+    got = coupling_by_block([blocks[b] for b in perm], [laws[b] for b in perm],
+                            [states[b] for b in perm], t)
+    want = dict(zip(ordered, want))
+    for b, terms in zip(perm, got):
+        for g, w in zip(terms, want[b]):
+            assert (g is None and w is None) or np.array_equal(g, w)
+
+
 def test_run_is_the_one_block_case():
     scn = at.parse_scenario(variant("adaptive", "a", FIVE, const=True))
     gains = scn.build_adaptive_params()
@@ -315,14 +363,16 @@ def test_group_key_runs_eight_states_alone():
 
 class TestUnion:
     def test_disjoint_union_offsets_nodes_and_keeps_edge_order(self):
-        g = disjoint_union([at.Graph(3, ((0, 1), (1, 2))), at.Graph(2, ((0, 1),)),
-                            at.Graph(3, ((0, 2),))])
-        assert g.n_nodes == 8
-        assert g.edges == ((0, 1), (1, 2), (3, 4), (5, 7))
+        graphs = [at.Graph(3, ((0, 1), (1, 2))), at.Graph(2, ((0, 1),)), at.Graph(3, ((0, 2),))]
+        scn = at.parse_scenario(variant("static", "a", RING6))
+        gains = scn.build_static_gains()
+        k = EdgeKernel(graphs, scn.reference_set.plant, [gains] * 3, "static")
+        np.testing.assert_array_equal(k.node_offsets, [0, 3, 5, 8])
+        np.testing.assert_array_equal(k.tails, [0, 1, 3, 5])
+        np.testing.assert_array_equal(k.heads, [1, 2, 4, 7])
 
     def test_single_graph_and_set_returned_as_they_are(self):
         scn = at.parse_scenario(scenario_config("ring-demo"))
-        assert disjoint_union([scn.graph]) is scn.graph
         assert concat_references([scn.reference_set]) is scn.reference_set
 
     def test_concat_references_stacks_signals(self):
@@ -352,13 +402,18 @@ class TestUnion:
             EdgeKernel([a.graph, b.graph], plant, [ga, other], "static")
 
     def test_kernel_blocks_come_in_law_order(self):
+        # the kernel puts the blocks in the order of LAWS itself, keeping the
+        # caller's order within a law
         a = at.parse_scenario(variant("static", "a", RING6))
         b = at.parse_scenario(variant("discontinuous", "b", FIVE))
         ga, gb = a.build_static_gains(), b.build_static_gains()
-        plant = a.reference_set.plant
-        EdgeKernel([b.graph, a.graph], plant, [gb, ga], ["discontinuous", "static"])
-        with pytest.raises(ConfigError, match="order"):
-            EdgeKernel([a.graph, b.graph], plant, [ga, gb], ["static", "discontinuous"])
+        k = EdgeKernel([a.graph, b.graph, a.graph], a.reference_set.plant, [ga, gb, ga],
+                       ["static", "discontinuous", "static"])
+        assert k.order == [1, 0, 2]
+        assert k.laws == ["discontinuous", "static", "static"]
+        np.testing.assert_array_equal(k.node_offsets, [0, 5, 11, 17])
+        np.testing.assert_array_equal(k.tails[:6], [0, 1, 2, 3, 0, 0])
+        np.testing.assert_array_equal(k.c1[:, 0], [gb.c1] * 6 + [ga.c1] * 12)
 
     def test_kernel_holds_block_constants_per_edge(self):
         a = at.parse_scenario(variant("static", "a", RING6))

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +392,7 @@ SEC5_RATES = {"mu": 10.0, "nu": 10.0, "theta": 0.01, "chi": 0.01}
     pytest.param(("sim", "t_end"), "abc", id="t_end-string"),
     pytest.param(("sim", "dt"), None, id="dt-null"),
     pytest.param(("sim", "record_every"), 2.7, id="record_every-fraction"),
+    pytest.param(("sim", "integrator"), "euler", id="integrator-euler"),
     pytest.param(("graph", "n"), "six", id="n-string"),
     pytest.param(("graph", "n"), MISSING, id="n-missing"),
     pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], id="Q-ragged"),
@@ -444,6 +449,12 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     (("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter "),
     (("graph", "n"), float("inf"), "graph: "),
     (("graph", "edges"), [[0, float("inf")]], "graph: "),
+    # a value out of range names where it sits too
+    (("design", "eps"), -1.0, "design.eps: must be positive and finite, got -1.0"),
+    (("design", "margins"), [0.5, 1], "design.margins: must be finite and >= 1, got [0.5, 1.0]"),
+    (("adaptive",), dict(SEC5_RATES, mu=-1.0), "adaptive.mu: must be positive and finite"),
+    # checked although the static law reads no rate
+    (("adaptive", "mu"), -1.0, "adaptive.mu: must be positive and finite"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
@@ -453,6 +464,65 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     code, _ = run_cli(tmp_path, cfg, "--t-end", "0.01")
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: " + where)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command", ["run", "gains"])
+@pytest.mark.parametrize("path, value, where", [
+    (("agents", 0, "r0"), [NAN, 0.0], "agents[0].r0: must hold 2 finite numbers"),
+    (("agents", 3, "r0"), [0.0, -INF], "agents[3].r0: must hold 2 finite numbers"),
+    (("agents", 1, "input"), {"kind": "sinusoid", "amp": [NAN]}, "agents[1].input: amp "),
+    (("agents", 1, "input"), {"kind": "sinusoid", "amp": [1.0], "omega": INF},
+     "agents[1].input: omega "),
+    (("agents", 1, "input"), {"kind": "sinusoid", "amp": [1.0], "phase": NAN},
+     "agents[1].input: phase "),
+    (("agents", 2, "input"), {"kind": "constant", "value": [INF]}, "agents[2].input: value "),
+    (("agents", 2, "input"), {"kind": "table", "times": [0.0, NAN], "values": [1.0, 2.0]},
+     "agents[2].input: times "),
+    (("agents", 2, "input"), {"kind": "table", "times": [0.0, 1.0], "values": [1.0, INF]},
+     "agents[2].input: values "),
+])
+def test_non_finite_reference_values_exit_2(tmp_path, capsys, command, path, value, where):
+    # json reads NaN and Infinity; they would blow up the run or give c2 = inf
+    cfg = scenario_config("paper-sec5-static")
+    _set(cfg, path, value)
+    args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: " + where) and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gains"])
+@pytest.mark.parametrize("tol, error", [
+    ("are_residual_tol", "ARE residual"),             # NoConvergence
+    ("lyap_residual_tol", "Lyapunov residual"),       # SingularSystem
+])
+def test_solver_failure_in_design_exit_2(tmp_path, capsys, command, tol, error):
+    cfg = scenario_config("paper-sec5-static")
+    cfg["numerics"] = {tol: 1e-300}
+    args = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("design failed: " + error) and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def test_blow_up_prints_one_line(tmp_path):
+    # margins of 1e5 put c1 far outside RK4's stability region at dt 1e-3;
+    # numpy's overflow warnings must not reach stderr
+    cfg = scenario_config("paper-sec5-static")
+    cfg["design"]["margins"] = [1e5, 1.0]
+    env = dict(os.environ, PYTHONPATH=str(Path(at.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "avgtrack.cli", "run", "--config", write_config(tmp_path, cfg),
+         "--out", str(tmp_path / "out"), "--t-end", "1"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("run failed: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_flat_table_input_runs(tmp_path):

@@ -10,15 +10,13 @@ from avgtrack import (
     Graph,
     InputDescriptor,
     LinearPlant,
-    NetworkState,
     ReferenceSet,
     StaticGains,
-    adaptive_rhs,
     boundary_layer,
     design_gains,
     discontinuous_sign,
-    static_rhs,
 )
+from avgtrack.control import NetworkState, adaptive_rhs, edge_signals, static_rhs
 from avgtrack.errors import NotConnected, NotStabilizable
 from conftest import SEC5_A, SEC5_B, ring_graph
 
@@ -293,10 +291,10 @@ class TestStaticRhs:
         t = 0.7
         d = static_rhs(NetworkState(t=t, x=x), rs, gains, g)
         f = rs.eval_inputs(t)
-        h = boundary_layer(at.edge_signals(x, gains.K, g), gains.eps, gains.phi, t)
+        h = boundary_layer(edge_signals(x, gains.K, g), gains.eps, gains.phi, t)
         np.testing.assert_allclose(
             d.x - x @ SEC5_A.T - f @ SEC5_B.T,
-            at.incidence_matrix(g) @ (h @ SEC5_B.T),
+            graphmod.incidence_matrix(g) @ (h @ SEC5_B.T),
             atol=1e-14,
         )
 

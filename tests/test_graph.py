@@ -6,11 +6,11 @@ import pytest
 
 from avgtrack import (
     Graph,
-    incidence_matrix,
     is_connected,
     lambda2,
     laplacian,
 )
+from avgtrack.graph import incidence_matrix
 from avgtrack.errors import ConfigError, NotConnected
 from avgtrack.numerics import sym_eigvals
 from conftest import neighbors

@@ -14,19 +14,15 @@ from avgtrack import (
     Graph,
     InputDescriptor,
     LinearPlant,
-    NetworkState,
     ReferenceSet,
     StaticGains,
-    adaptive_rhs,
     boundary_layer,
     discontinuous_sign,
-    edge_signals,
-    incidence_matrix,
-    static_rhs,
 )
 from avgtrack import graph as graphmod
 from avgtrack.cli import main
-from avgtrack.control import EdgeKernel
+from avgtrack.control import EdgeKernel, NetworkState, adaptive_rhs, edge_signals, static_rhs
+from avgtrack.graph import incidence_matrix
 from avgtrack.errors import ConfigError
 from avgtrack.scenarios import scenario_config
 
@@ -152,7 +148,6 @@ class TestEdgeKernel:
             raise AssertionError("incidence_matrix called")
 
         monkeypatch.setattr(graphmod, "incidence_matrix", refuse)
-        monkeypatch.setattr(at, "incidence_matrix", refuse)
         for law in LAWS:
             g, rs, gains, *_ = random_network(3, 8, law)
             traj = at.run(g, rs, gains, at.SimConfig(0.05, 1e-3), mode=law)

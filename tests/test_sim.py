@@ -33,12 +33,6 @@ class TestIntegrate:
         ratio = err(0.02) / err(0.01)
         assert 12.0 <= ratio <= 20.0  # ~16x per halving
 
-    def test_euler_available(self):
-        _, ys = integrate(
-            lambda t, y: -y, np.array([1.0]), SimConfig(1.0, 1e-3, integrator="euler")
-        )
-        assert ys[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-3)
-
     def test_grid_no_drift(self):
         times, _ = integrate(
             lambda t, y: np.zeros_like(y), np.array([0.0]), SimConfig(2.0, 0.1, record_every=2)
