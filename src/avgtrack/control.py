@@ -54,8 +54,19 @@ def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
     # of the division and of a later sum-of-squares norm of h, so ||h|| <= 1
     # holds in doubles; the floor binds only where the width is already
     # below that rounding.
-    nrm = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
+    nrm = _row_norms(w)
     return np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[-1] * _EPS))
+
+
+def _row_norms(w: NDArray) -> NDArray[np.float64]:
+    """The norms of the rows of w (last axis kept) by a chain of np.hypot
+    over the columns. The chain starts from |w_0|, as hypot(0, a) = |a|
+    exactly, so it has the bits of a hypot reduction over each row from an
+    initial 0, without that reduction's per-row libm loop."""
+    nrm = np.abs(w[..., :1])
+    for k in range(1, w.shape[-1]):
+        nrm = np.hypot(nrm, w[..., k : k + 1])
+    return nrm
 
 
 def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
@@ -63,7 +74,8 @@ def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
     are normalised independently; on rows where ||w|| overflows, it is the
     zero-width boundary_layer, which rescales them first."""
     w = np.asarray(w, dtype=float)
-    nrm = np.linalg.norm(w, axis=-1, keepdims=True)
+    # np.linalg.norm's formula for real rows, without its Python wrapper
+    nrm = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
     s = np.where(nrm > 1e-15, w / np.where(nrm > 0, nrm, 1.0), 0.0)
     if not math.isfinite(nrm.max(initial=0.0)):
         s = np.where(np.isinf(nrm), boundary_layer(w, 0.0, 0.0, 0.0), s)
@@ -84,8 +96,11 @@ class StaticGains:
     def __post_init__(self):
         for name in ("eps", "phi"):
             located(name, in_range, name, getattr(self, name))
-        if self.c1 < 0 or self.c2 < 0:
-            raise ConfigError("coupling strengths must be nonnegative")
+        for name in ("c1", "c2"):
+            v = float(getattr(self, name))
+            if not 0 <= v < math.inf:                          # NaN fails too
+                raise ConfigError(f"coupling strength {name} must be nonnegative and finite, "
+                                  f"got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +290,7 @@ class EdgeKernel:
         gains alpha, beta of the adaptive edges: coupling[i] sums +-u_ij B^T
         over the edges at i; the edge-gain rates cover the adaptive edges and
         are None where there are none."""
-        d = x[self.tails] - x[self.heads]           # (E, n)
+        d = np.take(x, self.tails, axis=0) - np.take(x, self.heads, axis=0)   # (E, n)
         w = d @ self._KT                             # (E, m)
         ns, nf = self._n_sign, self._n_fixed
         h = _joined(discontinuous_sign(w[:ns]) if self._sign else None,
@@ -311,7 +326,7 @@ def edge_signals(
 ) -> NDArray[np.float64]:
     """Per-edge coupling signals K(x_i - x_j), one row per stored edge."""
     ei, ej = graphmod.edge_index(g)
-    return (x[ei] - x[ej]) @ K.T
+    return (np.take(x, ei, axis=0) - np.take(x, ej, axis=0)) @ K.T
 
 
 def static_rhs(

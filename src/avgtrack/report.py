@@ -104,20 +104,21 @@ def write_trajectory_csv(path: Path, scn: Scenario, traj: Trajectory) -> None:
     track = analysis.tracking_error(traj.x, traj.r)
     # row-by-row inner products, as np.linalg.norm takes them on one row
     track_norm = np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0]
-    # Python floats format as numpy's do and index faster
-    agents = np.concatenate([traj.x, track_norm], axis=-1).tolist()
-    edge_gains = None if traj.alpha is None else np.stack([traj.alpha, traj.beta], -1).tolist()
-    agent_row = "agent,%s,%d" + ",%.12g" * (n + 1) + ",,\r\n"
-    edge_row = "edge,%s,%d" + "," * (n + 1) + ",%.12g,%.12g\r\n"
+    # each record's values, flat: agent rows, then edge rows
+    T, N = traj.x.shape[:2]
+    agents = np.concatenate([traj.x, track_norm], axis=-1).reshape(T, -1)
+    edges = (np.empty((T, 0)) if traj.alpha is None
+             else np.stack([traj.alpha, traj.beta], -1).reshape(T, -1))
+    # one template per record with the indices baked in; NUL stands for the time stamp
+    record = "".join([f"agent,\0,{i}" + ",%.12g" * (n + 1) + ",,\r\n" for i in range(N)]
+                     + [f"edge,\0,{e}" + "," * (n + 1) + ",%.12g,%.12g\r\n"
+                        for e in range(edges.shape[1] // 2)])
     with path.open("w", newline="") as fh:
         fh.write("kind,t,index," + "".join(f"x_{k}," for k in range(n))
                  + "tracking_error_norm,alpha,beta\r\n")
-        for k, t in enumerate(traj.times.tolist()):
-            stamp = f"{t:.10g}"
-            rows = [agent_row % (stamp, i, *v) for i, v in enumerate(agents[k])]
-            if edge_gains is not None:
-                rows += [edge_row % (stamp, e, *ab) for e, ab in enumerate(edge_gains[k])]
-            fh.write("".join(rows))
+        # Python floats format as numpy's do
+        for t, a, e in zip(traj.times.tolist(), agents, edges):
+            fh.write(record.replace("\0", f"{t:.10g}") % tuple(a.tolist() + e.tolist()))
 
 
 def write_diagnostics_csv(path: Path, diag: dict) -> None:

@@ -106,14 +106,24 @@ class InputDescriptor:
 
     def bound(self) -> float:
         """Declared bound on sup_t ||f(t)|| (exact for parametric kinds,
-        max over the grid for tables)."""
+        max over the grid for tables). Where the sum of squares overflows,
+        the values are divided by their largest magnitude first, so a finite
+        norm comes out finite; numpy warns of that overflow unless over is
+        ignored, as input_bound does."""
         if self.kind == "zero":
             return 0.0
-        if self.kind == "constant":
-            return float(np.linalg.norm(self.value))
-        if self.kind == "sinusoid":
-            return float(np.linalg.norm(self.amp))
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        v, axis = (self.values, 1) if self.kind == "table" else (
+            self.value if self.kind == "constant" else self.amp, None)
+        nrm = _largest_norm(v, axis)
+        if nrm == math.inf:
+            scale = float(np.abs(v).max())
+            nrm = scale * _largest_norm(v / scale, axis)
+        return nrm
+
+
+def _largest_norm(v: NDArray, axis: int | None) -> float:
+    nrm = np.linalg.norm(v, axis=axis)
+    return float(nrm if axis is None else nrm.max())
 
 
 def eval_input(d: InputDescriptor, t: float, m: int = 1) -> NDArray[np.float64]:
@@ -205,7 +215,9 @@ def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
 
 def input_bound(rs: ReferenceSet) -> float:
     """f0 = max_i sup_t ||f_i(t)|| from the declared per-agent bounds."""
-    return max(d.bound() for d in rs.inputs)
+    # one errstate for all agents: entering one costs about as much as a bound
+    with np.errstate(over="ignore"):
+        return max(d.bound() for d in rs.inputs)
 
 
 def reference_trajectory(

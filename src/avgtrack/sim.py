@@ -147,10 +147,16 @@ def run_blocks(
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
 
+    # the time-only term, for the last stage time: k3 shares k2's time and
+    # a step's k1 shares the previous k4's wherever their bits agree
+    last = [None, None]
+
     def rhs(t: float, y: NDArray) -> NDArray:
         x = y[:Nn].reshape(N, n)
         r = y[Nn : 2 * Nn].reshape(N, n)
-        fB = rs.eval_inputs(t) @ B.T
+        if t != last[0]:
+            last[:] = t, rs.eval_inputs(t) @ B.T
+        fB = last[1]
         # the edge gains are empty slices unless a block is adaptive
         coupling, *rates = kernel(t, x, y[2 * Nn : 2 * Nn + Ea], y[2 * Nn + Ea :])
         parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]

@@ -423,7 +423,10 @@ def test_malformed_config_exit_2(tmp_path, capsys, path, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("Q", [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+@pytest.mark.parametrize("Q", [
+    pytest.param([[1.0, 0.0], [0.0, -1.0]], id="Q-indefinite"),
+    pytest.param([[0.0, 0.0], [0.0, 0.0]], id="Q-zero"),
+])
 def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     cfg = scenario_config("paper-sec5-static")
     cfg["design"]["Q"] = Q
@@ -434,27 +437,34 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
 
 
 @pytest.mark.parametrize("path, value, where", [
-    (("sim", "dt"), None, "sim: dt "),
-    (("sim", "record_every"), float("inf"), "sim: record_every "),
-    (("graph", "n"), "six", "graph: "),
-    (("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: "),
-    (("design", "margins"), [1], "design.margins: "),
-    (("design", "eps"), "wide", "design.eps: "),
-    (("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: "),
-    (("agents", 2, "input", "amp"), ["x"], "agents[2].input: "),
-    (("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: "),
-    (("numerics", "are_max_iter"), "x", "numerics: are_max_iter "),
-    (("plant", "A"), [[1.0, 2.0]], "plant: "),
+    pytest.param(("sim", "dt"), None, "sim: dt ", id="dt-null"),
+    pytest.param(("sim", "record_every"), float("inf"), "sim: record_every ",
+                 id="record_every-inf"),
+    pytest.param(("graph", "n"), "six", "graph: ", id="n-string"),
+    pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: ", id="Q-ragged"),
+    pytest.param(("design", "margins"), [1], "design.margins: ", id="margins-one"),
+    pytest.param(("design", "eps"), "wide", "design.eps: ", id="eps-string"),
+    pytest.param(("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: ", id="r0-wrong-length"),
+    pytest.param(("agents", 2, "input", "amp"), ["x"], "agents[2].input: ", id="amp-string"),
+    pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: ", id="mu-string"),
+    pytest.param(("numerics", "are_max_iter"), "x", "numerics: are_max_iter ",
+                 id="are_max_iter-string"),
+    pytest.param(("plant", "A"), [[1.0, 2.0]], "plant: ", id="A-not-square"),
     # int(inf) raises OverflowError, which escaped as a traceback
-    (("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter "),
-    (("graph", "n"), float("inf"), "graph: "),
-    (("graph", "edges"), [[0, float("inf")]], "graph: "),
+    pytest.param(("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter ",
+                 id="are_max_iter-inf"),
+    pytest.param(("graph", "n"), float("inf"), "graph: ", id="n-inf"),
+    pytest.param(("graph", "edges"), [[0, float("inf")]], "graph: ", id="edge-inf"),
     # a value out of range names where it sits too
-    (("design", "eps"), -1.0, "design.eps: must be positive and finite, got -1.0"),
-    (("design", "margins"), [0.5, 1], "design.margins: must be finite and >= 1, got [0.5, 1.0]"),
-    (("adaptive",), dict(SEC5_RATES, mu=-1.0), "adaptive.mu: must be positive and finite"),
+    pytest.param(("design", "eps"), -1.0, "design.eps: must be positive and finite, got -1.0",
+                 id="eps-negative"),
+    pytest.param(("design", "margins"), [0.5, 1],
+                 "design.margins: must be finite and >= 1, got [0.5, 1.0]", id="margins-below-one"),
+    pytest.param(("adaptive",), dict(SEC5_RATES, mu=-1.0),
+                 "adaptive.mu: must be positive and finite", id="mu-negative"),
     # checked although the static law reads no rate
-    (("adaptive", "mu"), -1.0, "adaptive.mu: must be positive and finite"),
+    pytest.param(("adaptive", "mu"), -1.0, "adaptive.mu: must be positive and finite",
+                 id="mu-negative-static"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
@@ -492,6 +502,24 @@ def test_non_finite_reference_values_exit_2(tmp_path, capsys, command, path, val
     assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("config error: " + where) and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")      # numpy's overflow warning was a second line
+@pytest.mark.parametrize("command", ["run", "gains"])
+@pytest.mark.parametrize("value", [
+    pytest.param({"kind": "sinusoid", "amp": [1e308]}, id="sinusoid"),
+    pytest.param({"kind": "constant", "value": [-1e308]}, id="constant"),
+    pytest.param({"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1e308]}, id="table"),
+])
+def test_huge_finite_input_exit_2(tmp_path, capsys, command, value):
+    # f0 = 1e308 is finite, but c2 = f0 * (N - 1) is not
+    cfg = scenario_config("paper-sec5-static")
+    cfg["agents"][0]["input"] = value
+    args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == "config error: coupling strength c2 must be nonnegative and finite, got inf\n"
     assert out == "" and not (tmp_path / "out").exists()
 
 

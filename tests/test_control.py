@@ -17,7 +17,7 @@ from avgtrack import (
     discontinuous_sign,
 )
 from avgtrack.control import NetworkState, adaptive_rhs, edge_signals, static_rhs
-from avgtrack.errors import NotConnected, NotStabilizable
+from avgtrack.errors import ConfigError, NotConnected, NotStabilizable
 from conftest import SEC5_A, SEC5_B, ring_graph
 
 
@@ -184,6 +184,12 @@ class TestDesignGains:
         g = Graph(3, ((0, 1), (0, 2), (1, 2)))
         gains = design_gains(plant, g, np.eye(2), f0=7.0)
         assert gains.c1 == pytest.approx(1.0 / 6.0)  # lambda2(K3)=3
+
+    @pytest.mark.parametrize("c1, c2", [(np.inf, 1.0), (1.0, np.inf), (1.0, np.nan), (-1.0, 1.0)])
+    def test_couplings_must_be_nonnegative_and_finite(self, c1, c2):
+        name = "c1" if c1 != 1.0 else "c2"
+        with pytest.raises(ConfigError, match=f"{name} must be nonnegative and finite"):
+            sec5_gains(c1=c1, c2=c2)
 
     def test_disconnected_raises(self):
         plant = LinearPlant(A=SEC5_A, B=SEC5_B)

@@ -95,6 +95,30 @@ class TestInputBound:
         assert input_bound(rs) == pytest.approx(2.0)
 
 
+    def test_norm_bits_of_ordinary_inputs_kept(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            v = rng.standard_normal(3) * 10.0 ** rng.integers(-100, 100)
+            assert InputDescriptor(kind="sinusoid", amp=v).bound() == float(np.linalg.norm(v))
+            table = rng.standard_normal((4, 3))
+            d = InputDescriptor(kind="table", times=np.arange(4.0), values=table)
+            assert d.bound() == float(np.max(np.linalg.norm(table, axis=1)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_sum_of_squares_overflow_gives_the_finite_norm(self):
+        plant = LinearPlant(A=np.zeros((2, 2)), B=np.eye(2))
+        for d, f0 in (
+            (InputDescriptor(kind="sinusoid", amp=[3e200, -4e200]), pytest.approx(5e200)),
+            (InputDescriptor(kind="table", times=[0.0, 1.0], values=[[1.0, 0.0], [0.0, -1e300]]),
+             1e300),
+            # the norm itself beyond the double range
+            (InputDescriptor(kind="constant", value=[1.5e308, 1.5e308]), np.inf),
+        ):
+            assert input_bound(make_refset(plant, [[0, 0], [0, 0]], [d, d])) == f0
+            with np.errstate(over="ignore"):
+                assert d.bound() == f0
+
+
 class TestValidation:
     def test_needs_two_agents(self):
         with pytest.raises(ConfigError):
