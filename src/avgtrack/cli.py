@@ -31,7 +31,6 @@ from .errors import (
     NotSymmetric, SingularSystem,
 )
 from .report import write_outputs
-from .signals import input_bound
 
 
 def _load_configs(path: str, seed: int | None) -> list[Scenario]:
@@ -53,9 +52,8 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
 
 def _gain_report(scn: Scenario) -> str:
     gains = scn.build_static_gains()
-    f0 = input_bound(scn.reference_set)
     consts = theorem_constants(
-        gains.P, scn.design_Q, scn.graph, f0, scn.reference_set.n_agents, lam2=scn.lambda2
+        gains.P, scn.design_Q, scn.graph, scn.f0, scn.reference_set.n_agents, lam2=scn.lambda2
     )
     return "\n".join([
         f"scenario: {scn.name}",
@@ -64,7 +62,7 @@ def _gain_report(scn: Scenario) -> str:
         _fmt_matrix("K", gains.K),
         _fmt_matrix("Gamma", gains.K.T @ gains.K),
         f"lambda2 = {scn.lambda2:.6f}",
-        f"f0 = {f0:.6f}",
+        f"f0 = {scn.f0:.6f}",
         f"c1 = {gains.c1:.6f}",
         f"c2 = {gains.c2:.6f}",
         f"gamma = {consts.gamma:.6f}",

@@ -88,12 +88,17 @@ class Scenario:
         """lambda2 of the graph, computed once: design, diagnostics and summary read it."""
         return graph_lambda2(self.graph)
 
+    @cached_property
+    def f0(self) -> float:
+        """The input bound f0, computed once: design, diagnostics and `gains` read it."""
+        return input_bound(self.reference_set)
+
     def build_static_gains(self) -> control.StaticGains:
         return control.design_gains(
             self.reference_set.plant,
             self.graph,
             self.design_Q,
-            input_bound(self.reference_set),
+            self.f0,
             eps=self.eps,
             phi=self.phi,
             margins=self.margins,

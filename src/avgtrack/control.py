@@ -22,7 +22,7 @@ _TINY = np.finfo(float).smallest_subnormal
 
 
 def boundary_layer(
-    w: NDArray, eps: float | NDArray, phi: float | NDArray, t: float
+    w: NDArray, eps: float | NDArray, phi: float | NDArray, t: float, out: NDArray | None = None
 ) -> NDArray[np.float64]:
     """Smoothed unit direction w / (||w|| + eps * e^{-phi t}).
 
@@ -30,7 +30,8 @@ def boundary_layer(
     exact arithmetic and at most 1 in doubles, for every finite w and
     eps, phi, t >= 0. The eps*e^{-phi t} term is the shrinking boundary-layer
     width. Rows of a 2-D w (one per edge) are smoothed independently, and
-    eps and phi may be columns with one entry per row.
+    eps and phi may be columns with one entry per row. As in numpy, `out`
+    may give the array, shaped like w, to write the result into and return.
     """
     w = np.asarray(w, dtype=float)
     width = np.maximum(eps * np.exp(-phi * t), _TINY)
@@ -39,12 +40,12 @@ def boundary_layer(
     # are divided by the row's largest entry, which leaves h unchanged in
     # exact arithmetic.
     div = _divisor(w, width)
-    if not math.isfinite(div.max(initial=0.0)):
+    if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
         over = ~np.isfinite(div)
         scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
         w, width = w / scale, width / scale
         div = _divisor(w, width)
-    return w / div
+    return np.divide(w, div, out=out)
 
 
 def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
@@ -69,17 +70,22 @@ def _row_norms(w: NDArray) -> NDArray[np.float64]:
     return nrm
 
 
-def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
+def discontinuous_sign(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
     """Unit direction w/||w||, zero at (numerically) zero w. Rows of a 2-D w
     are normalised independently; on rows where ||w|| overflows, it is the
-    zero-width boundary_layer, which rescales them first."""
+    zero-width boundary_layer, which rescales them first. `out` is as in
+    boundary_layer."""
     w = np.asarray(w, dtype=float)
     # np.linalg.norm's formula for real rows, without its Python wrapper
     nrm = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
-    s = np.where(nrm > 1e-15, w / np.where(nrm > 0, nrm, 1.0), 0.0)
-    if not math.isfinite(nrm.max(initial=0.0)):
-        s = np.where(np.isinf(nrm), boundary_layer(w, 0.0, 0.0, 0.0), s)
-    return s
+    if out is None:
+        out = np.zeros_like(w)
+    else:
+        out.fill(0.0)
+    np.divide(w, nrm, out=out, where=nrm > 1e-15)
+    if not math.isfinite(np.maximum.reduce(nrm, axis=None, initial=0.0)):
+        np.copyto(out, boundary_layer(w, 0.0, 0.0, 0.0), where=np.isinf(nrm))
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,18 +276,66 @@ class EdgeKernel:
         )
         self.alpha0 = held("alpha0", ("adaptive",), per_edge=True)
         self.beta0 = held("beta0", ("adaptive",), per_edge=True)
-        laws = set(modes)
-        # edges [0, n_sign) are discontinuous, [n_sign, n_fixed) static, the rest adaptive
-        self._n_sign = sum(c for c, m in zip(counts, modes) if m == "discontinuous")
-        self._n_fixed = self._n_sign + sum(c for c, m in zip(counts, modes) if m == "static")
-        self._sign, self._adaptive = "discontinuous" in laws, "adaptive" in laws
-        self._smooth, self._fixed = laws != {"discontinuous"}, laws != {"adaptive"}
+        # edges [0, ns) are discontinuous, [ns, nf) static, the rest adaptive
+        ns = sum(c for c, m in zip(counts, modes) if m == "discontinuous")
+        nf = ns + sum(c for c, m in zip(counts, modes) if m == "static")
         self._KT, self._BT = blocks[0].K.T, plant.B.T
         self._Gamma = adaptive[0].Gamma if adaptive else None
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
         self.tails, self.heads = np.concatenate(index, axis=1)
-        cells = np.concatenate([self.tails, self.heads])[:, None] * plant.m + np.arange(plant.m)
+        self._ends = np.concatenate([self.tails, self.heads])
+        cells = self._ends[:, None] * plant.m + np.arange(plant.m)
         self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
+        # The work arrays of a call, and each law's views of them: x at the
+        # tails then at the heads, d = x_i - x_j, w, h, and [u; -u] for the
+        # scatter, whose -u half holds b*h until u is complete.
+        E = len(self.tails)
+        self._x_ends = np.empty((2 * E, plant.n))
+        self._d, self._w = d, w = np.empty((E, plant.n)), np.empty((E, plant.m))
+        self._u = u = np.empty((2 * E, plant.m))
+        h = np.empty((E, plant.m))
+        laws = set(modes)
+        self._sign = (w[:ns], h[:ns]) if "discontinuous" in laws else None
+        self._smooth = (w[ns:], h[ns:]) if laws != {"discontinuous"} else None
+        self._fixed = (w[:nf], h[:nf], u[:nf], u[E : E + nf]) if laws != {"adaptive"} else None
+        self._adaptive = (d[nf:], w[nf:], h[nf:], u[nf:E], u[E + nf :]) if adaptive else None
+
+    def add_to(
+        self, t: float, x: NDArray, alpha: NDArray, beta: NDArray,
+        dx: NDArray, dalpha: NDArray, dbeta: NDArray,
+    ) -> None:
+        """Add the coupling at time t and agent states x (N, n) into dx, and
+        write the rates of the adaptive edges' gains alpha, beta into dalpha,
+        dbeta (not touched where there are no adaptive edges). It allocates
+        no work array, so one kernel serves one call at a time."""
+        E = len(self.tails)
+        x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
+        np.subtract(self._x_ends[:E], self._x_ends[E:], out=self._d)
+        np.matmul(self._d, self._KT, out=self._w)
+        if self._sign is not None:
+            discontinuous_sign(*self._sign)
+        if self._smooth is not None:
+            boundary_layer(self._smooth[0], self.eps, self.phi, t, self._smooth[1])
+        if self._fixed is not None:
+            w, h, u, bh = self._fixed
+            np.multiply(self.c1, w, out=u)
+            np.add(u, np.multiply(self.c2, h, out=bh), out=u)
+        if self._adaptive is not None:
+            d, w, h, u, bh = self._adaptive
+            np.multiply(alpha[:, None], w, out=u)
+            np.add(u, np.multiply(beta[:, None], h, out=bh), out=u)
+        np.negative(self._u[:E], out=self._u[E:])
+        cells = np.bincount(self._cells, weights=self._u.ravel(), minlength=self._n_cells)
+        np.add(dx, cells.reshape(-1, self._u.shape[1]) @ self._BT, out=dx)
+        if self._adaptive is None:
+            return
+        np.multiply(-self.theta, alpha, out=dalpha)
+        np.add(dalpha, np.einsum("ei,ij,ej->e", d, self._Gamma, d), out=dalpha)
+        np.multiply(self.mu, dalpha, out=dalpha)
+        # ||w||^2 / (||w|| + width) = w . h
+        np.multiply(-self.chi, beta, out=dbeta)
+        np.add(dbeta, np.einsum("em,em->e", w, h), out=dbeta)
+        np.multiply(self.nu, dbeta, out=dbeta)
 
     def __call__(
         self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
@@ -290,31 +344,16 @@ class EdgeKernel:
         gains alpha, beta of the adaptive edges: coupling[i] sums +-u_ij B^T
         over the edges at i; the edge-gain rates cover the adaptive edges and
         are None where there are none."""
-        d = np.take(x, self.tails, axis=0) - np.take(x, self.heads, axis=0)   # (E, n)
-        w = d @ self._KT                             # (E, m)
-        ns, nf = self._n_sign, self._n_fixed
-        h = _joined(discontinuous_sign(w[:ns]) if self._sign else None,
-                    boundary_layer(w[ns:], self.eps, self.phi, t) if self._smooth else None)
-        u = _joined(self.c1 * w[:nf] + self.c2 * h[:nf] if self._fixed else None,
-                    alpha[:, None] * w[nf:] + beta[:, None] * h[nf:] if self._adaptive else None)
-        cells = np.bincount(
-            self._cells, weights=np.concatenate([u, -u]).ravel(), minlength=self._n_cells
-        )
-        coupling = cells.reshape(-1, u.shape[1]) @ self._BT
-        if not self._adaptive:
-            return coupling, None, None
-        d, w, h = d[nf:], w[nf:], h[nf:]
-        dalpha = self.mu * (-self.theta * alpha + np.einsum("ei,ij,ej->e", d, self._Gamma, d))
-        # ||w||^2 / (||w|| + width) = w . h
-        dbeta = self.nu * (-self.chi * beta + np.einsum("em,em->e", w, h))
-        return coupling, dalpha, dbeta
-
-
-def _joined(first: NDArray | None, second: NDArray | None) -> NDArray:
-    """The rows of two consecutive edge slices; a lone slice as it is."""
-    if first is None or second is None:
-        return second if first is None else first
-    return np.concatenate([first, second])
+        x = np.asarray(x, dtype=float)
+        if len(x) != self.node_offsets[-1]:
+            raise ConfigError(f"x has {len(x)} rows for {self.node_offsets[-1]} agents")
+        # -0.0 is the identity of addition: coupling keeps the bits of the product
+        coupling = np.full((len(x), self._BT.shape[1]), -0.0)
+        rates = (None, None)
+        if self._adaptive is not None:
+            rates = (np.empty(len(alpha)), np.empty(len(beta)))
+        self.add_to(t, x, alpha, beta, coupling, *rates)
+        return (coupling, *rates)
 
 
 def _bits(v) -> bytes:

@@ -11,7 +11,6 @@ from . import __version__, analysis
 from .config import Scenario
 from .control import AdaptiveParams, StaticGains
 from .errors import RhoExceedsGamma
-from .signals import input_bound
 from .sim import Trajectory
 
 ENVELOPE_SLACK = 1e-6  # numerical slack when counting envelope violations
@@ -23,14 +22,13 @@ def diagnostics_series(
     """Per-recorded-time diagnostics plus the scalar summary quantities."""
     P = gains.P
     rs = scn.reference_set
-    f0 = input_bound(rs)
     N = rs.n_agents
     edge_sum = 2 * scn.graph.n_edges  # sum_i |N_i|, ordered neighbor pairs
     adaptive = traj.mode == "adaptive"
 
     rates = dict(mu=gains.mu, nu=gains.nu, theta=gains.theta, chi=gains.chi) if adaptive else {}
     consts = analysis.theorem_constants(
-        P, scn.design_Q, scn.graph, f0, N, lam2=scn.lambda2, **rates
+        P, scn.design_Q, scn.graph, scn.f0, N, lam2=scn.lambda2, **rates
     )
 
     xi = analysis.consensus_error(traj.x)

@@ -60,13 +60,17 @@ class Trajectory:
 
 
 def integrate(
-    rhs: Callable[[float, NDArray], NDArray],
+    rhs: Callable[[float, NDArray, NDArray], None],
     initial: NDArray,
     cfg: SimConfig,
     owner: NDArray[np.intp] | None = None,
 ) -> tuple[NDArray, NDArray]:
     """Fixed-step RK4 on a flat state vector.
 
+    `rhs(t, y, out)` writes the vector field at (t, y) into `out`, an array
+    shaped like y; it must not write y or keep either array. The stages
+    live in arrays allocated once per run, and each stage and update keeps
+    the operation order of y + dt/2*k1 and y + dt/6*(((k1 + 2k2) + 2k3) + k4).
     Time stamps are computed as step_index * dt (no accumulated addition),
     and the time-varying terms of the vector field see the exact stage
     times. Returns (times, states) with states[k] at times[k]. `owner` may
@@ -80,15 +84,25 @@ def integrate(
     rec[0] = y
     n_rec = 1
     dt = cfg.dt
+    half, sixth = dt / 2.0, dt / 6.0
+    k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     for k in range(n_steps):
         t = k * dt
-        k1 = rhs(t, y)
-        k2 = rhs(t + dt / 2.0, y + dt / 2.0 * k1)
-        k3 = rhs(t + dt / 2.0, y + dt / 2.0 * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # every step, so that the reported time is the first non-finite one
-        if not np.isfinite(y).all():
+        rhs(t, y, k1)
+        np.add(y, np.multiply(half, k1, out=stage), out=stage)
+        rhs(t + half, stage, k2)
+        np.add(y, np.multiply(half, k2, out=stage), out=stage)
+        rhs(t + half, stage, k3)
+        np.add(y, np.multiply(dt, k3, out=stage), out=stage)
+        rhs(t + dt, stage, k4)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(y, np.multiply(sixth, k1, out=k1), out=y)
+        # every step, so that the reported time is the first non-finite one;
+        # a finite sum means finite entries, and only its overflow or a
+        # non-finite entry takes the exact scan
+        if not math.isfinite(np.add.reduce(y)) and not np.isfinite(y).all():
             block = None if owner is None else int(owner[~np.isfinite(y)].min())
             raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt,
                             block=block)
@@ -150,17 +164,19 @@ def run_blocks(
     # the time-only term, for the last stage time: k3 shares k2's time and
     # a step's k1 shares the previous k4's wherever their bits agree
     last = [None, None]
+    AT = A.T
 
-    def rhs(t: float, y: NDArray) -> NDArray:
-        x = y[:Nn].reshape(N, n)
-        r = y[Nn : 2 * Nn].reshape(N, n)
+    def rhs(t: float, y: NDArray, out: NDArray) -> None:
         if t != last[0]:
             last[:] = t, rs.eval_inputs(t) @ B.T
-        fB = last[1]
-        # the edge gains are empty slices unless a block is adaptive
-        coupling, *rates = kernel(t, x, y[2 * Nn : 2 * Nn + Ea], y[2 * Nn + Ea :])
-        parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
-        return np.concatenate(parts + rates if adaptive else parts)
+        # x and r as one (2, N, n) stack: one product per half, of the shape
+        # of a product over x or r alone
+        xr, dxr = y[: 2 * Nn].reshape(2, N, n), out[: 2 * Nn].reshape(2, N, n)
+        np.matmul(xr, AT, out=dxr)
+        np.add(dxr, last[1], out=dxr)
+        # the edge gains and their rates are empty slices unless a block is adaptive
+        kernel.add_to(t, xr[0], y[2 * Nn : 2 * Nn + Ea], y[2 * Nn + Ea :],
+                      dxr[0], out[2 * Nn : 2 * Nn + Ea], out[2 * Nn + Ea :])
 
     r0 = rs.initial_states
     y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])

@@ -17,6 +17,7 @@ from avgtrack.control import EdgeKernel
 from avgtrack.errors import ConfigError, NonFinite
 from avgtrack.scenarios import scenario_config
 from avgtrack.signals import concat_references
+from conftest import random_blocks
 
 RING6 = [[i, (i + 1) % 6] for i in range(6)]
 FIVE = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 2]]   # 5-ring plus a chord
@@ -95,47 +96,6 @@ def test_list_writes_the_bytes_of_single_runs(tmp_path, monkeypatch):
         listed = tmp_path / "list" / cfg["name"]
         for name in OUTPUTS:
             assert (listed / name).read_bytes() == (out / name).read_bytes()
-
-
-def random_blocks(seed, laws, n, m, own_rates=False):
-    """Blocks under the given laws that share a random plant, K and (unless
-    `own_rates`) adaptive rates, each on a random connected graph of 4 to 11
-    nodes (so at least three edges) with its own inputs, initial states and
-    per-block constants."""
-    rng = np.random.default_rng(seed)
-    plant = at.LinearPlant(A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
-    K = 0.3 * rng.standard_normal((m, n))
-
-    def draw_rates():
-        return dict(mu=rng.uniform(0.1, 1), nu=rng.uniform(0.1, 1),
-                    theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1))
-
-    rates = draw_rates()
-    blocks = []
-    for law in laws:
-        N = int(rng.integers(4, 12))
-        edges = {(int(rng.integers(i)), i) for i in range(1, N)}
-        for _ in range(int(rng.integers(0, N))):
-            i, j = sorted(int(v) for v in rng.integers(0, N, size=2))
-            if i != j:
-                edges.add((i, j))
-        eps, phi = rng.uniform(0.1, 5), rng.uniform(0.0, 2)
-        if law == "adaptive":
-            gains = at.AdaptiveParams(K=K, Gamma=K.T @ K, eps=eps, phi=phi, P=np.eye(n),
-                                      alpha0=rng.uniform(0, 2), beta0=rng.uniform(0, 2),
-                                      **(draw_rates() if own_rates else rates))
-        else:
-            gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
-                                   eps=eps, phi=phi, P=np.eye(n))
-        inputs = tuple(
-            at.InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m),
-                               omega=rng.uniform(0.5, 2), phase=rng.uniform(0, 6))
-            for _ in range(N)
-        )
-        rs = at.ReferenceSet(plant=plant, initial_states=0.5 * rng.standard_normal((N, n)),
-                             inputs=inputs)
-        blocks.append((at.Graph(N, tuple(sorted(edges))), rs, gains))
-    return blocks
 
 
 @settings(max_examples=40, deadline=None)

@@ -553,6 +553,18 @@ def test_blow_up_prints_one_line(tmp_path):
     assert proc.stderr.startswith("run failed: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "gains"])
+def test_input_bound_taken_once_per_scenario(tmp_path, monkeypatch, command):
+    # the design and the diagnostics (run) or the report (gains) share Scenario.f0
+    calls = []
+    bound = at.InputDescriptor.bound
+    monkeypatch.setattr(at.InputDescriptor, "bound", lambda d: calls.append(d) or bound(d))
+    cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
+    args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
+    assert len(calls) == 6 + 4
+
+
 def test_flat_table_input_runs(tmp_path):
     cfg = scenario_config("ring-demo")
     cfg["agents"][2]["input"] = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 2.0]}

@@ -1,7 +1,9 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
 hypot chain and the sum-of-squares row norm, one evaluation of the inputs
-per distinct stage time, and the one-template-per-record CSV writer."""
+per distinct stage time, RK4 and the kernel in their preallocated work
+arrays, and the one-template-per-record CSV writer."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -12,8 +14,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import avgtrack as at
-from avgtrack import ReferenceSet, SimConfig, analysis, boundary_layer, control, discontinuous_sign
+from avgtrack import (
+    ReferenceSet, SimConfig, analysis, boundary_layer, control, discontinuous_sign, integrate, sim
+)
+from avgtrack.errors import NonFinite
 from avgtrack.report import write_trajectory_csv
+from avgtrack.signals import concat_references
+from conftest import random_blocks
 
 TINY = np.finfo(float).smallest_subnormal
 SPECIAL = [0.0, -0.0, TINY, -TINY, 3 * TINY, 2.2e-308, -1e-310, 1e300, -1e300, 1.0]
@@ -59,6 +66,25 @@ def test_discontinuous_sign_is_its_norm_form(w):
         assert same_bits(discontinuous_sign(w), sign_oracle(w))
         if len(w):
             assert same_bits(discontinuous_sign(w[0]), sign_oracle(w[0]))
+
+
+HUGE = np.array([[1.5e308, 1.5e308], [-1.5e308, 3.0], [3.0, 4.0], [0.0, -0.0], [1e-16, TINY]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=rows, t=st.sampled_from([0.0, 0.3, 40.0, 2000.0]))
+@example(w=HUGE, t=0.0)
+@example(w=HUGE, t=2000.0)
+def test_out_gets_the_bits_of_the_returned_array(w, t):
+    # out starts as NaN, so an entry left unwritten would show
+    with np.errstate(over="ignore"):      # squares and norms of huge rows overflow in both
+        for call in (lambda *out: boundary_layer(w, 5.0, 0.5, t, *out),
+                     lambda *out: boundary_layer(w, np.linspace(1, 2, len(w))[:, None],
+                                                 np.linspace(0, 1, len(w))[:, None], t, *out),
+                     lambda *out: discontinuous_sign(w, *out)):
+            want, out = call(), np.full_like(w, np.nan)
+            assert call(out) is out
+            assert same_bits(out, want)
 
 
 @pytest.mark.parametrize("dt, steps", [(1e-3, 300), (0.1, 30), (0.01, 7)])
@@ -129,3 +155,198 @@ def test_writer_matches_per_row_oracle(tmp_path, seed, law):
     got = (tmp_path / "trajectory.csv").read_bytes()
     assert got == (tmp_path / "oracle.csv").read_bytes()
     assert got.count(b"\r\n") == 1 + T * (N + (E if law == "adaptive" else 0))
+
+
+class TestIntegrateFinitenessCheck:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_state_whose_sum_overflows_runs_to_the_end(self):
+        times, ys = integrate(lambda t, y, out: out.fill(0.0), np.array([1e308, 1e308]),
+                              SimConfig(0.05, 0.01))
+        assert times[-1] == 0.05
+        assert (ys == 1e308).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_non_finite_value_reported_at_its_step(self, k, bad):
+        # the value enters at step k's second stage and is in y after step k,
+        # in the entry of block 1 alone
+        dt = 0.01
+
+        def rhs(t, y, out):
+            out.fill(0.0)
+            if t >= (k - 1) * dt + dt / 4:
+                out[2] = bad
+
+        with pytest.raises(NonFinite) as exc:
+            integrate(rhs, np.array([1.0, 2.0, 3.0]), SimConfig(0.2, dt, record_every=4),
+                      np.array([0, 0, 1]))
+        assert exc.value.time == k * dt
+        assert exc.value.block == 1
+
+
+def allocating_integrate(rhs, initial, cfg, owner=None):
+    """RK4 with a fresh array for every stage and update, and a returning
+    rhs(t, y), as the oracle of the workspace form."""
+    n_steps = int(round(cfg.t_end / cfg.dt))
+    y = np.array(initial, dtype=float)
+    rec_idx = list(range(0, n_steps, cfg.record_every)) + [n_steps]
+    rec = [y]
+    dt = cfg.dt
+    for k in range(n_steps):
+        t = k * dt
+        k1 = rhs(t, y)
+        k2 = rhs(t + dt / 2.0, y + dt / 2.0 * k1)
+        k3 = rhs(t + dt / 2.0, y + dt / 2.0 * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            block = None if owner is None else int(owner[~np.isfinite(y)].min())
+            raise NonFinite("non-finite state", time=(k + 1) * dt, block=block)
+        if k + 1 in rec_idx:
+            rec.append(y)
+    return np.array(rec_idx, dtype=float) * dt, np.array(rec)
+
+
+def allocating_coupling(kernel, n_sign, t, x, alpha, beta):
+    """The kernel's coupling and edge-gain rates from fresh arrays, each law's
+    rows joined with np.concatenate, as the oracle of its work arrays."""
+    nf = len(kernel.tails) - int(kernel.gain_offsets[-1])
+    d = np.take(x, kernel.tails, axis=0) - np.take(x, kernel.heads, axis=0)
+    w = d @ kernel._KT
+    # a law's function and gains exist only where it has edges
+    h = np.concatenate([sign_oracle(w[:n_sign])]
+                       + [boundary_layer(w[n_sign:], kernel.eps, kernel.phi, t)] * (n_sign < len(w)))
+    u = np.concatenate([kernel.c1 * w[:nf] + kernel.c2 * h[:nf]] * (nf > 0)
+                       + [alpha[:, None] * w[nf:] + beta[:, None] * h[nf:]] * (nf < len(w)))
+    cells = np.bincount(kernel._cells, weights=np.concatenate([u, -u]).ravel(),
+                        minlength=kernel._n_cells)
+    coupling = cells.reshape(-1, u.shape[1]) @ kernel._BT
+    if nf == len(w):
+        return coupling, None, None
+    d, w, h = d[nf:], w[nf:], h[nf:]
+    dalpha = kernel.mu * (-kernel.theta * alpha + np.einsum("ei,ij,ej->e", d, kernel._Gamma, d))
+    dbeta = kernel.nu * (-kernel.chi * beta + np.einsum("em,em->e", w, h))
+    return coupling, dalpha, dbeta
+
+
+def allocating_run_blocks(blocks, cfg, laws):
+    """sim.run_blocks with a returning rhs that joins x, r and the rates with
+    np.concatenate: (x, r, alpha, beta) per block, in the order given."""
+    graphs, sets, gains = zip(*blocks)
+    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
+    n_sign = sum(graphs[b].n_edges for b, law in zip(order, kernel.laws)
+                 if law == "discontinuous")
+    rs = concat_references([sets[b] for b in order])
+    adaptive = kernel.alpha0 is not None
+    N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
+    Nn = N * n
+    A, B = rs.plant.A, rs.plant.B
+    last = [None, None]
+
+    def rhs(t, y):
+        x = y[:Nn].reshape(N, n)
+        r = y[Nn : 2 * Nn].reshape(N, n)
+        if t != last[0]:
+            last[:] = t, rs.eval_inputs(t) @ B.T
+        fB = last[1]
+        coupling, *rates = allocating_coupling(kernel, n_sign, t, x, y[2 * Nn : 2 * Nn + Ea],
+                                               y[2 * Nn + Ea :])
+        parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
+        return np.concatenate(parts + rates if adaptive else parts)
+
+    r0 = rs.initial_states
+    y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])
+    node_owner = np.repeat(order, np.diff(nodes) * n)
+    edge_owner = np.repeat(order, np.diff(edges))
+    owner = np.concatenate([node_owner, node_owner] + [edge_owner, edge_owner] * adaptive)
+    _, ys = allocating_integrate(rhs, np.concatenate(y0), cfg, owner)
+    x, r = ys[:, :Nn].reshape(len(ys), N, n), ys[:, Nn : 2 * Nn].reshape(len(ys), N, n)
+    alpha, beta = ys[:, 2 * Nn : 2 * Nn + Ea], ys[:, 2 * Nn + Ea :]
+    out = [None] * len(blocks)
+    for b, law, n0, n1, e0, e1 in zip(order, kernel.laws, nodes, nodes[1:], edges, edges[1:]):
+        gains = (alpha[:, e0:e1], beta[:, e0:e1]) if law == "adaptive" else (None, None)
+        out[b] = (x[:, n0:n1], r[:, n0:n1], *gains)
+    return out
+
+
+def two_input_blocks():
+    """The Sec. 5 plant with B = I2 under the three laws, on rings of 6 and 5."""
+    blocks, laws = [], []
+    for law in ("static", "adaptive", "discontinuous"):
+        for n in (6, 5):
+            cfg = at.scenario_config("paper-sec5-adaptive" if law == "adaptive"
+                                     else "paper-sec5-static")
+            cfg["plant"]["B"] = [[1.0, 0.0], [0.0, 1.0]]
+            cfg["graph"] = {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]}
+            cfg["agents"] = [
+                {"r0": [0.5 * i, -float(i)],
+                 "input": {"kind": "sinusoid", "amp": [0.5 * i, 0.25], "omega": 1.0,
+                           "phase": 0.1 * i}}
+                for i in range(1, n + 1)
+            ]
+            cfg["design"]["eps"] = 7.0 - n
+            scn = at.parse_scenario(cfg)
+            gains = scn.build_adaptive_params() if law == "adaptive" else scn.build_static_gains()
+            blocks.append((scn.graph, scn.reference_set, gains))
+            laws.append(law)
+    return blocks, laws
+
+
+def assert_same_run_bits(blocks, cfg, laws):
+    want = allocating_run_blocks(blocks, cfg, laws)
+    for traj, (x, r, alpha, beta) in zip(sim.run_blocks(blocks, cfg, laws), want):
+        assert same_bits(traj.x, x) and same_bits(traj.r, r)
+        assert (traj.alpha is None and alpha is None) or same_bits(traj.alpha, alpha)
+        assert (traj.beta is None and beta is None) or same_bits(traj.beta, beta)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_workspace_run_has_the_bits_of_the_allocating_run(seed, record_every):
+    # mixed laws with their own eps, phi, c1, c2 and adaptive rates: per-edge columns
+    laws = [("static", "adaptive", "discontinuous", "adaptive"), ("discontinuous", "static"),
+            ("adaptive", "static", "static"), ("adaptive",)][seed]
+    blocks = random_blocks(seed, laws, 1 + seed, 1 + seed % 3, own_rates=True)
+    assert_same_run_bits(blocks, SimConfig(0.02, 1e-3, record_every=record_every), laws)
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_two_input_plant_has_the_bits_of_the_allocating_run(record_every):
+    blocks, laws = two_input_blocks()
+    assert_same_run_bits(blocks, SimConfig(0.05, 1e-3, record_every=record_every), laws)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_blow_up_reported_as_by_the_allocating_run():
+    # a c1 far outside RK4's stability region at dt 1e-3 in the third block
+    laws = ("adaptive", "static", "static", "discontinuous")
+    blocks = random_blocks(7, laws, 2, 1, own_rates=True)
+    g, rs, gains = blocks[2]
+    blocks[2] = (g, rs, dataclasses.replace(gains, c1=1e5))
+    cfg = SimConfig(0.5, 1e-3, record_every=10)
+    with pytest.raises(NonFinite) as want:
+        allocating_run_blocks(blocks, cfg, laws)
+    with pytest.raises(NonFinite) as got:
+        sim.run_blocks(blocks, cfg, laws)
+    assert (got.value.time, got.value.block) == (want.value.time, want.value.block)
+    assert got.value.block == 2 and got.value.time < 0.5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_call_has_the_bits_of_the_allocating_form(seed):
+    laws = ["static", "discontinuous", "adaptive"][seed % 3 :] + ["adaptive"] * (seed // 3)
+    blocks = random_blocks(seed, laws, 2 + seed % 3, 1 + seed % 2, own_rates=True)
+    graphs, sets, gains = zip(*blocks)
+    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    n_sign = sum(graphs[b].n_edges for b, law in zip(kernel.order, kernel.laws)
+                 if law == "discontinuous")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((int(kernel.node_offsets[-1]), sets[0].plant.n))
+    x[1] = x[0]                      # zero rows of w, whose h is +-0
+    Ea = int(kernel.gain_offsets[-1])
+    alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
+    for t in (0.0, 1.5):
+        want = allocating_coupling(kernel, n_sign, t, x, alpha, beta)
+        for got, expected in zip(kernel(t, x, alpha, beta), want):
+            assert (got is None and expected is None) or same_bits(got, expected)

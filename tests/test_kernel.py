@@ -161,6 +161,15 @@ class TestEdgeKernel:
             EdgeKernel(g, rs.plant, gains, "sliding")
 
 
+    def test_call_needs_one_row_per_agent(self):
+        # the gather does not check its indices against x, so the call does
+        g, rs, gains, x, *_ = random_network(5, 6, "static")
+        kernel = EdgeKernel(g, rs.plant, gains, "static")
+        for rows in (x[:-1], np.concatenate([x, x[:1]])):
+            with pytest.raises(ConfigError, match="rows for 6 agents"):
+                kernel(0.0, rows)
+
+
 def test_repeated_runs_write_identical_bytes(tmp_path):
     # all three laws in one sweep, run twice in one process
     cfgs = []

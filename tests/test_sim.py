@@ -18,16 +18,19 @@ from conftest import SEC5_A, SEC5_B, ring_graph
 
 class TestIntegrate:
     def test_zero_rhs_constant(self):
-        times, ys = integrate(lambda t, y: np.zeros_like(y), np.array([1.0, 2.0]), SimConfig(1.0, 0.1))
+        times, ys = integrate(lambda t, y, out: out.fill(0.0), np.array([1.0, 2.0]),
+                              SimConfig(1.0, 0.1))
         np.testing.assert_array_equal(ys, np.tile([1.0, 2.0], (len(times), 1)))
 
     def test_scalar_decay(self):
-        times, ys = integrate(lambda t, y: -y, np.array([1.0]), SimConfig(1.0, 0.01))
+        times, ys = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]),
+                              SimConfig(1.0, 0.01))
         assert ys[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-8)
 
     def test_rk4_fourth_order(self):
         def err(dt):
-            _, ys = integrate(lambda t, y: -y, np.array([1.0]), SimConfig(1.0, dt))
+            _, ys = integrate(lambda t, y, out: np.negative(y, out=out), np.array([1.0]),
+                              SimConfig(1.0, dt))
             return abs(ys[-1, 0] - np.exp(-1.0))
 
         ratio = err(0.02) / err(0.01)
@@ -35,15 +38,15 @@ class TestIntegrate:
 
     def test_grid_no_drift(self):
         times, _ = integrate(
-            lambda t, y: np.zeros_like(y), np.array([0.0]), SimConfig(2.0, 0.1, record_every=2)
+            lambda t, y, out: out.fill(0.0), np.array([0.0]), SimConfig(2.0, 0.1, record_every=2)
         )
         # stamps are k*dt*record_every exactly (index multiplication, no accumulation)
         np.testing.assert_array_equal(times[1:], np.arange(1, 11) * 0.2)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_reported_with_time(self):
-        def blowup(t, y):
-            return y**3
+        def blowup(t, y, out):
+            np.power(y, 3, out=out)
 
         with pytest.raises(NonFinite) as exc:
             integrate(blowup, np.array([5.0]), SimConfig(5.0, 0.05))
