@@ -59,15 +59,30 @@ def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
     return np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[-1] * _EPS))
 
 
-def _row_norms(w: NDArray) -> NDArray[np.float64]:
+def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
     """The norms of the rows of w (last axis kept) by a chain of np.hypot
     over the columns. The chain starts from |w_0|, as hypot(0, a) = |a|
     exactly, so it has the bits of a hypot reduction over each row from an
-    initial 0, without that reduction's per-row libm loop."""
-    nrm = np.abs(w[..., :1])
+    initial 0, without that reduction's per-row libm loop. `out` is as in
+    boundary_layer, shaped like one column of w."""
+    nrm = np.abs(w[..., :1], out=out)
     for k in range(1, w.shape[-1]):
-        nrm = np.hypot(nrm, w[..., k : k + 1])
+        np.hypot(nrm, w[..., k : k + 1], out=nrm)
     return nrm
+
+
+def _square_norms(
+    w: NDArray, out: NDArray | None = None, work: NDArray | None = None
+) -> NDArray[np.float64]:
+    """The norms of the rows of w (last axis kept) by np.linalg.norm's
+    formula for real rows, sqrt(add.reduce(w * w)), without its Python
+    wrapper. `out` is as in _row_norms; `work`, shaped like w, may hold the
+    squares. A sum over one column is that column, so one column skips it."""
+    one = w.shape[-1] == 1
+    sq = np.multiply(w, w, out=out if one else work)
+    if not one:
+        sq = np.add.reduce(sq, axis=-1, keepdims=True, out=out)
+    return np.sqrt(sq, out=sq)
 
 
 def discontinuous_sign(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
@@ -76,8 +91,7 @@ def discontinuous_sign(w: NDArray, out: NDArray | None = None) -> NDArray[np.flo
     zero-width boundary_layer, which rescales them first. `out` is as in
     boundary_layer."""
     w = np.asarray(w, dtype=float)
-    # np.linalg.norm's formula for real rows, without its Python wrapper
-    nrm = np.sqrt(np.add.reduce(w * w, axis=-1, keepdims=True))
+    nrm = _square_norms(w)
     if out is None:
         out = np.zeros_like(w)
     else:
@@ -203,17 +217,23 @@ class EdgeKernel:
 
     Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
     with w_ij = K(x_i - x_j). On static and discontinuous edges (a, b) =
-    (c1, c2), on adaptive edges the edge gains (alpha, beta); h is
-    discontinuous_sign on discontinuous edges and boundary_layer on the
-    others. A call gathers x at the precomputed tail and head indices,
-    scatters +u to tails and -u to heads with one bincount over the
-    (node, input) cells and applies B^T once, so it costs O(E).
+    (c1, c2), on adaptive edges the edge gains (alpha, beta). Every edge
+    takes h = w / max(||w|| + width, ||w|| floor). On static and adaptive
+    edges the width and floor are boundary_layer's and ||w|| is its hypot
+    chain, so h is boundary_layer; on discontinuous edges they are 0 and 1,
+    ||w|| is sqrt(sum of squares) and h is 0 where ||w|| <= 1e-15, so h is
+    discontinuous_sign. A call gathers x at the precomputed tail and head
+    indices, forms each law's norms on its own slice, then one divisor, one
+    divide and one multiply-add for u over all edges, scatters +u to tails
+    and -u to heads with one bincount over the (node, input) cells and
+    applies B^T once, so it costs O(E). Only rows whose divisor is not finite
+    go to boundary_layer or discontinuous_sign, which rescale them.
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
     the graphs, block b with gains[b] under law mode[b]. It holds the blocks
     in the order of LAWS, the caller's order within a law, so each law's
-    edges are one slice, and no function is called on an empty slice. In
+    edges are one slice, and a group of one law does no work of another. In
     that order, `order` and `laws` give each block's index in the caller's
     order and its law, and `node_offsets` and `gain_offsets` where its nodes
     start in the union and its edge gains among the adaptive edges, with the
@@ -221,9 +241,10 @@ class EdgeKernel:
     discontinuous edges, eps, phi on the static and adaptive edges, and mu,
     nu, theta, chi on the adaptive edges, each as one number where all those
     blocks hold the same bits, else one entry per edge; the initial edge
-    gains alpha0/beta0 are held per adaptive edge. K must be the same in
-    every block, and Gamma in every adaptive block. Every term is edge-local,
-    so no block sees another's.
+    gains alpha0/beta0 are held per adaptive edge. The width takes one exp
+    per distinct (eps, phi), once per distinct call time. K must be the same
+    in every block, and Gamma in every adaptive block. Every term is
+    edge-local, so no block sees another's.
     """
 
     def __init__(
@@ -255,8 +276,7 @@ class EdgeKernel:
         self.gain_offsets = np.cumsum([0] + [c * (m == "adaptive") for c, m in zip(counts, modes)])
 
         def held(name: str, laws: tuple[str, ...], per_edge: bool = False):
-            # one number when all blocks under `laws` hold the same bits: a
-            # shared width then costs one exp per call, not one per edge
+            # one number when all blocks under `laws` hold the same bits
             vals = [float(getattr(p, name)) for p, m in zip(blocks, modes) if m in laws]
             if not vals:
                 return None
@@ -276,9 +296,6 @@ class EdgeKernel:
         )
         self.alpha0 = held("alpha0", ("adaptive",), per_edge=True)
         self.beta0 = held("beta0", ("adaptive",), per_edge=True)
-        # edges [0, ns) are discontinuous, [ns, nf) static, the rest adaptive
-        ns = sum(c for c, m in zip(counts, modes) if m == "discontinuous")
-        nf = ns + sum(c for c, m in zip(counts, modes) if m == "static")
         self._KT, self._BT = blocks[0].K.T, plant.B.T
         self._Gamma = adaptive[0].Gamma if adaptive else None
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
@@ -286,19 +303,54 @@ class EdgeKernel:
         self._ends = np.concatenate([self.tails, self.heads])
         cells = self._ends[:, None] * plant.m + np.arange(plant.m)
         self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
-        # The work arrays of a call, and each law's views of them: x at the
-        # tails then at the heads, d = x_i - x_j, w, h, and [u; -u] for the
-        # scatter, whose -u half holds b*h until u is complete.
-        E = len(self.tails)
+
+        # edges [0, ns) are discontinuous, [ns, nf) static, [nf, E) adaptive
+        E, m = len(self.tails), plant.m
+        self._ns = ns = sum(c for c, law in zip(counts, modes) if law == "discontinuous")
+        self._nf = nf = ns + sum(c for c, law in zip(counts, modes) if law == "static")
+        # The work arrays of a call: x at the tails then at the heads, d =
+        # x_i - x_j, w, h, the row norms, and [u; -u] for the scatter, whose
+        # -u half holds b*h until u is complete. (a, b) are (c1, c2) as held
+        # where no edge is adaptive, else per-edge columns that take the edge
+        # gains in on the adaptive edges.
         self._x_ends = np.empty((2 * E, plant.n))
-        self._d, self._w = d, w = np.empty((E, plant.n)), np.empty((E, plant.m))
-        self._u = u = np.empty((2 * E, plant.m))
-        h = np.empty((E, plant.m))
-        laws = set(modes)
-        self._sign = (w[:ns], h[:ns]) if "discontinuous" in laws else None
-        self._smooth = (w[ns:], h[ns:]) if laws != {"discontinuous"} else None
-        self._fixed = (w[:nf], h[:nf], u[:nf], u[E : E + nf]) if laws != {"adaptive"} else None
-        self._adaptive = (d[nf:], w[nf:], h[nf:], u[nf:E], u[E + nf :]) if adaptive else None
+        self._d, self._w, self._h = np.empty((E, plant.n)), np.empty((E, m)), np.empty((E, m))
+        self._u, self._nrm = np.empty((2 * E, m)), np.empty((E, 1))
+        self._a, self._b = self.c1, self.c2
+        if nf < E:
+            self._a, self._b = np.empty((E, 1)), np.empty((E, 1))
+            self._a[:nf], self._b[:nf] = self.c1, self.c2
+        # where h may be nonzero: only discontinuous edges can clear it
+        self._nonzero = np.ones((E, 1), dtype=bool) if ns else None
+        self._div = self._nrm            # width 0 and floor 1 leave the norm
+        if ns == E:
+            return
+        self._div, self._scaled = np.empty((E, 1)), np.empty((E, 1))
+        pairs = [_bits((p.eps, p.phi)) for p, law in zip(blocks, modes) if law in smooth]
+        keys = list(dict.fromkeys(pairs))
+        eps, phi = np.frombuffer(b"".join(keys)).reshape(-1, 2).T
+        self._pair_eps, self._pair_neg_phi, self._width_t = eps, -phi, None
+        # one width and one floor shared by all edges are numbers, as
+        # boundary_layer forms them
+        self._pair_of_edge, self._floor = None, 1.0 + 4 * m * _EPS
+        if ns or len(keys) > 1:
+            self._width = np.zeros((E, 1))
+            self._pair_of_edge = np.repeat(
+                [keys.index(k) for k in pairs], [c for c, law in zip(counts, modes) if law in smooth])
+        else:
+            self._pair_eps, self._pair_neg_phi = float(eps[0]), float(-phi[0])
+        if ns:
+            self._floor = np.ones((E, 1))
+            self._floor[ns:] = 1.0 + 4 * m * _EPS
+
+    def _set_width(self, t: float) -> None:
+        # boundary_layer's width, one exp per distinct (eps, phi)
+        width = np.maximum(self._pair_eps * np.exp(self._pair_neg_phi * t), _TINY)
+        if self._pair_of_edge is None:
+            self._width = width
+        else:
+            width.take(self._pair_of_edge, out=self._width[self._ns :, 0])
+        self._width_t = t
 
     def add_to(
         self, t: float, x: NDArray, alpha: NDArray, beta: NDArray,
@@ -306,35 +358,64 @@ class EdgeKernel:
     ) -> None:
         """Add the coupling at time t and agent states x (N, n) into dx, and
         write the rates of the adaptive edges' gains alpha, beta into dalpha,
-        dbeta (not touched where there are no adaptive edges). It allocates
-        no work array, so one kernel serves one call at a time."""
-        E = len(self.tails)
+        dbeta (not touched where there are no adaptive edges). It works in
+        the kernel's own arrays, so one kernel serves one call at a time."""
+        E, ns, nf = len(self.tails), self._ns, self._nf
+        d, w, h, nrm, div = self._d, self._w, self._h, self._nrm, self._div
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
-        np.subtract(self._x_ends[:E], self._x_ends[E:], out=self._d)
-        np.matmul(self._d, self._KT, out=self._w)
-        if self._sign is not None:
-            discontinuous_sign(*self._sign)
-        if self._smooth is not None:
-            boundary_layer(self._smooth[0], self.eps, self.phi, t, self._smooth[1])
-        if self._fixed is not None:
-            w, h, u, bh = self._fixed
-            np.multiply(self.c1, w, out=u)
-            np.add(u, np.multiply(self.c2, h, out=bh), out=u)
-        if self._adaptive is not None:
-            d, w, h, u, bh = self._adaptive
-            np.multiply(alpha[:, None], w, out=u)
-            np.add(u, np.multiply(beta[:, None], h, out=bh), out=u)
-        np.negative(self._u[:E], out=self._u[E:])
+        np.subtract(self._x_ends[:E], self._x_ends[E:], out=d)
+        np.matmul(d, self._KT, out=w)
+        if ns:
+            _square_norms(w[:ns], nrm[:ns], h[:ns])
+        if ns < E:
+            _row_norms(w[ns:], nrm[ns:])
+            if t != self._width_t:
+                self._set_width(t)
+            np.add(nrm, self._width, out=div)
+            np.maximum(div, np.multiply(nrm, self._floor, out=self._scaled), out=div)
+        over = None
+        if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
+            over = np.flatnonzero(~np.isfinite(div))
+            div[over] = 1.0                    # their h is set below
+        if ns:
+            np.greater(nrm[:ns], 1e-15, out=self._nonzero[:ns])
+            h[:ns] = 0.0
+            np.divide(w, div, out=h, where=self._nonzero)
+        else:
+            np.divide(w, div, out=h)
+        if over is not None:
+            sign, smooth = over[over < ns], over[over >= ns]
+            if len(sign):
+                h[sign] = discontinuous_sign(w[sign])
+            if len(smooth):
+                eps, phi = (v[smooth - ns] if isinstance(v, np.ndarray) else v
+                            for v in (self.eps, self.phi))
+                h[smooth] = boundary_layer(w[smooth], eps, phi, t)
+        u, bh = self._u[:E], self._u[E:]
+        if nf < E:
+            self._a[nf:, 0], self._b[nf:, 0] = alpha, beta
+        np.multiply(self._a, w, out=u)
+        np.add(u, np.multiply(self._b, h, out=bh), out=u)
+        np.negative(u, out=bh)
         cells = np.bincount(self._cells, weights=self._u.ravel(), minlength=self._n_cells)
-        np.add(dx, cells.reshape(-1, self._u.shape[1]) @ self._BT, out=dx)
-        if self._adaptive is None:
+        np.add(dx, cells.reshape(-1, u.shape[1]) @ self._BT, out=dx)
+        if nf == E:
             return
+        d, w, h = d[nf:], w[nf:], h[nf:]
         np.multiply(-self.theta, alpha, out=dalpha)
         np.add(dalpha, np.einsum("ei,ij,ej->e", d, self._Gamma, d), out=dalpha)
         np.multiply(self.mu, dalpha, out=dalpha)
-        # ||w||^2 / (||w|| + width) = w . h
+        # ||w||^2 / (||w|| + width) = w . h, einsum's w_0 h_0 + w_1 h_1 over
+        # up to two columns, formed in h; beyond, einsum sums in the order of
+        # the SIMD lanes of the numpy build
+        if w.shape[1] > 2:
+            wh = np.einsum("em,em->e", w, h)
+        else:
+            wh = np.multiply(w, h, out=h)[:, 0]
+            if w.shape[1] == 2:
+                np.add(wh, h[:, 1], out=wh)
         np.multiply(-self.chi, beta, out=dbeta)
-        np.add(dbeta, np.einsum("em,em->e", w, h), out=dbeta)
+        np.add(dbeta, wh, out=dbeta)
         np.multiply(self.nu, dbeta, out=dbeta)
 
     def __call__(
@@ -350,8 +431,14 @@ class EdgeKernel:
         # -0.0 is the identity of addition: coupling keeps the bits of the product
         coupling = np.full((len(x), self._BT.shape[1]), -0.0)
         rates = (None, None)
-        if self._adaptive is not None:
-            rates = (np.empty(len(alpha)), np.empty(len(beta)))
+        if self._nf < len(self.tails):
+            Ea = int(self.gain_offsets[-1])
+            for name, v in (("alpha", alpha), ("beta", beta)):
+                if v is None or np.shape(v) != (Ea,):
+                    raise ConfigError(f"{name} needs {Ea} entries, one per adaptive edge, got "
+                                      f"{'none' if v is None else np.shape(v)}")
+            alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+            rates = (np.empty(Ea), np.empty(Ea))
         self.add_to(t, x, alpha, beta, coupling, *rates)
         return (coupling, *rates)
 

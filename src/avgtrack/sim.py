@@ -164,7 +164,9 @@ def run_blocks(
     # the time-only term, for the last stage time: k3 shares k2's time and
     # a step's k1 shares the previous k4's wherever their bits agree
     last = [None, None]
-    AT = A.T
+    # a (2, N, n) stack times the transposed view takes a slower BLAS route
+    # than times a C-contiguous copy, with the same bits from N = 2 on
+    AT = np.ascontiguousarray(A.T)
 
     def rhs(t: float, y: NDArray, out: NDArray) -> None:
         if t != last[0]:

@@ -1,10 +1,12 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
 hypot chain and the sum-of-squares row norm, one evaluation of the inputs
-per distinct stage time, RK4 and the kernel in their preallocated work
-arrays, and the one-template-per-record CSV writer."""
+and one boundary-layer width per distinct stage time, RK4 and the one-pass
+kernel in their preallocated work arrays, the product by a contiguous A^T,
+and the one-template-per-record CSV writer."""
 
 import dataclasses
 import math
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -215,7 +217,8 @@ def allocating_coupling(kernel, n_sign, t, x, alpha, beta):
     w = d @ kernel._KT
     # a law's function and gains exist only where it has edges
     h = np.concatenate([sign_oracle(w[:n_sign])]
-                       + [boundary_layer(w[n_sign:], kernel.eps, kernel.phi, t)] * (n_sign < len(w)))
+                       + ([boundary_layer(w[n_sign:], kernel.eps, kernel.phi, t)]
+                          if n_sign < len(w) else []))
     u = np.concatenate([kernel.c1 * w[:nf] + kernel.c2 * h[:nf]] * (nf > 0)
                        + [alpha[:, None] * w[nf:] + beta[:, None] * h[nf:]] * (nf < len(w)))
     cells = np.bincount(kernel._cells, weights=np.concatenate([u, -u]).ravel(),
@@ -350,3 +353,170 @@ def test_kernel_call_has_the_bits_of_the_allocating_form(seed):
         want = allocating_coupling(kernel, n_sign, t, x, alpha, beta)
         for got, expected in zip(kernel(t, x, alpha, beta), want):
             assert (got is None and expected is None) or same_bits(got, expected)
+
+
+def kernel_call_matches_allocating_form(blocks, laws, x):
+    """Assert that the kernel's call on x has the bits of the allocating
+    form at four call times, and return the kernel."""
+    graphs, sets, gains = zip(*blocks)
+    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    n_sign = sum(graphs[b].n_edges for b, law in zip(kernel.order, kernel.laws)
+                 if law == "discontinuous")
+    Ea = int(kernel.gain_offsets[-1])
+    rng = np.random.default_rng(Ea)
+    alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
+    for t in (0.0, 1.5, 1.5, 40.0):           # a repeated time reuses the width
+        want = allocating_coupling(kernel, n_sign, t, x, alpha, beta)
+        for got, expected in zip(kernel(t, x, alpha, beta), want):
+            assert (got is None and expected is None) or same_bits(got, expected)
+    return kernel
+
+
+@pytest.mark.parametrize("laws, m", [
+    (("static", "static", "static"), 1),
+    (("discontinuous", "discontinuous"), 1),
+    (("adaptive", "adaptive", "adaptive"), 1),
+    (("discontinuous", "static", "adaptive"), 2),
+    (("adaptive", "discontinuous", "static", "discontinuous"), 2),
+    (("static",), 2), (("discontinuous",), 2), (("adaptive",), 2),
+])
+@pytest.mark.parametrize("seed", range(2))
+def test_kernel_call_bits_for_one_law_and_two_inputs(seed, laws, m):
+    # each block with its own eps, phi, c1, c2 and rates: per-edge columns
+    blocks = random_blocks(10 + seed, laws, 2 + seed, m, own_rates=True)
+    rng = np.random.default_rng(seed)
+    N = sum(g.n_nodes for g, _, _ in blocks)
+    x = rng.standard_normal((N, 2 + seed)) * 10.0 ** rng.integers(-8, 8, size=(N, 1))
+    x[1] = x[0]                      # zero rows of w, whose h is +-0
+    kernel_call_matches_allocating_form(blocks, laws, x)
+
+
+def identity_blocks(laws, m):
+    """Blocks on rings of 8 with K = I on an m-state, m-input plant, each
+    with its own constants, so w = x_i - x_j bit for bit on rows whose
+    entries are all equal."""
+    rng = np.random.default_rng(m)
+    plant = at.LinearPlant(A=-np.eye(m), B=rng.standard_normal((m, m)))
+    K = np.eye(m)
+    blocks = []
+    for law in laws:
+        eps, phi = rng.uniform(0.1, 5), rng.uniform(0.0, 2)
+        if law == "adaptive":
+            gains = at.AdaptiveParams(K=K, Gamma=K.T @ K, eps=eps, phi=phi, P=np.eye(m),
+                                      mu=rng.uniform(0.1, 1), nu=rng.uniform(0.1, 1),
+                                      theta=rng.uniform(0.01, 1), chi=rng.uniform(0.01, 1))
+        else:
+            gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
+                                   eps=eps, phi=phi, P=np.eye(m))
+        inputs = tuple(at.InputDescriptor(kind="constant", value=np.zeros(m)) for _ in range(8))
+        rs = ReferenceSet(plant=plant, initial_states=np.zeros((8, m)), inputs=inputs)
+        blocks.append((at.Graph(8, tuple((i, (i + 1) % 8) for i in range(7)) + ((0, 7),)),
+                       rs, gains))
+    return blocks
+
+
+def with_edge_rows(blocks, laws, rows):
+    """Agent states that give w the rows `rows[law]` on the law's first
+    block's edges (0, 1), (2, 3), ..., which share no node, and small random
+    values elsewhere."""
+    m = blocks[0][1].plant.m
+    rng = np.random.default_rng(len(laws))
+    x = 1e-3 * rng.standard_normal((8 * len(blocks), m))
+    offsets = np.cumsum([0] + [8] * len(blocks))
+    for law, values in rows.items():
+        o = offsets[list(laws).index(law)]
+        for k, v in enumerate(values):
+            x[o + 2 * k], x[o + 2 * k + 1] = v, 0.0
+    return x
+
+
+def first_block_rows(kernel, w, law, count):
+    """The rows of w on the edges (0, 1), (2, 3), ... of the law's first block."""
+    e0 = 8 * kernel.laws.index(law)
+    return w[e0 : e0 + 2 * count : 2]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("m", [1, 2])
+def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
+    # 1e300 overflows the sum of squares of discontinuous rows, the largest
+    # double the divisor of the others (and 1.5e308 their hypot chain over
+    # two columns); only those rows go to the rescaling functions
+    handed = Counter()
+    for name in ("boundary_layer", "discontinuous_sign"):
+        def counted(w, *args, _f=getattr(control, name), _name=name):
+            handed[_name] += len(w)
+            return _f(w, *args)
+        monkeypatch.setattr(control, name, counted)
+    laws = ("adaptive", "discontinuous", "static")
+    blocks = identity_blocks(laws, m)
+    values = [1e300, 1.5e308, -np.finfo(float).max]
+    x = with_edge_rows(blocks, laws, {law: values for law in laws})
+    kernel = kernel_call_matches_allocating_form(blocks, laws, x)
+    w = np.take(x, kernel.tails, axis=0) - np.take(x, kernel.heads, axis=0)
+    for law in laws:
+        assert same_bits(first_block_rows(kernel, w, law, 3),
+                         np.repeat(np.array(values)[:, None], m, axis=1))
+    ns = 8                           # the one discontinuous ring
+    sign_over = ~np.isfinite(np.sqrt((w[:ns] ** 2).sum(axis=1)))
+    floor = 1.0 + 4 * m * np.finfo(float).eps
+    smooth_over = ~np.isfinite(np.hypot.reduce(w[ns:], axis=1) * floor)
+    assert sign_over.sum() >= 3 and smooth_over.sum() >= 2 * m
+    # four calls of the kernel; discontinuous_sign hands its rows whose norm
+    # overflows on to boundary_layer
+    assert handed == {"discontinuous_sign": 4 * sign_over.sum(),
+                      "boundary_layer": 4 * (smooth_over.sum() + sign_over.sum())}
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("laws", [("discontinuous",), ("static", "discontinuous", "adaptive")])
+def test_kernel_call_bits_at_the_zero_threshold(laws, m):
+    # discontinuous rows at 0, -0, the threshold 1e-15 itself and the next
+    # double above it; the threshold is on the norm, so with two columns the
+    # rows at 1e-15 / sqrt(2) and the next double straddle it instead
+    edge = 1e-15 / math.sqrt(m)
+    values = [0.0, -0.0, edge, np.nextafter(edge, 1.0)]
+    blocks = identity_blocks(laws, m)
+    x = with_edge_rows(blocks, laws, {law: values for law in laws})
+    kernel = kernel_call_matches_allocating_form(blocks, laws, x)
+    w = np.take(x, kernel.tails, axis=0) - np.take(x, kernel.heads, axis=0)
+    rows = first_block_rows(kernel, w, "discontinuous", 4)
+    assert same_bits(rows, np.repeat(np.array(values)[:, None], m, axis=1))
+    if m == 1:
+        norms = control._square_norms(rows)[:, 0]
+        assert norms[2] == 1e-15 and norms[3] > 1e-15
+
+
+def test_width_formed_once_per_distinct_stage_time(monkeypatch):
+    formed = Counter()
+    set_width = control.EdgeKernel._set_width
+
+    def counted(self, t):
+        formed[t] += 1
+        set_width(self, t)
+
+    monkeypatch.setattr(control.EdgeKernel, "_set_width", counted)
+    scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
+    gains = scn.build_static_gains()
+    for law in ("discontinuous", "static"):
+        formed.clear()
+        at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3), law)
+        # a discontinuous group has no width; RK4's four stages per step
+        # take at most three distinct times
+        assert sum(formed.values()) == (0 if law == "discontinuous" else len(formed))
+        assert law == "discontinuous" or 2 * 300 <= len(formed) <= 3 * 300 + 1
+
+
+def test_contiguous_a_transpose_has_the_bits_of_the_view():
+    # run_blocks multiplies its (2, N, n) stack of x and r by a C-contiguous
+    # copy of A^T; numpy takes another BLAS route for the transposed view
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        N = int(rng.choice([2, 3, 7, 50, int(rng.integers(2, 1201))]))
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        xr = rng.standard_normal((2, N, n))
+        out = np.empty((2, N, n))
+        np.matmul(xr, np.ascontiguousarray(A.T), out=out)
+        assert same_bits(out, xr @ A.T)

@@ -169,6 +169,17 @@ class TestEdgeKernel:
             with pytest.raises(ConfigError, match="rows for 6 agents"):
                 kernel(0.0, rows)
 
+    def test_adaptive_call_needs_one_gain_per_edge(self):
+        g, rs, gains, x, alpha, beta, t = random_network(6, 7, "adaptive")
+        kernel = EdgeKernel(g, rs.plant, gains, "adaptive")
+        E = g.n_edges
+        for a, b in ((None, None), (alpha, None), (None, beta), (alpha[:-1], beta),
+                     (alpha, np.append(beta, 1.0)), (alpha[:, None], beta)):
+            with pytest.raises(ConfigError, match=f"needs {E} entries, one per adaptive edge"):
+                kernel(t, x, a, b)
+        coupling, dalpha, dbeta = kernel(t, x, list(alpha), beta)
+        assert dalpha.shape == dbeta.shape == (E,)
+
 
 def test_repeated_runs_write_identical_bytes(tmp_path):
     # all three laws in one sweep, run twice in one process
