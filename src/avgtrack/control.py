@@ -19,6 +19,7 @@ from .signals import LinearPlant, ReferenceSet
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).smallest_subnormal
+_ZERO_NORM = 1e-15          # discontinuous_sign is 0 on rows with ||w|| at most this
 
 
 def boundary_layer(
@@ -34,11 +35,9 @@ def boundary_layer(
     may give the array, shaped like w, to write the result into and return.
     """
     w = np.asarray(w, dtype=float)
-    width = np.maximum(eps * np.exp(-phi * t), _TINY)
-    # The width stays above zero so that w = 0 gives h = 0 after e^{-phi t}
-    # underflows. Where the divisor overflows, those rows and their width
-    # are divided by the row's largest entry, which leaves h unchanged in
-    # exact arithmetic.
+    width = _width(eps, phi, t)
+    # Where the divisor overflows, those rows and their width are divided by
+    # the row's largest entry, which leaves h unchanged in exact arithmetic.
     div = _divisor(w, width)
     if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
         over = ~np.isfinite(div)
@@ -48,15 +47,25 @@ def boundary_layer(
     return np.divide(w, div, out=out)
 
 
-def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
+def _width(eps: float | NDArray, phi: float | NDArray, t: float) -> NDArray[np.float64]:
+    # The width stays above zero so that w = 0 gives h = 0 after e^{-phi t}
+    # underflows.
+    return np.maximum(eps * np.exp(-phi * t), _TINY)
+
+
+def _floor(m: int) -> float:
     # The hypot chain gives row norms without underflow, to within m - 1
-    # ulps for rows of length m. The divisor never drops below
-    # ||w|| (1 + 4 m ulp). That outweighs the norm's error plus the rounding
-    # of the division and of a later sum-of-squares norm of h, so ||h|| <= 1
-    # holds in doubles; the floor binds only where the width is already
-    # below that rounding.
+    # ulps for rows of length m. The divisor never drops below ||w|| times
+    # this floor, 1 + 4 m ulp. That outweighs the norm's error plus the
+    # rounding of the division and of a later sum-of-squares norm of h, so
+    # ||h|| <= 1 holds in doubles; the floor binds only where the width is
+    # already below that rounding.
+    return 1.0 + 4 * m * _EPS
+
+
+def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
     nrm = _row_norms(w)
-    return np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[-1] * _EPS))
+    return np.maximum(nrm + width, nrm * _floor(w.shape[-1]))
 
 
 def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
@@ -96,7 +105,7 @@ def discontinuous_sign(w: NDArray, out: NDArray | None = None) -> NDArray[np.flo
         out = np.zeros_like(w)
     else:
         out.fill(0.0)
-    np.divide(w, nrm, out=out, where=nrm > 1e-15)
+    np.divide(w, nrm, out=out, where=nrm > _ZERO_NORM)
     if not math.isfinite(np.maximum.reduce(nrm, axis=None, initial=0.0)):
         np.copyto(out, boundary_layer(w, 0.0, 0.0, 0.0), where=np.isinf(nrm))
     return out
@@ -222,12 +231,14 @@ class EdgeKernel:
     edges the width and floor are boundary_layer's and ||w|| is its hypot
     chain, so h is boundary_layer; on discontinuous edges they are 0 and 1,
     ||w|| is sqrt(sum of squares) and h is 0 where ||w|| <= 1e-15, so h is
-    discontinuous_sign. A call gathers x at the precomputed tail and head
-    indices, forms each law's norms on its own slice, then one divisor, one
-    divide and one multiply-add for u over all edges, scatters +u to tails
-    and -u to heads with one bincount over the (node, input) cells and
-    applies B^T once, so it costs O(E). Only rows whose divisor is not finite
-    go to boundary_layer or discontinuous_sign, which rescale them.
+    discontinuous_sign. The kernel holds a, b, the width and the floor as
+    per-edge columns; the width takes one exp per distinct (eps, phi), once
+    per distinct call time. A call gathers x at the precomputed tail and
+    head indices, forms each law's norms on its own slice, then one divisor,
+    one divide and one multiply-add for u over all edges, scatters +u to
+    tails and -u to heads with one bincount over the (node, input) cells and
+    applies B^T once, so it costs O(E). Only rows whose divisor is not
+    finite go to boundary_layer or discontinuous_sign, which rescale them.
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
@@ -241,9 +252,8 @@ class EdgeKernel:
     discontinuous edges, eps, phi on the static and adaptive edges, and mu,
     nu, theta, chi on the adaptive edges, each as one number where all those
     blocks hold the same bits, else one entry per edge; the initial edge
-    gains alpha0/beta0 are held per adaptive edge. The width takes one exp
-    per distinct (eps, phi), once per distinct call time. K must be the same
-    in every block, and Gamma in every adaptive block. Every term is
+    gains alpha0/beta0 are held per adaptive edge. K must be the same in
+    every block, and Gamma in every adaptive block. Every term is
     edge-local, so no block sees another's.
     """
 
@@ -305,70 +315,74 @@ class EdgeKernel:
         self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
 
         # edges [0, ns) are discontinuous, [ns, nf) static, [nf, E) adaptive
-        E, m = len(self.tails), plant.m
+        E, m, Ea = len(self.tails), plant.m, int(self.gain_offsets[-1])
         self._ns = ns = sum(c for c, law in zip(counts, modes) if law == "discontinuous")
         self._nf = nf = ns + sum(c for c, law in zip(counts, modes) if law == "static")
         # The work arrays of a call: x at the tails then at the heads, d =
-        # x_i - x_j, w, h, the row norms, and [u; -u] for the scatter, whose
-        # -u half holds b*h until u is complete. (a, b) are (c1, c2) as held
-        # where no edge is adaptive, else per-edge columns that take the edge
-        # gains in on the adaptive edges.
-        self._x_ends = np.empty((2 * E, plant.n))
-        self._d, self._w, self._h = np.empty((E, plant.n)), np.empty((E, m)), np.empty((E, m))
-        self._u, self._nrm = np.empty((2 * E, m)), np.empty((E, 1))
-        self._a, self._b = self.c1, self.c2
+        # x_i - x_j, w and h as one stack, the row norms and the divisor. The
+        # products a*w and b*h, stacked alike, become [u; -u] for the scatter.
+        # The views a call works on are made here once.
+        x_ends, d = self._x_ends, self._d = np.empty((2 * E, plant.n)), np.empty((E, plant.n))
+        self._wh, u = np.empty((2, E, m)), np.empty((2, E, m))
+        self._w, self._h = w, h = self._wh
+        self._nrm = self._div = nrm = np.empty((E, 1))
+        self._ends_x, self._u, self._u_rows = (x_ends[:E], x_ends[E:]), u, (u[0], u[1])
+        # (a, b) per edge: (c1, c2) on the fixed edges; the adaptive edges
+        # take their gains in on each call
+        self._ab = np.empty((2, E, 1))
+        if nf:
+            self._ab[0, :nf], self._ab[1, :nf] = self.c1, self.c2
+        if ns:
+            # h may be nonzero on all but the discontinuous rows at the zero threshold
+            self._nonzero = np.ones((E, 1), dtype=bool)
+            self._sign = (w[:ns], nrm[:ns], h[:ns], self._nonzero[:ns])
         if nf < E:
-            self._a, self._b = np.empty((E, 1)), np.empty((E, 1))
-            self._a[:nf], self._b[:nf] = self.c1, self.c2
-        # where h may be nonzero: only discontinuous edges can clear it
-        self._nonzero = np.ones((E, 1), dtype=bool) if ns else None
-        self._div = self._nrm            # width 0 and floor 1 leave the norm
+            # the edge-gain rates, rate * (-decay * gain + drive), in rows
+            # alpha then beta, each constant per edge
+            rows = ((self.mu, self.theta), (self.nu, self.chi))
+            self._rate = np.array([np.broadcast_to(r, Ea) for r, _ in rows])
+            self._decay = -np.array([np.broadcast_to(c, Ea) for _, c in rows])
+            self._gains = self._ab[:, nf:, 0]
+            drive = np.empty((2, Ea))
+            self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
+        self._width_t = None
         if ns == E:
-            return
+            return                     # width 0 and floor 1 leave the norm
+        # width 0 and floor 1 on the discontinuous edges; on the others the
+        # width of each edge's distinct (eps, phi) pair
         self._div, self._scaled = np.empty((E, 1)), np.empty((E, 1))
+        self._width, self._floor = np.zeros((E, 1)), np.ones((E, 1))
+        self._floor[ns:] = _floor(m)
+        self._smooth, self._smooth_width = (w[ns:], nrm[ns:]), self._width[ns:, 0]
         pairs = [_bits((p.eps, p.phi)) for p, law in zip(blocks, modes) if law in smooth]
         keys = list(dict.fromkeys(pairs))
-        eps, phi = np.frombuffer(b"".join(keys)).reshape(-1, 2).T
-        self._pair_eps, self._pair_neg_phi, self._width_t = eps, -phi, None
-        # one width and one floor shared by all edges are numbers, as
-        # boundary_layer forms them
-        self._pair_of_edge, self._floor = None, 1.0 + 4 * m * _EPS
-        if ns or len(keys) > 1:
-            self._width = np.zeros((E, 1))
-            self._pair_of_edge = np.repeat(
-                [keys.index(k) for k in pairs], [c for c, law in zip(counts, modes) if law in smooth])
-        else:
-            self._pair_eps, self._pair_neg_phi = float(eps[0]), float(-phi[0])
-        if ns:
-            self._floor = np.ones((E, 1))
-            self._floor[ns:] = 1.0 + 4 * m * _EPS
+        self._pair_eps, self._pair_phi = np.frombuffer(b"".join(keys)).reshape(-1, 2).T
+        self._pair_of_edge = np.repeat(
+            [keys.index(k) for k in pairs], [c for c, law in zip(counts, modes) if law in smooth])
 
     def _set_width(self, t: float) -> None:
-        # boundary_layer's width, one exp per distinct (eps, phi)
-        width = np.maximum(self._pair_eps * np.exp(self._pair_neg_phi * t), _TINY)
-        if self._pair_of_edge is None:
-            self._width = width
-        else:
-            width.take(self._pair_of_edge, out=self._width[self._ns :, 0])
+        # boundary_layer's width, one exp per distinct (eps, phi); the
+        # indices are in range, and "clip" writes out without a buffer
+        _width(self._pair_eps, self._pair_phi, t).take(
+            self._pair_of_edge, out=self._smooth_width, mode="clip")
         self._width_t = t
 
-    def add_to(
-        self, t: float, x: NDArray, alpha: NDArray, beta: NDArray,
-        dx: NDArray, dalpha: NDArray, dbeta: NDArray,
-    ) -> None:
+    def add_to(self, t: float, x: NDArray, gains: NDArray, dx: NDArray, rates: NDArray) -> None:
         """Add the coupling at time t and agent states x (N, n) into dx, and
-        write the rates of the adaptive edges' gains alpha, beta into dalpha,
-        dbeta (not touched where there are no adaptive edges). It works in
-        the kernel's own arrays, so one kernel serves one call at a time."""
+        write the rates of the adaptive edges' gains, gains = [alpha; beta]
+        (2, Ea), into rates (2, Ea) (not touched where there are no adaptive
+        edges). It works in the kernel's own arrays, so one kernel serves one
+        call at a time."""
         E, ns, nf = len(self.tails), self._ns, self._nf
-        d, w, h, nrm, div = self._d, self._w, self._h, self._nrm, self._div
+        w, h, nrm, div = self._w, self._h, self._nrm, self._div
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
-        np.subtract(self._x_ends[:E], self._x_ends[E:], out=d)
-        np.matmul(d, self._KT, out=w)
+        np.subtract(*self._ends_x, out=self._d)
+        np.matmul(self._d, self._KT, out=w)
         if ns:
-            _square_norms(w[:ns], nrm[:ns], h[:ns])
+            w_sign, nrm_sign, h_sign, nonzero_sign = self._sign
+            _square_norms(w_sign, nrm_sign, h_sign)
         if ns < E:
-            _row_norms(w[ns:], nrm[ns:])
+            _row_norms(*self._smooth)
             if t != self._width_t:
                 self._set_width(t)
             np.add(nrm, self._width, out=div)
@@ -378,8 +392,8 @@ class EdgeKernel:
             over = np.flatnonzero(~np.isfinite(div))
             div[over] = 1.0                    # their h is set below
         if ns:
-            np.greater(nrm[:ns], 1e-15, out=self._nonzero[:ns])
-            h[:ns] = 0.0
+            np.greater(nrm_sign, _ZERO_NORM, out=nonzero_sign)
+            h_sign.fill(0.0)
             np.divide(w, div, out=h, where=self._nonzero)
         else:
             np.divide(w, div, out=h)
@@ -388,35 +402,26 @@ class EdgeKernel:
             if len(sign):
                 h[sign] = discontinuous_sign(w[sign])
             if len(smooth):
-                eps, phi = (v[smooth - ns] if isinstance(v, np.ndarray) else v
-                            for v in (self.eps, self.phi))
-                h[smooth] = boundary_layer(w[smooth], eps, phi, t)
-        u, bh = self._u[:E], self._u[E:]
+                pair = self._pair_of_edge[smooth - ns]
+                h[smooth] = boundary_layer(w[smooth], self._pair_eps[pair, None],
+                                           self._pair_phi[pair, None], t)
         if nf < E:
-            self._a[nf:, 0], self._b[nf:, 0] = alpha, beta
-        np.multiply(self._a, w, out=u)
-        np.add(u, np.multiply(self._b, h, out=bh), out=u)
-        np.negative(u, out=bh)
-        cells = np.bincount(self._cells, weights=self._u.ravel(), minlength=self._n_cells)
-        np.add(dx, cells.reshape(-1, u.shape[1]) @ self._BT, out=dx)
+            np.copyto(self._gains, gains)
+        u, (u0, u1) = self._u, self._u_rows
+        np.multiply(self._ab, self._wh, out=u)
+        np.add(u0, u1, out=u0)
+        np.negative(u0, out=u1)
+        cells = np.bincount(self._cells, weights=u.ravel(), minlength=self._n_cells)
+        np.add(dx, cells.reshape(-1, u.shape[2]) @ self._BT, out=dx)
         if nf == E:
             return
-        d, w, h = d[nf:], w[nf:], h[nf:]
-        np.multiply(-self.theta, alpha, out=dalpha)
-        np.add(dalpha, np.einsum("ei,ij,ej->e", d, self._Gamma, d), out=dalpha)
-        np.multiply(self.mu, dalpha, out=dalpha)
-        # ||w||^2 / (||w|| + width) = w . h, einsum's w_0 h_0 + w_1 h_1 over
-        # up to two columns, formed in h; beyond, einsum sums in the order of
-        # the SIMD lanes of the numpy build
-        if w.shape[1] > 2:
-            wh = np.einsum("em,em->e", w, h)
-        else:
-            wh = np.multiply(w, h, out=h)[:, 0]
-            if w.shape[1] == 2:
-                np.add(wh, h[:, 1], out=wh)
-        np.multiply(-self.chi, beta, out=dbeta)
-        np.add(dbeta, wh, out=dbeta)
-        np.multiply(self.nu, dbeta, out=dbeta)
+        d, w, h, drive, d_gamma_d, w_dot_h = self._adaptive
+        np.einsum("ei,ij,ej->e", d, self._Gamma, d, out=d_gamma_d)
+        # ||w||^2 / (||w|| + width) = w . h
+        np.einsum("em,em->e", w, h, out=w_dot_h)
+        np.multiply(self._decay, gains, out=rates)
+        np.add(rates, drive, out=rates)
+        np.multiply(self._rate, rates, out=rates)
 
     def __call__(
         self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
@@ -430,17 +435,16 @@ class EdgeKernel:
             raise ConfigError(f"x has {len(x)} rows for {self.node_offsets[-1]} agents")
         # -0.0 is the identity of addition: coupling keeps the bits of the product
         coupling = np.full((len(x), self._BT.shape[1]), -0.0)
-        rates = (None, None)
-        if self._nf < len(self.tails):
-            Ea = int(self.gain_offsets[-1])
+        Ea = int(self.gain_offsets[-1])
+        gains, rates = np.empty((2, Ea)), np.empty((2, Ea))
+        if Ea:
             for name, v in (("alpha", alpha), ("beta", beta)):
                 if v is None or np.shape(v) != (Ea,):
                     raise ConfigError(f"{name} needs {Ea} entries, one per adaptive edge, got "
                                       f"{'none' if v is None else np.shape(v)}")
-            alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-            rates = (np.empty(Ea), np.empty(Ea))
-        self.add_to(t, x, alpha, beta, coupling, *rates)
-        return (coupling, *rates)
+            gains[:] = alpha, beta
+        self.add_to(t, x, gains, coupling, rates)
+        return (coupling, *(rates if Ea else (None, None)))
 
 
 def _bits(v) -> bytes:

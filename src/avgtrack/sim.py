@@ -164,9 +164,7 @@ def run_blocks(
     # the time-only term, for the last stage time: k3 shares k2's time and
     # a step's k1 shares the previous k4's wherever their bits agree
     last = [None, None]
-    # a (2, N, n) stack times the transposed view takes a slower BLAS route
-    # than times a C-contiguous copy, with the same bits from N = 2 on
-    AT = np.ascontiguousarray(A.T)
+    AT = A.T
 
     def rhs(t: float, y: NDArray, out: NDArray) -> None:
         if t != last[0]:
@@ -176,9 +174,8 @@ def run_blocks(
         xr, dxr = y[: 2 * Nn].reshape(2, N, n), out[: 2 * Nn].reshape(2, N, n)
         np.matmul(xr, AT, out=dxr)
         np.add(dxr, last[1], out=dxr)
-        # the edge gains and their rates are empty slices unless a block is adaptive
-        kernel.add_to(t, xr[0], y[2 * Nn : 2 * Nn + Ea], y[2 * Nn + Ea :],
-                      dxr[0], out[2 * Nn : 2 * Nn + Ea], out[2 * Nn + Ea :])
+        # the edge gains [alpha; beta] and their rates are empty unless a block is adaptive
+        kernel.add_to(t, xr[0], y[2 * Nn :].reshape(2, Ea), dxr[0], out[2 * Nn :].reshape(2, Ea))
 
     r0 = rs.initial_states
     y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])

@@ -1,8 +1,8 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
 hypot chain and the sum-of-squares row norm, one evaluation of the inputs
 and one boundary-layer width per distinct stage time, RK4 and the one-pass
-kernel in their preallocated work arrays, the product by a contiguous A^T,
-and the one-template-per-record CSV writer."""
+kernel in their preallocated work arrays, and the one-template-per-record
+CSV writer."""
 
 import dataclasses
 import math
@@ -507,16 +507,3 @@ def test_width_formed_once_per_distinct_stage_time(monkeypatch):
         assert sum(formed.values()) == (0 if law == "discontinuous" else len(formed))
         assert law == "discontinuous" or 2 * 300 <= len(formed) <= 3 * 300 + 1
 
-
-def test_contiguous_a_transpose_has_the_bits_of_the_view():
-    # run_blocks multiplies its (2, N, n) stack of x and r by a C-contiguous
-    # copy of A^T; numpy takes another BLAS route for the transposed view
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        n = int(rng.integers(1, 9))
-        N = int(rng.choice([2, 3, 7, 50, int(rng.integers(2, 1201))]))
-        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
-        xr = rng.standard_normal((2, N, n))
-        out = np.empty((2, N, n))
-        np.matmul(xr, np.ascontiguousarray(A.T), out=out)
-        assert same_bits(out, xr @ A.T)
