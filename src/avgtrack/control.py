@@ -339,9 +339,9 @@ class EdgeKernel:
         if nf < E:
             # the edge-gain rates, rate * (-decay * gain + drive), in rows
             # alpha then beta, each constant per edge
-            rows = ((self.mu, self.theta), (self.nu, self.chi))
-            self._rate = np.array([np.broadcast_to(r, Ea) for r, _ in rows])
-            self._decay = -np.array([np.broadcast_to(c, Ea) for _, c in rows])
+            self._rate, self._decay = np.empty((2, Ea)), np.empty((2, Ea))
+            self._rate[0], self._rate[1] = self.mu, self.nu
+            self._decay[0], self._decay[1] = -self.theta, -self.chi
             self._gains = self._ab[:, nf:, 0]
             drive = np.empty((2, Ea))
             self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
