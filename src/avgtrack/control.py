@@ -23,7 +23,7 @@ _ZERO_NORM = 1e-15          # discontinuous_sign is 0 on rows with ||w|| at most
 
 
 def boundary_layer(
-    w: NDArray, eps: float | NDArray, phi: float | NDArray, t: float, out: NDArray | None = None
+    w: NDArray, eps: float | NDArray, phi: float | NDArray, t: float
 ) -> NDArray[np.float64]:
     """Smoothed unit direction w / (||w|| + eps * e^{-phi t}).
 
@@ -31,8 +31,7 @@ def boundary_layer(
     exact arithmetic and at most 1 in doubles, for every finite w and
     eps, phi, t >= 0. The eps*e^{-phi t} term is the shrinking boundary-layer
     width. Rows of a 2-D w (one per edge) are smoothed independently, and
-    eps and phi may be columns with one entry per row. As in numpy, `out`
-    may give the array, shaped like w, to write the result into and return.
+    eps and phi may be columns with one entry per row.
     """
     w = np.asarray(w, dtype=float)
     width = _width(eps, phi, t)
@@ -44,7 +43,7 @@ def boundary_layer(
         scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
         w, width = w / scale, width / scale
         div = _divisor(w, width)
-    return np.divide(w, div, out=out)
+    return w / div
 
 
 def _width(eps: float | NDArray, phi: float | NDArray, t: float) -> NDArray[np.float64]:
@@ -72,8 +71,8 @@ def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
     """The norms of the rows of w (last axis kept) by a chain of np.hypot
     over the columns. The chain starts from |w_0|, as hypot(0, a) = |a|
     exactly, so it has the bits of a hypot reduction over each row from an
-    initial 0, without that reduction's per-row libm loop. `out` is as in
-    boundary_layer, shaped like one column of w."""
+    initial 0, without that reduction's per-row libm loop. `out`, shaped
+    like one column of w, may take the norms."""
     nrm = np.abs(w[..., :1], out=out)
     for k in range(1, w.shape[-1]):
         np.hypot(nrm, w[..., k : k + 1], out=nrm)
@@ -94,17 +93,13 @@ def _square_norms(
     return np.sqrt(sq, out=sq)
 
 
-def discontinuous_sign(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
+def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
     """Unit direction w/||w||, zero at (numerically) zero w. Rows of a 2-D w
     are normalised independently; on rows where ||w|| overflows, it is the
-    zero-width boundary_layer, which rescales them first. `out` is as in
-    boundary_layer."""
+    zero-width boundary_layer, which rescales them first."""
     w = np.asarray(w, dtype=float)
     nrm = _square_norms(w)
-    if out is None:
-        out = np.zeros_like(w)
-    else:
-        out.fill(0.0)
+    out = np.zeros_like(w)
     np.divide(w, nrm, out=out, where=nrm > _ZERO_NORM)
     if not math.isfinite(np.maximum.reduce(nrm, axis=None, initial=0.0)):
         np.copyto(out, boundary_layer(w, 0.0, 0.0, 0.0), where=np.isinf(nrm))
@@ -231,14 +226,19 @@ class EdgeKernel:
     edges the width and floor are boundary_layer's and ||w|| is its hypot
     chain, so h is boundary_layer; on discontinuous edges they are 0 and 1,
     ||w|| is sqrt(sum of squares) and h is 0 where ||w|| <= 1e-15, so h is
-    discontinuous_sign. The kernel holds a, b, the width and the floor as
-    per-edge columns; the width takes one exp per distinct (eps, phi), once
-    per distinct call time. A call gathers x at the precomputed tail and
-    head indices, forms each law's norms on its own slice, then one divisor,
-    one divide and one multiply-add for u over all edges, scatters +u to
-    tails and -u to heads with one bincount over the (node, input) cells and
+    discontinuous_sign. A call gathers x at the precomputed tail and head
+    indices, forms each law's norms on its own slice, then one divisor, one
+    divide and one multiply-add for u over all edges, scatters +u to tails
+    and -u to heads with one bincount over the (node, input) cells and
     applies B^T once, so it costs O(E). Only rows whose divisor is not
     finite go to boundary_layer or discontinuous_sign, which rescale them.
+
+    The kernel holds each block's constants only in the per-edge stacks a
+    call reads: (a, b) as one (2, E, 1) stack, with (c1, c2) on the fixed
+    edges; the width and floor as (E, 1) columns, the width taking one exp
+    per distinct (eps, phi) once per distinct call time; and the rates (mu,
+    nu), decays (theta, chi) and initial edge gains `gains0` (alpha0, beta0)
+    as (2, Ea) stacks over the adaptive edges, empty where there are none.
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
@@ -248,13 +248,8 @@ class EdgeKernel:
     that order, `order` and `laws` give each block's index in the caller's
     order and its law, and `node_offsets` and `gain_offsets` where its nodes
     start in the union and its edge gains among the adaptive edges, with the
-    totals at the end. The kernel holds c1, c2 on the static and
-    discontinuous edges, eps, phi on the static and adaptive edges, and mu,
-    nu, theta, chi on the adaptive edges, each as one number where all those
-    blocks hold the same bits, else one entry per edge; the initial edge
-    gains alpha0/beta0 are held per adaptive edge. K must be the same in
-    every block, and Gamma in every adaptive block. Every term is
-    edge-local, so no block sees another's.
+    totals at the end. K must be the same in every block, and Gamma in every
+    adaptive block. Every term is edge-local, so no block sees another's.
     """
 
     def __init__(
@@ -285,27 +280,16 @@ class EdgeKernel:
         self.node_offsets = np.cumsum([0] + [h.n_nodes for h in graphs])
         self.gain_offsets = np.cumsum([0] + [c * (m == "adaptive") for c, m in zip(counts, modes)])
 
-        def held(name: str, laws: tuple[str, ...], per_edge: bool = False):
-            # one number when all blocks under `laws` hold the same bits
-            vals = [float(getattr(p, name)) for p, m in zip(blocks, modes) if m in laws]
-            if not vals:
-                return None
-            if len({_bits(v) for v in vals}) == 1 and not per_edge:
-                return vals[0]
-            return np.repeat(vals, [c for c, m in zip(counts, modes) if m in laws])
+        def per_edge(laws: tuple[str, ...], values) -> NDArray:
+            # values[..., k] of the k-th block under `laws`, repeated over its edges
+            return np.repeat(values, [c for c, m in zip(counts, modes) if m in laws], axis=-1)
 
-        def column(name: str, laws: tuple[str, ...]):
-            v = held(name, laws)
-            return v[:, None] if isinstance(v, np.ndarray) else v
+        def stack(laws: tuple[str, ...], *names: str) -> NDArray[np.float64]:
+            # one row per name, one column per edge of the blocks under `laws`
+            ours = [p for p, m in zip(blocks, modes) if m in laws]
+            return per_edge(laws, np.array([[float(getattr(p, k)) for p in ours] for k in names]))
 
         fixed, smooth = ("discontinuous", "static"), ("static", "adaptive")
-        self.c1, self.c2 = column("c1", fixed), column("c2", fixed)
-        self.eps, self.phi = column("eps", smooth), column("phi", smooth)
-        self.mu, self.nu, self.theta, self.chi = (
-            held(k, ("adaptive",)) for k in ("mu", "nu", "theta", "chi")
-        )
-        self.alpha0 = held("alpha0", ("adaptive",), per_edge=True)
-        self.beta0 = held("beta0", ("adaptive",), per_edge=True)
         self._KT, self._BT = blocks[0].K.T, plant.B.T
         self._Gamma = adaptive[0].Gamma if adaptive else None
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
@@ -330,21 +314,18 @@ class EdgeKernel:
         # (a, b) per edge: (c1, c2) on the fixed edges; the adaptive edges
         # take their gains in on each call
         self._ab = np.empty((2, E, 1))
-        if nf:
-            self._ab[0, :nf], self._ab[1, :nf] = self.c1, self.c2
+        self._ab[:, :nf, 0] = stack(fixed, "c1", "c2")
         if ns:
             # h may be nonzero on all but the discontinuous rows at the zero threshold
             self._nonzero = np.ones((E, 1), dtype=bool)
             self._sign = (w[:ns], nrm[:ns], h[:ns], self._nonzero[:ns])
-        if nf < E:
-            # the edge-gain rates, rate * (-decay * gain + drive), in rows
-            # alpha then beta, each constant per edge
-            self._rate, self._decay = np.empty((2, Ea)), np.empty((2, Ea))
-            self._rate[0], self._rate[1] = self.mu, self.nu
-            self._decay[0], self._decay[1] = -self.theta, -self.chi
-            self._gains = self._ab[:, nf:, 0]
-            drive = np.empty((2, Ea))
-            self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
+        # the edge-gain rates, rate * (-decay * gain + drive), and the initial
+        # gains, each in rows alpha then beta; empty where no block is adaptive
+        self._rate = stack(("adaptive",), "mu", "nu")
+        self._decay = -stack(("adaptive",), "theta", "chi")
+        self.gains0 = stack(("adaptive",), "alpha0", "beta0")
+        self._gains, drive = self._ab[:, nf:, 0], np.empty((2, Ea))
+        self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
         self._width_t = None
         if ns == E:
             return                     # width 0 and floor 1 leave the norm
@@ -354,11 +335,10 @@ class EdgeKernel:
         self._width, self._floor = np.zeros((E, 1)), np.ones((E, 1))
         self._floor[ns:] = _floor(m)
         self._smooth, self._smooth_width = (w[ns:], nrm[ns:]), self._width[ns:, 0]
-        pairs = [_bits((p.eps, p.phi)) for p, law in zip(blocks, modes) if law in smooth]
-        keys = list(dict.fromkeys(pairs))
-        self._pair_eps, self._pair_phi = np.frombuffer(b"".join(keys)).reshape(-1, 2).T
-        self._pair_of_edge = np.repeat(
-            [keys.index(k) for k in pairs], [c for c, law in zip(counts, modes) if law in smooth])
+        pairs = [(p.eps, p.phi) for p, law in zip(blocks, modes) if law in smooth]
+        keys, pair = np.unique(np.array(pairs, dtype=float), axis=0, return_inverse=True)
+        self._pair_eps, self._pair_phi = keys.T
+        self._pair_of_edge = per_edge(smooth, pair.ravel())   # numpy 2.0.0 returns it 2-D
 
     def _set_width(self, t: float) -> None:
         # boundary_layer's width, one exp per distinct (eps, phi); the
@@ -431,10 +411,12 @@ class EdgeKernel:
         over the edges at i; the edge-gain rates cover the adaptive edges and
         are None where there are none."""
         x = np.asarray(x, dtype=float)
-        if len(x) != self.node_offsets[-1]:
-            raise ConfigError(f"x has {len(x)} rows for {self.node_offsets[-1]} agents")
+        N, n = int(self.node_offsets[-1]), self._KT.shape[0]
+        if x.shape != (N, n):
+            raise ConfigError(f"x needs shape ({N}, {n}), {N} rows for {N} agents of {n} "
+                              f"states, got {x.shape}")
         # -0.0 is the identity of addition: coupling keeps the bits of the product
-        coupling = np.full((len(x), self._BT.shape[1]), -0.0)
+        coupling = np.full((N, n), -0.0)
         Ea = int(self.gain_offsets[-1])
         gains, rates = np.empty((2, Ea)), np.empty((2, Ea))
         if Ea:

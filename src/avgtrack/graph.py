@@ -14,8 +14,8 @@ from .errors import ConfigError, NotConnected
 class Graph:
     """Undirected simple graph on nodes 0..n_nodes-1.
 
-    Edges are stored as (i, j) pairs with i < j; duplicates and self-loops
-    are rejected.
+    Each edge is a pair of whole node indices (1.0 is node 1), stored as
+    (i, j) with i < j; duplicates and self-loops are rejected.
     """
 
     n_nodes: int
@@ -29,7 +29,12 @@ class Graph:
         norm_edges = []
         seen = set()
         for e in self.edges:
-            i, j = int(e[0]), int(e[1])
+            # a pair of whole numbers, as n_nodes is one: 1.0 is node 1, 1.7 no node
+            if len(e) == 2:
+                a, b = e
+                i, j = int(a), int(b)
+            if len(e) != 2 or i != a or j != b:
+                raise ConfigError(f"edge {list(e)!r} is not a pair of whole node indices")
             if i == j:
                 raise ConfigError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):

@@ -1,8 +1,10 @@
 """Dense linear-algebra kernel: symmetric eigenvalues, Lyapunov and Riccati
 solvers, matrix exponential, and the PBH stabilizability test.
 
-Everything here targets small systems (n up to ~10 for plants, a few hundred
-for Laplacians); dense O(n^3)-and-worse methods are deliberate.
+Everything here targets the small matrices of a plant (n up to ~10), so
+dense O(n^3)-and-worse methods are deliberate. Graph Laplacians do not come
+here: graph.lambda2 calls eigvalsh on them directly, up to the 1000 nodes of
+the network-1k benchmark.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ def run_blocks(
     kernel = control.EdgeKernel(graphs, sets[0].plant, gains, mode)
     order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
     rs = concat_references([sets[b] for b in order])
-    adaptive = kernel.alpha0 is not None
     N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
@@ -178,10 +177,10 @@ def run_blocks(
         kernel.add_to(t, xr[0], y[2 * Nn :].reshape(2, Ea), dxr[0], out[2 * Nn :].reshape(2, Ea))
 
     r0 = rs.initial_states
-    y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])
+    y0 = [r0.ravel(), r0.ravel(), kernel.gains0.ravel()]
     node_owner = np.repeat(order, np.diff(nodes) * n)
     edge_owner = np.repeat(order, np.diff(edges))
-    owner = np.concatenate([node_owner, node_owner] + [edge_owner, edge_owner] * adaptive)
+    owner = np.concatenate([node_owner, node_owner, edge_owner, edge_owner])
     times, ys = integrate(rhs, np.concatenate(y0), cfg, owner)
     T = len(times)
     x = ys[:, :Nn].reshape(T, N, n)

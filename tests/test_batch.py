@@ -2,6 +2,7 @@
 union of its graphs: every block keeps the bits of a run of its own, and a
 blow-up names its scenario."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -378,15 +379,27 @@ class TestUnion:
         assert k.laws == ["discontinuous", "static", "static"]
         np.testing.assert_array_equal(k.node_offsets, [0, 5, 11, 17])
         np.testing.assert_array_equal(k.tails[:6], [0, 1, 2, 3, 0, 0])
-        np.testing.assert_array_equal(k.c1[:, 0], [gb.c1] * 6 + [ga.c1] * 12)
+        np.testing.assert_array_equal(k._ab[:, :, 0], [[gb.c1] * 6 + [ga.c1] * 12,
+                                                       [gb.c2] * 6 + [ga.c2] * 12])
 
     def test_kernel_holds_block_constants_per_edge(self):
         a = at.parse_scenario(variant("static", "a", RING6))
         b = at.parse_scenario(variant("static", "b", FIVE, eps=4.0, phi=0.7))
+        c = at.parse_scenario(variant("adaptive", "c", FIVE, eps=4.0, phi=0.7))
         ga, gb = a.build_static_gains(), b.build_static_gains()
-        k = EdgeKernel([a.graph, b.graph], a.reference_set.plant, [ga, gb], "static")
-        np.testing.assert_array_equal(k.c1[:, 0], [ga.c1] * 6 + [gb.c1] * 6)
-        np.testing.assert_array_equal(k.eps[:, 0], [5.0] * 6 + [4.0] * 6)
-        # a shared width stays one number
+        gc = dataclasses.replace(c.build_adaptive_params(), mu=2.0, chi=0.5, alpha0=0.25)
+        k = EdgeKernel([c.graph, a.graph, b.graph], a.reference_set.plant, [gc, ga, gb],
+                       ["adaptive", "static", "static"])
+        np.testing.assert_array_equal(k._ab[:, :12, 0], [[ga.c1] * 6 + [gb.c1] * 6,
+                                                         [ga.c2] * 6 + [gb.c2] * 6])
+        # one (eps, phi) pair per distinct pair of the blocks, whatever their law
+        np.testing.assert_array_equal(k._pair_eps[k._pair_of_edge], [5.0] * 6 + [4.0] * 12)
+        np.testing.assert_array_equal(k._pair_phi[k._pair_of_edge], [0.5] * 6 + [0.7] * 12)
+        assert len(k._pair_eps) == 2
+        np.testing.assert_array_equal(k._rate, [[2.0] * 6, [gc.nu] * 6])
+        np.testing.assert_array_equal(k._decay, [[-gc.theta] * 6, [-0.5] * 6])
+        np.testing.assert_array_equal(k.gains0, [[0.25] * 6, [0.0] * 6])
+        # with no adaptive block the adaptive stacks are empty
         same = EdgeKernel([a.graph, a.graph], a.reference_set.plant, [ga, ga], "static")
-        assert same.eps == ga.eps and same.phi == ga.phi
+        assert same._rate.shape == same._decay.shape == same.gains0.shape == (2, 0)
+        assert list(same._pair_eps) == [ga.eps] and list(same._pair_phi) == [ga.phi]

@@ -455,6 +455,11 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
                  id="are_max_iter-inf"),
     pytest.param(("graph", "n"), float("inf"), "graph: ", id="n-inf"),
     pytest.param(("graph", "edges"), [[0, float("inf")]], "graph: ", id="edge-inf"),
+    # once truncated to (1, 2) or cut to its first two entries, and run
+    pytest.param(("graph", "edges", 1), [1, 2.7],
+                 "graph: edge [1, 2.7] is not a pair of whole node indices", id="edge-fraction"),
+    pytest.param(("graph", "edges", 1), [1, 2, 5],
+                 "graph: edge [1, 2, 5] is not a pair of whole node indices", id="edge-three-ends"),
     # a value out of range names where it sits too
     pytest.param(("design", "eps"), -1.0, "design.eps: must be positive and finite, got -1.0",
                  id="eps-negative"),
@@ -474,6 +479,21 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     code, _ = run_cli(tmp_path, cfg, "--t-end", "0.01")
     assert code == 2
     assert capsys.readouterr().err.startswith("config error: " + where)
+
+
+def test_whole_float_graph_entries_run_as_integers(tmp_path):
+    # as n: 6.0 is six nodes, [1.0, 2.0] is the edge (1, 2)
+    cfg = scenario_config("paper-sec5-static")
+    floats = json.loads(json.dumps(cfg))
+    floats["graph"] = {"n": 6.0, "edges": [[float(i), float(j)] for i, j in cfg["graph"]["edges"]]}
+    outs = []
+    for k, c in enumerate((cfg, floats)):
+        (tmp_path / str(k)).mkdir()
+        code, out = run_cli(tmp_path / str(k), c, "--t-end", "0.05")
+        assert code == 0
+        outs.append(out)
+    for name in ("trajectory.csv", "diagnostics.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 NAN, INF = float("nan"), float("inf")

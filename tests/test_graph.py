@@ -39,6 +39,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Graph(2, ((0, 2),))
 
+    @pytest.mark.parametrize("edge", [(0, 1.7), (0.5, 1), (0, 1, 5), (0,), ("0", 1)])
+    def test_edge_not_a_pair_of_whole_indices_rejected(self, edge):
+        # once truncated to (0, 1) or cut to its first two entries
+        with pytest.raises(ConfigError, match=r"edge \[.*\] is not a pair of whole node indices"):
+            Graph(3, (edge,))
+
+    def test_whole_float_indices_accepted(self):
+        # as a whole float node count is
+        g = Graph(3.0, ((0, 1.0), (2.0, 1)))
+        assert g.n_nodes == 3 and g.edges == ((0, 1), (1, 2))
+        assert all(type(v) is int for e in g.edges for v in e)
+
     def test_neighbor_symmetry(self):
         g = TRIANGLE
         for i in range(3):

@@ -70,25 +70,6 @@ def test_discontinuous_sign_is_its_norm_form(w):
             assert same_bits(discontinuous_sign(w[0]), sign_oracle(w[0]))
 
 
-HUGE = np.array([[1.5e308, 1.5e308], [-1.5e308, 3.0], [3.0, 4.0], [0.0, -0.0], [1e-16, TINY]])
-
-
-@settings(max_examples=200, deadline=None)
-@given(w=rows, t=st.sampled_from([0.0, 0.3, 40.0, 2000.0]))
-@example(w=HUGE, t=0.0)
-@example(w=HUGE, t=2000.0)
-def test_out_gets_the_bits_of_the_returned_array(w, t):
-    # out starts as NaN, so an entry left unwritten would show
-    with np.errstate(over="ignore"):      # squares and norms of huge rows overflow in both
-        for call in (lambda *out: boundary_layer(w, 5.0, 0.5, t, *out),
-                     lambda *out: boundary_layer(w, np.linspace(1, 2, len(w))[:, None],
-                                                 np.linspace(0, 1, len(w))[:, None], t, *out),
-                     lambda *out: discontinuous_sign(w, *out)):
-            want, out = call(), np.full_like(w, np.nan)
-            assert call(out) is out
-            assert same_bits(out, want)
-
-
 @pytest.mark.parametrize("dt, steps", [(1e-3, 300), (0.1, 30), (0.01, 7)])
 def test_inputs_evaluated_once_per_distinct_stage_time(monkeypatch, dt, steps):
     scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
@@ -209,26 +190,42 @@ def allocating_integrate(rhs, initial, cfg, owner=None):
     return np.array(rec_idx, dtype=float) * dt, np.array(rec)
 
 
-def allocating_coupling(kernel, n_sign, t, x, alpha, beta):
-    """The kernel's coupling and edge-gain rates from fresh arrays, each law's
-    rows joined with np.concatenate, as the oracle of its work arrays."""
-    nf = len(kernel.tails) - int(kernel.gain_offsets[-1])
+def allocating_coupling(kernel, blocks, t, x, alpha, beta):
+    """The kernel's coupling and edge-gain rates from fresh arrays, each
+    block's rows joined with np.concatenate, as the oracle of its work
+    arrays. Every constant comes from the (graph, references, gains)
+    `blocks`, in the caller's order; of the kernel it reads only the layout."""
+    plant, K = blocks[0][1].plant, blocks[0][2].K
     d = np.take(x, kernel.tails, axis=0) - np.take(x, kernel.heads, axis=0)
-    w = d @ kernel._KT
-    # a law's function and gains exist only where it has edges
-    h = np.concatenate([sign_oracle(w[:n_sign])]
-                       + ([boundary_layer(w[n_sign:], kernel.eps, kernel.phi, t)]
-                          if n_sign < len(w) else []))
-    u = np.concatenate([kernel.c1 * w[:nf] + kernel.c2 * h[:nf]] * (nf > 0)
-                       + [alpha[:, None] * w[nf:] + beta[:, None] * h[nf:]] * (nf < len(w)))
+    w = d @ K.T
+    h, u, adaptive = [], [], []
+    e0 = 0
+    for b, law, a0 in zip(kernel.order, kernel.laws, kernel.gain_offsets):
+        g, _, p = blocks[b]
+        e1 = e0 + g.n_edges
+        if law == "discontinuous":
+            h.append(sign_oracle(w[e0:e1]))
+        else:
+            h.append(boundary_layer(w[e0:e1], p.eps, p.phi, t))
+        if law == "adaptive":
+            adaptive.append((g, p))
+            a, c = alpha[a0 : a0 + g.n_edges, None], beta[a0 : a0 + g.n_edges, None]
+        else:
+            a, c = p.c1, p.c2
+        u.append(a * w[e0:e1] + c * h[-1])
+        e0 = e1
+    h, u = np.concatenate(h), np.concatenate(u)
     cells = np.bincount(kernel._cells, weights=np.concatenate([u, -u]).ravel(),
                         minlength=kernel._n_cells)
-    coupling = cells.reshape(-1, u.shape[1]) @ kernel._BT
-    if nf == len(w):
+    coupling = cells.reshape(-1, u.shape[1]) @ plant.B.T
+    if not adaptive:
         return coupling, None, None
-    d, w, h = d[nf:], w[nf:], h[nf:]
-    dalpha = kernel.mu * (-kernel.theta * alpha + np.einsum("ei,ij,ej->e", d, kernel._Gamma, d))
-    dbeta = kernel.nu * (-kernel.chi * beta + np.einsum("em,em->e", w, h))
+    # each adaptive block's rates repeated over its edges, which come last
+    mu, theta, nu, chi = np.repeat([[p.mu, p.theta, p.nu, p.chi] for _, p in adaptive],
+                                   [g.n_edges for g, _ in adaptive], axis=0).T
+    d, w, h = (v[len(v) - len(mu):] for v in (d, w, h))
+    dalpha = mu * (-theta * alpha + np.einsum("ei,ij,ej->e", d, adaptive[0][1].Gamma, d))
+    dbeta = nu * (-chi * beta + np.einsum("em,em->e", w, h))
     return coupling, dalpha, dbeta
 
 
@@ -238,10 +235,8 @@ def allocating_run_blocks(blocks, cfg, laws):
     graphs, sets, gains = zip(*blocks)
     kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
     order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
-    n_sign = sum(graphs[b].n_edges for b, law in zip(order, kernel.laws)
-                 if law == "discontinuous")
     rs = concat_references([sets[b] for b in order])
-    adaptive = kernel.alpha0 is not None
+    adaptive = [b for b, law in zip(order, kernel.laws) if law == "adaptive"]
     N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
@@ -253,16 +248,17 @@ def allocating_run_blocks(blocks, cfg, laws):
         if t != last[0]:
             last[:] = t, rs.eval_inputs(t) @ B.T
         fB = last[1]
-        coupling, *rates = allocating_coupling(kernel, n_sign, t, x, y[2 * Nn : 2 * Nn + Ea],
+        coupling, *rates = allocating_coupling(kernel, blocks, t, x, y[2 * Nn : 2 * Nn + Ea],
                                                y[2 * Nn + Ea :])
         parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
         return np.concatenate(parts + rates if adaptive else parts)
 
     r0 = rs.initial_states
-    y0 = [r0.ravel(), r0.ravel()] + ([kernel.alpha0, kernel.beta0] if adaptive else [])
+    y0 = [r0.ravel(), r0.ravel()] + [np.full(blocks[b][0].n_edges, getattr(blocks[b][2], k))
+                                     for k in ("alpha0", "beta0") for b in adaptive]
     node_owner = np.repeat(order, np.diff(nodes) * n)
     edge_owner = np.repeat(order, np.diff(edges))
-    owner = np.concatenate([node_owner, node_owner] + [edge_owner, edge_owner] * adaptive)
+    owner = np.concatenate([node_owner, node_owner, edge_owner, edge_owner])
     _, ys = allocating_integrate(rhs, np.concatenate(y0), cfg, owner)
     x, r = ys[:, :Nn].reshape(len(ys), N, n), ys[:, Nn : 2 * Nn].reshape(len(ys), N, n)
     alpha, beta = ys[:, 2 * Nn : 2 * Nn + Ea], ys[:, 2 * Nn + Ea :]
@@ -342,15 +338,13 @@ def test_kernel_call_has_the_bits_of_the_allocating_form(seed):
     blocks = random_blocks(seed, laws, 2 + seed % 3, 1 + seed % 2, own_rates=True)
     graphs, sets, gains = zip(*blocks)
     kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
-    n_sign = sum(graphs[b].n_edges for b, law in zip(kernel.order, kernel.laws)
-                 if law == "discontinuous")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((int(kernel.node_offsets[-1]), sets[0].plant.n))
     x[1] = x[0]                      # zero rows of w, whose h is +-0
     Ea = int(kernel.gain_offsets[-1])
     alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
     for t in (0.0, 1.5):
-        want = allocating_coupling(kernel, n_sign, t, x, alpha, beta)
+        want = allocating_coupling(kernel, blocks, t, x, alpha, beta)
         for got, expected in zip(kernel(t, x, alpha, beta), want):
             assert (got is None and expected is None) or same_bits(got, expected)
 
@@ -360,13 +354,11 @@ def kernel_call_matches_allocating_form(blocks, laws, x):
     form at four call times, and return the kernel."""
     graphs, sets, gains = zip(*blocks)
     kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
-    n_sign = sum(graphs[b].n_edges for b, law in zip(kernel.order, kernel.laws)
-                 if law == "discontinuous")
     Ea = int(kernel.gain_offsets[-1])
     rng = np.random.default_rng(Ea)
     alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
     for t in (0.0, 1.5, 1.5, 40.0):           # a repeated time reuses the width
-        want = allocating_coupling(kernel, n_sign, t, x, alpha, beta)
+        want = allocating_coupling(kernel, blocks, t, x, alpha, beta)
         for got, expected in zip(kernel(t, x, alpha, beta), want):
             assert (got is None and expected is None) or same_bits(got, expected)
     return kernel
@@ -389,6 +381,22 @@ def test_kernel_call_bits_for_one_law_and_two_inputs(seed, laws, m):
     x = rng.standard_normal((N, 2 + seed)) * 10.0 ** rng.integers(-8, 8, size=(N, 1))
     x[1] = x[0]                      # zero rows of w, whose h is +-0
     kernel_call_matches_allocating_form(blocks, laws, x)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_kernel_call_bits_where_blocks_share_part_of_a_width(m):
+    # two static blocks share eps but not phi, and one (eps, phi) pair is
+    # shared by a static and an adaptive block, so the width is keyed on the
+    # whole pair; the discontinuous block's pair takes no part
+    laws = ("adaptive", "static", "discontinuous", "static")
+    pairs = [(2.0, 0.9), (2.0, 0.3), (2.0, 0.6), (2.0, 0.9)]
+    blocks = [(g, rs, dataclasses.replace(p, eps=eps, phi=phi))
+              for (g, rs, p), (eps, phi) in zip(random_blocks(20 + m, laws, 2, m, own_rates=True),
+                                                pairs)]
+    N = sum(g.n_nodes for g, _, _ in blocks)
+    x = np.random.default_rng(m).standard_normal((N, 2))
+    kernel = kernel_call_matches_allocating_form(blocks, laws, x)
+    assert sorted(zip(kernel._pair_eps, kernel._pair_phi)) == [(2.0, 0.3), (2.0, 0.9)]
 
 
 def identity_blocks(laws, m):

@@ -2,6 +2,7 @@
 sum invariant, and byte-determinism of repeated CLI runs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,17 @@ class TestEdgeKernel:
                 kernel(t, x, a, b)
         coupling, dalpha, dbeta = kernel(t, x, list(alpha), beta)
         assert dalpha.shape == dbeta.shape == (E,)
+
+    def test_call_needs_one_state_per_agent(self):
+        # a state of the wrong width or rank once reached numpy's take and
+        # raised its "output array does not match" error
+        g, rs, gains, x, *_ = random_network(10, 6, "static")      # n = 2 states
+        kernel = EdgeKernel(g, rs.plant, gains, "static")
+        for bad in (np.zeros((6, 3)), np.zeros((6, 1)), x.ravel(), x[:, 0], x[None]):
+            with pytest.raises(ConfigError, match=re.escape(f"x needs shape (6, 2), 6 rows for "
+                                                            f"6 agents of 2 states, got {bad.shape}")):
+                kernel(0.0, bad)
+        assert kernel(0.0, x)[0].shape == (6, 2)
 
 
 def test_repeated_runs_write_identical_bytes(tmp_path):
