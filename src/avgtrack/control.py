@@ -34,16 +34,15 @@ def boundary_layer(
     eps and phi may be columns with one entry per row.
     """
     w = np.asarray(w, dtype=float)
-    width = _width(eps, phi, t)
-    # Where the divisor overflows, those rows and their width are divided by
-    # the row's largest entry, which leaves h unchanged in exact arithmetic.
-    div = _divisor(w, width)
-    if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
-        over = ~np.isfinite(div)
-        scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
-        w, width = w / scale, width / scale
-        div = _divisor(w, width)
-    return w / div
+    return np.divide(*_divisor(w, _width(eps, phi, t), _floor(w.shape[-1])))
+
+
+def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
+    """Unit direction w/||w||, zero at (numerically) zero w: the zero-width
+    boundary layer, with floor 1 and h = 0 where ||w|| <= 1e-15. Rows of a
+    2-D w are normalised independently."""
+    w, div = _divisor(np.asarray(w, dtype=float), 0.0, 1.0)
+    return np.divide(w, div, out=np.zeros_like(w), where=div > _ZERO_NORM)
 
 
 def _width(eps: float | NDArray, phi: float | NDArray, t: float) -> NDArray[np.float64]:
@@ -62,9 +61,24 @@ def _floor(m: int) -> float:
     return 1.0 + 4 * m * _EPS
 
 
-def _divisor(w: NDArray, width: float | NDArray) -> NDArray[np.float64]:
+def _divisor(
+    w: NDArray, width: float | NDArray, floor: float | NDArray
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """(w, div) with h = w / div, div = max(||w|| + width, ||w|| floor) and
+    ||w|| the hypot chain: the one formula for the direction h of every
+    law. Where div overflows, those rows and their width are first divided
+    by the row's largest entry, which leaves h unchanged in exact
+    arithmetic; the other rows keep their bits. width and floor may be
+    columns with one entry per row."""
     nrm = _row_norms(w)
-    return np.maximum(nrm + width, nrm * _floor(w.shape[-1]))
+    div = np.maximum(nrm + width, nrm * floor)
+    if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
+        over = ~np.isfinite(div)
+        scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
+        w, width = w / scale, width / scale
+        nrm = _row_norms(w)
+        div = np.maximum(nrm + width, nrm * floor)
+    return w, div
 
 
 def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
@@ -77,33 +91,6 @@ def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
     for k in range(1, w.shape[-1]):
         np.hypot(nrm, w[..., k : k + 1], out=nrm)
     return nrm
-
-
-def _square_norms(
-    w: NDArray, out: NDArray | None = None, work: NDArray | None = None
-) -> NDArray[np.float64]:
-    """The norms of the rows of w (last axis kept) by np.linalg.norm's
-    formula for real rows, sqrt(add.reduce(w * w)), without its Python
-    wrapper. `out` is as in _row_norms; `work`, shaped like w, may hold the
-    squares. A sum over one column is that column, so one column skips it."""
-    one = w.shape[-1] == 1
-    sq = np.multiply(w, w, out=out if one else work)
-    if not one:
-        sq = np.add.reduce(sq, axis=-1, keepdims=True, out=out)
-    return np.sqrt(sq, out=sq)
-
-
-def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
-    """Unit direction w/||w||, zero at (numerically) zero w. Rows of a 2-D w
-    are normalised independently; on rows where ||w|| overflows, it is the
-    zero-width boundary_layer, which rescales them first."""
-    w = np.asarray(w, dtype=float)
-    nrm = _square_norms(w)
-    out = np.zeros_like(w)
-    np.divide(w, nrm, out=out, where=nrm > _ZERO_NORM)
-    if not math.isfinite(np.maximum.reduce(nrm, axis=None, initial=0.0)):
-        np.copyto(out, boundary_layer(w, 0.0, 0.0, 0.0), where=np.isinf(nrm))
-    return out
 
 
 @dataclass(frozen=True)
@@ -222,21 +209,23 @@ class EdgeKernel:
     Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
     with w_ij = K(x_i - x_j). On static and discontinuous edges (a, b) =
     (c1, c2), on adaptive edges the edge gains (alpha, beta). Every edge
-    takes h = w / max(||w|| + width, ||w|| floor). On static and adaptive
-    edges the width and floor are boundary_layer's and ||w|| is its hypot
-    chain, so h is boundary_layer; on discontinuous edges they are 0 and 1,
-    ||w|| is sqrt(sum of squares) and h is 0 where ||w|| <= 1e-15, so h is
+    takes h = w / max(||w|| + width, ||w|| floor), ||w|| the hypot chain. On
+    static and adaptive edges the width and floor are boundary_layer's, so
+    h is boundary_layer; on discontinuous edges they are 0 and 1, the
+    zero-width boundary layer, and h is 0 where ||w|| <= 1e-15, so h is
     discontinuous_sign. A call gathers x at the precomputed tail and head
-    indices, forms each law's norms on its own slice, then one divisor, one
-    divide and one multiply-add for u over all edges, scatters +u to tails
-    and -u to heads with one bincount over the (node, input) cells and
-    applies B^T once, so it costs O(E). Only rows whose divisor is not
-    finite go to boundary_layer or discontinuous_sign, which rescale them.
+    indices, then forms one row norm, one divisor, one divide and one
+    multiply-add for u over all edges, scatters +u to tails and -u to heads
+    with one bincount over the (node, input) cells and applies B^T once, so
+    it costs O(E). Only rows whose divisor is not finite go, with their own
+    width and floor, to the helper the two directions share, which rescales
+    them.
 
     The kernel holds each block's constants only in the per-edge stacks a
     call reads: (a, b) as one (2, E, 1) stack, with (c1, c2) on the fixed
     edges; the width and floor as (E, 1) columns, the width taking one exp
-    per distinct (eps, phi) once per distinct call time; and the rates (mu,
+    per distinct (eps, phi) once per distinct call time where there are
+    static or adaptive edges; and the rates (mu,
     nu), decays (theta, chi) and initial edge gains `gains0` (alpha0, beta0)
     as (2, Ea) stacks over the adaptive edges, empty where there are none.
 
@@ -303,13 +292,13 @@ class EdgeKernel:
         self._ns = ns = sum(c for c, law in zip(counts, modes) if law == "discontinuous")
         self._nf = nf = ns + sum(c for c, law in zip(counts, modes) if law == "static")
         # The work arrays of a call: x at the tails then at the heads, d =
-        # x_i - x_j, w and h as one stack, the row norms and the divisor. The
-        # products a*w and b*h, stacked alike, become [u; -u] for the scatter.
-        # The views a call works on are made here once.
+        # x_i - x_j, w and h as one stack, the row norms, ||w|| floor and the
+        # divisor. The products a*w and b*h, stacked alike, become [u; -u]
+        # for the scatter. The views a call works on are made here once.
         x_ends, d = self._x_ends, self._d = np.empty((2 * E, plant.n)), np.empty((E, plant.n))
         self._wh, u = np.empty((2, E, m)), np.empty((2, E, m))
         self._w, self._h = w, h = self._wh
-        self._nrm = self._div = nrm = np.empty((E, 1))
+        self._nrm, self._div, self._scaled = np.empty((E, 1)), np.empty((E, 1)), np.empty((E, 1))
         self._ends_x, self._u, self._u_rows = (x_ends[:E], x_ends[E:]), u, (u[0], u[1])
         # (a, b) per edge: (c1, c2) on the fixed edges; the adaptive edges
         # take their gains in on each call
@@ -318,7 +307,7 @@ class EdgeKernel:
         if ns:
             # h may be nonzero on all but the discontinuous rows at the zero threshold
             self._nonzero = np.ones((E, 1), dtype=bool)
-            self._sign = (w[:ns], nrm[:ns], h[:ns], self._nonzero[:ns])
+            self._sign = (self._nrm[:ns], h[:ns], self._nonzero[:ns])
         # the edge-gain rates, rate * (-decay * gain + drive), and the initial
         # gains, each in rows alpha then beta; empty where no block is adaptive
         self._rate = stack(("adaptive",), "mu", "nu")
@@ -326,17 +315,15 @@ class EdgeKernel:
         self.gains0 = stack(("adaptive",), "alpha0", "beta0")
         self._gains, drive = self._ab[:, nf:, 0], np.empty((2, Ea))
         self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
-        self._width_t = None
-        if ns == E:
-            return                     # width 0 and floor 1 leave the norm
-        # width 0 and floor 1 on the discontinuous edges; on the others the
-        # width of each edge's distinct (eps, phi) pair
-        self._div, self._scaled = np.empty((E, 1)), np.empty((E, 1))
+        # width 0 and floor 1 on the discontinuous edges; on the others
+        # boundary_layer's floor and the width of each edge's distinct (eps,
+        # phi) pair, formed only where there are such edges
         self._width, self._floor = np.zeros((E, 1)), np.ones((E, 1))
         self._floor[ns:] = _floor(m)
-        self._smooth, self._smooth_width = (w[ns:], nrm[ns:]), self._width[ns:, 0]
+        self._smooth_width, self._width_t = self._width[ns:, 0], None
         pairs = [(p.eps, p.phi) for p, law in zip(blocks, modes) if law in smooth]
-        keys, pair = np.unique(np.array(pairs, dtype=float), axis=0, return_inverse=True)
+        keys, pair = np.unique(np.array(pairs, dtype=float).reshape(-1, 2), axis=0,
+                               return_inverse=True)
         self._pair_eps, self._pair_phi = keys.T
         self._pair_of_edge = per_edge(smooth, pair.ravel())   # numpy 2.0.0 returns it 2-D
 
@@ -358,33 +345,24 @@ class EdgeKernel:
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
         np.subtract(*self._ends_x, out=self._d)
         np.matmul(self._d, self._KT, out=w)
-        if ns:
-            w_sign, nrm_sign, h_sign, nonzero_sign = self._sign
-            _square_norms(w_sign, nrm_sign, h_sign)
-        if ns < E:
-            _row_norms(*self._smooth)
-            if t != self._width_t:
-                self._set_width(t)
-            np.add(nrm, self._width, out=div)
-            np.maximum(div, np.multiply(nrm, self._floor, out=self._scaled), out=div)
+        _row_norms(w, nrm)
+        if ns < E and t != self._width_t:
+            self._set_width(t)
+        np.add(nrm, self._width, out=div)
+        np.maximum(div, np.multiply(nrm, self._floor, out=self._scaled), out=div)
         over = None
         if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
             over = np.flatnonzero(~np.isfinite(div))
             div[over] = 1.0                    # their h is set below
         if ns:
+            nrm_sign, h_sign, nonzero_sign = self._sign
             np.greater(nrm_sign, _ZERO_NORM, out=nonzero_sign)
             h_sign.fill(0.0)
             np.divide(w, div, out=h, where=self._nonzero)
         else:
             np.divide(w, div, out=h)
         if over is not None:
-            sign, smooth = over[over < ns], over[over >= ns]
-            if len(sign):
-                h[sign] = discontinuous_sign(w[sign])
-            if len(smooth):
-                pair = self._pair_of_edge[smooth - ns]
-                h[smooth] = boundary_layer(w[smooth], self._pair_eps[pair, None],
-                                           self._pair_phi[pair, None], t)
+            h[over] = np.divide(*_divisor(w[over], self._width[over], self._floor[over]))
         if nf < E:
             np.copyto(self._gains, gains)
         u, (u0, u1) = self._u, self._u_rows

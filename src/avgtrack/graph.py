@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, NotConnected
+from .errors import MALFORMED, ConfigError, NotConnected
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,17 @@ class Graph:
         norm_edges = []
         seen = set()
         for e in self.edges:
-            # a pair of whole numbers, as n_nodes is one: 1.0 is node 1, 1.7 no node
-            if len(e) == 2:
+            # a pair of whole numbers, as n_nodes is one: 1.0 is node 1, 1.7,
+            # inf and nan no node
+            try:
                 a, b = e
                 i, j = int(a), int(b)
-            if len(e) != 2 or i != a or j != b:
-                raise ConfigError(f"edge {list(e)!r} is not a pair of whole node indices")
+                whole = i == a and j == b
+            except MALFORMED:
+                whole = False
+            if not whole:
+                shown = list(e) if isinstance(e, (list, tuple)) else e
+                raise ConfigError(f"edge {shown!r} is not a pair of whole node indices")
             if i == j:
                 raise ConfigError(f"self-loop ({i}, {j}) not allowed")
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):

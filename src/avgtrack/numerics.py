@@ -154,7 +154,10 @@ def _initial_gain(A: NDArray, B: NDArray, Q: NDArray) -> NDArray:
     The Newton iteration downstream polishes the residual.
     """
     n = A.shape[0]
-    H = np.block([[A, -B @ B.T], [-Q, -A.T]])
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below, in one line
+        H = np.block([[A, -B @ B.T], [-Q, -A.T]])
+    if not np.isfinite(H).all():
+        raise SingularSystem("the Hamiltonian [[A, -B B^T], [-Q, -A^T]] is not finite")
     vals, vecs = np.linalg.eig(H)
     stable = np.argsort(vals.real)[:n]
     U = vecs[:, stable]

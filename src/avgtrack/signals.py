@@ -73,6 +73,8 @@ class InputDescriptor:
             if v is not None:
                 scalar = name in ("omega", "phase")
                 v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
+                if name in ("value", "amp", "times") and v.ndim != 1:
+                    raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
                 # an input holds few numbers, and a loop over them beats np.isfinite
                 numbers = [v] if scalar else v.ravel().tolist()
                 if not all(map(math.isfinite, numbers)):
@@ -89,6 +91,9 @@ class InputDescriptor:
             v = self.values
             # a flat list as long as the grid is the one input's column
             v = v[:, None] if v.ndim == 1 and len(v) == len(t) else np.atleast_2d(v)
+            if v.ndim != 2:
+                raise ConfigError(f"values must be one row of numbers per time, got shape "
+                                  f"{v.shape}")
             if v.shape[0] != t.shape[0]:
                 raise ConfigError("table times/values length mismatch")
             if np.any(np.diff(t) <= 0):

@@ -271,9 +271,10 @@ def test_blocks_of_two_laws_failing_at_one_step_name_the_first_in_the_file(tmp_p
     assert err.startswith(f"run failed: scenario 'stiff-static': non-finite state at t={times[0]:g}")
 
 
-# the kernel forms each law's h from the row norms of that law's slice: the
-# hypot chain for boundary_layer, the sum of squares for discontinuous_sign
-NORM_STEP = {"boundary_layer": "_row_norms", "discontinuous_sign": "_square_norms"}
+# the steps the kernel takes to form each direction over a group's edges:
+# one hypot-chain row norm for both, and boundary_layer's width, which the
+# zero-width discontinuous_sign does not form
+NORM_STEP = {"boundary_layer": ("_row_norms", "_width"), "discontinuous_sign": ("_row_norms",)}
 
 
 @pytest.mark.parametrize("law, own, other", [
@@ -282,15 +283,20 @@ NORM_STEP = {"boundary_layer": "_row_norms", "discontinuous_sign": "_square_norm
 ])
 def test_one_law_calls_nothing_on_an_empty_slice(monkeypatch, law, own, other):
     calls = Counter()
-    for name in (own, other):
-        def counted(*args, _f=getattr(control, NORM_STEP[name]), _name=name):
+    for name in ("_row_norms", "_width"):
+        def counted(*args, _f=getattr(control, name), _name=name):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(control, NORM_STEP[name], counted)
+        monkeypatch.setattr(control, name, counted)
     scn = at.parse_scenario(variant(law, "a", RING6))
     at.run(scn.graph, scn.reference_set, scn.build_static_gains(), scn.sim, law)
-    # one call per RK4 stage: 300 steps of four
-    assert calls[own] == 4 * 300 and calls[other] == 0
+    # one norm per RK4 stage: 300 steps of four; one width per distinct
+    # stage time, of which RK4 has two or three per step
+    assert calls["_row_norms"] == 4 * 300
+    if "_width" in NORM_STEP[own]:
+        assert 2 * 300 <= calls["_width"] <= 3 * 300 + 1
+    # no step of the other law's direction that this law's does not share
+    assert all(calls[step] == 0 for step in set(NORM_STEP[other]) - set(NORM_STEP[own]))
 
 
 def test_group_key():

@@ -446,6 +446,19 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("design", "eps"), "wide", "design.eps: ", id="eps-string"),
     pytest.param(("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: ", id="r0-wrong-length"),
     pytest.param(("agents", 2, "input", "amp"), ["x"], "agents[2].input: ", id="amp-string"),
+    # one entry per input, each a number: these reached the reference set
+    # and escaped as a traceback
+    pytest.param(("agents", 4, "input", "amp"), [[[1, 2], [3, 4]]],
+                 "agents[4].input: amp must be a flat list", id="amp-nested"),
+    pytest.param(("agents", 1, "input"), {"kind": "constant", "value": [[]]},
+                 "agents[1].input: value must be a flat list", id="value-empty-row"),
+    pytest.param(("agents", 0, "input"),
+                 {"kind": "table", "times": [[0.0], [1.0]], "values": [1.0, 2.0]},
+                 "agents[0].input: times must be a flat list", id="times-nested"),
+    pytest.param(("agents", 0, "input"),
+                 {"kind": "table", "times": [0.0, 1.0], "values": [[[1.0]], [[2.0]]]},
+                 "agents[0].input: values must be one row of numbers per time",
+                 id="values-nested"),
     pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: ", id="mu-string"),
     pytest.param(("numerics", "are_max_iter"), "x", "numerics: are_max_iter ",
                  id="are_max_iter-string"),
@@ -478,7 +491,8 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     _set(cfg, path, value)
     code, _ = run_cli(tmp_path, cfg, "--t-end", "0.01")
     assert code == 2
-    assert capsys.readouterr().err.startswith("config error: " + where)
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + where) and err.count("\n") == 1
 
 
 def test_whole_float_graph_entries_run_as_integers(tmp_path):
@@ -555,6 +569,20 @@ def test_solver_failure_in_design_exit_2(tmp_path, capsys, command, tol, error):
     assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
     out, err = capsys.readouterr()
     assert err.startswith("design failed: " + error) and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")      # numpy's overflow warning would be a second line
+@pytest.mark.parametrize("command", ["run", "gains"])
+def test_design_overflow_exit_2(tmp_path, capsys, command):
+    # a finite B whose B B^T overflows: the Hamiltonian of the initial gain
+    # is not finite, where np.linalg.eig raised LinAlgError
+    cfg = scenario_config("paper-sec5-static")
+    cfg["plant"]["B"] = [[1e308], [1.0]]
+    args = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == "design failed: the Hamiltonian [[A, -B B^T], [-Q, -A^T]] is not finite\n"
     assert out == "" and not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,10 +40,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Graph(2, ((0, 2),))
 
-    @pytest.mark.parametrize("edge", [(0, 1.7), (0.5, 1), (0, 1, 5), (0,), ("0", 1)])
+    # once truncated to (0, 1) or cut to its first two entries; int() of
+    # inf, of nan and len() of 5 raised Python's own errors
+    @pytest.mark.parametrize("edge", [(0, 1.7), (0.5, 1), (0, 1, 5), (0,), ("0", 1),
+                                      (0, float("inf")), (0, float("nan")), 5])
     def test_edge_not_a_pair_of_whole_indices_rejected(self, edge):
-        # once truncated to (0, 1) or cut to its first two entries
-        with pytest.raises(ConfigError, match=r"edge \[.*\] is not a pair of whole node indices"):
+        shown = list(edge) if isinstance(edge, tuple) else edge
+        with pytest.raises(ConfigError, match=re.escape(
+                f"edge {shown!r} is not a pair of whole node indices")):
             Graph(3, (edge,))
 
     def test_whole_float_indices_accepted(self):

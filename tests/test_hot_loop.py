@@ -1,8 +1,9 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
-hypot chain and the sum-of-squares row norm, one evaluation of the inputs
-and one boundary-layer width per distinct stage time, RK4 and the one-pass
-kernel in their preallocated work arrays, and the one-template-per-record
-CSV writer."""
+hypot chain's row norm and the one divisor it gives every law's direction
+h, the discontinuous sign as the zero-width boundary layer, one evaluation
+of the inputs and one boundary-layer width per distinct stage time, RK4 and
+the one-pass kernel in their preallocated work arrays, and the
+one-template-per-record CSV writer."""
 
 import dataclasses
 import math
@@ -46,17 +47,22 @@ def same_bits(a, b):
 def test_row_norms_are_hypot_reduce(w):
     want = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
     assert same_bits(control._row_norms(w), want)
-    floor = want * (1.0 + 4 * w.shape[-1] * np.finfo(float).eps)
-    assert same_bits(control._divisor(w, 0.25), np.maximum(want + 0.25, floor))
+    floor = 1.0 + 4 * w.shape[-1] * np.finfo(float).eps
+    # no row of these overflows, so none is rescaled
+    got, div = control._divisor(w, 0.25, floor)
+    assert same_bits(got, w) and same_bits(div, np.maximum(want + 0.25, want * floor))
 
 
 def sign_oracle(w):
-    """discontinuous_sign as written with np.linalg.norm."""
+    """discontinuous_sign as the zero-width boundary layer written with
+    np.hypot.reduce: w / ||w||, 0 where ||w|| <= 1e-15, and rows whose norm
+    overflows divided by their largest entry first."""
     w = np.asarray(w, dtype=float)
-    nrm = np.linalg.norm(w, axis=-1, keepdims=True)
+    nrm = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
     s = np.where(nrm > 1e-15, w / np.where(nrm > 0, nrm, 1.0), 0.0)
-    if not math.isfinite(nrm.max(initial=0.0)):
-        s = np.where(np.isinf(nrm), boundary_layer(w, 0.0, 0.0, 0.0), s)
+    over = np.isinf(nrm[..., 0])
+    u = w[over] / np.abs(w[over]).max(axis=-1, keepdims=True)
+    s[over] = u / np.hypot.reduce(u, axis=-1, keepdims=True, initial=0.0)
     return s
 
 
@@ -64,10 +70,26 @@ def sign_oracle(w):
 @given(w=rows)
 @example(w=np.array([[1e300, 1e300], [3.0, 4.0], [-0.0, TINY], [1e-16, 0.0]]))
 def test_discontinuous_sign_is_its_norm_form(w):
-    with np.errstate(over="ignore"):      # the squares of 1e300 overflow in both
-        assert same_bits(discontinuous_sign(w), sign_oracle(w))
-        if len(w):
-            assert same_bits(discontinuous_sign(w[0]), sign_oracle(w[0]))
+    assert same_bits(discontinuous_sign(w), sign_oracle(w))
+    if len(w):
+        assert same_bits(discontinuous_sign(w[0]), sign_oracle(w[0]))
+
+
+BIG = 1.34078079299425971e154       # about sqrt of the largest double
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=arrays(np.float64, st.integers(0, 20),
+                elements=st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+@example(w=np.array([BIG, -np.nextafter(BIG, np.inf), 1e300, -np.finfo(float).max]))
+@example(w=np.array([1e-15, -np.nextafter(1e-15, 1.0), -0.0, 0.0, TINY, -1e-300]))
+def test_discontinuous_sign_of_one_input_is_the_sign(w):
+    # at m = 1 the norm is |w| with no rounding, so h is exactly +-1 above
+    # the zero threshold, also where w * w overflows, and +0 at or below it
+    want = np.where(np.abs(w) > 1e-15, np.sign(w), 0.0)[:, None]
+    assert same_bits(discontinuous_sign(w[:, None]), want)
+    for v, s in zip(w, want):
+        assert same_bits(discontinuous_sign(v[None]), s)
 
 
 @pytest.mark.parametrize("dt, steps", [(1e-3, 300), (0.1, 30), (0.01, 7)])
@@ -448,15 +470,10 @@ def first_block_rows(kernel, w, law, count):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("m", [1, 2])
 def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
-    # 1e300 overflows the sum of squares of discontinuous rows, the largest
-    # double the divisor of the others (and 1.5e308 their hypot chain over
-    # two columns); only those rows go to the rescaling functions
-    handed = Counter()
-    for name in ("boundary_layer", "discontinuous_sign"):
-        def counted(w, *args, _f=getattr(control, name), _name=name):
-            handed[_name] += len(w)
-            return _f(w, *args)
-        monkeypatch.setattr(control, name, counted)
+    # the largest double overflows the divisor of boundary-layer rows, and
+    # 1.5e308 the hypot chain over two columns; discontinuous rows, with
+    # floor 1, overflow only there. Only those rows go to the one helper
+    # that rescales them, with their own width and floor
     laws = ("adaptive", "discontinuous", "static")
     blocks = identity_blocks(laws, m)
     values = [1e300, 1.5e308, -np.finfo(float).max]
@@ -467,14 +484,21 @@ def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
         assert same_bits(first_block_rows(kernel, w, law, 3),
                          np.repeat(np.array(values)[:, None], m, axis=1))
     ns = 8                           # the one discontinuous ring
-    sign_over = ~np.isfinite(np.sqrt((w[:ns] ** 2).sum(axis=1)))
-    floor = 1.0 + 4 * m * np.finfo(float).eps
-    smooth_over = ~np.isfinite(np.hypot.reduce(w[ns:], axis=1) * floor)
-    assert sign_over.sum() >= 3 and smooth_over.sum() >= 2 * m
-    # four calls of the kernel; discontinuous_sign hands its rows whose norm
-    # overflows on to boundary_layer
-    assert handed == {"discontinuous_sign": 4 * sign_over.sum(),
-                      "boundary_layer": 4 * (smooth_over.sum() + sign_over.sum())}
+    norms = np.hypot.reduce(w, axis=1)
+    sign_over = ~np.isfinite(norms[:ns])
+    smooth_over = ~np.isfinite(norms[ns:] * (1.0 + 4 * m * np.finfo(float).eps))
+    # each large row's node also ends the edge before it on the ring
+    assert (sign_over.sum(), smooth_over.sum()) == ((0, 4) if m == 1 else (4, 8))
+    handed = Counter()
+    for name in ("_divisor", "boundary_layer", "discontinuous_sign"):
+        def counted(w, *args, _f=getattr(control, name), _name=name):
+            handed[_name] += len(w)
+            return _f(w, *args)
+        monkeypatch.setattr(control, name, counted)
+    Ea = int(kernel.gain_offsets[-1])
+    for t in (0.0, 1.5, 1.5, 40.0):
+        kernel(t, x, np.ones(Ea), np.ones(Ea))
+    assert handed == {"_divisor": 4 * (sign_over.sum() + smooth_over.sum())}
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -492,7 +516,7 @@ def test_kernel_call_bits_at_the_zero_threshold(laws, m):
     rows = first_block_rows(kernel, w, "discontinuous", 4)
     assert same_bits(rows, np.repeat(np.array(values)[:, None], m, axis=1))
     if m == 1:
-        norms = control._square_norms(rows)[:, 0]
+        norms = control._row_norms(rows)[:, 0]
         assert norms[2] == 1e-15 and norms[3] > 1e-15
 
 
