@@ -57,6 +57,8 @@ def _design_q(value, n: int) -> np.ndarray:
     Q = np.asarray(value, dtype=float)
     if Q.shape != (n, n):
         raise ConfigError(f"must be {n} x {n}, got shape {Q.shape}")
+    if not np.isfinite(Q).all():
+        raise ConfigError(f"must be finite, got {Q.tolist()}")
     try:
         smallest = sym_eigvals(Q)[0]
     except NotSymmetric:

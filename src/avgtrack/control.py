@@ -34,20 +34,20 @@ def boundary_layer(
     eps and phi may be columns with one entry per row.
     """
     w = np.asarray(w, dtype=float)
-    return np.divide(*_divisor(w, _width(eps, phi, t), _floor(w.shape[-1])))
+    return _direction(w, _width(eps, phi, t), _floor(w.shape[-1]))
 
 
 def discontinuous_sign(w: NDArray) -> NDArray[np.float64]:
-    """Unit direction w/||w||, zero at (numerically) zero w: the zero-width
-    boundary layer, with floor 1 and h = 0 where ||w|| <= 1e-15. Rows of a
-    2-D w are normalised independently."""
-    w, div = _divisor(np.asarray(w, dtype=float), 0.0, 1.0)
-    return np.divide(w, div, out=np.zeros_like(w), where=div > _ZERO_NORM)
+    """Unit direction w/||w||, zero at (numerically) zero w: the boundary
+    layer of eps = 0, whose width is the smallest subnormal, with floor 1
+    and h = 0 where ||w|| <= 1e-15. Rows of a 2-D w are normalised
+    independently."""
+    return _direction(np.asarray(w, dtype=float), _TINY, 1.0, _ZERO_NORM)
 
 
 def _width(eps: float | NDArray, phi: float | NDArray, t: float) -> NDArray[np.float64]:
     # The width stays above zero so that w = 0 gives h = 0 after e^{-phi t}
-    # underflows.
+    # underflows. Above 1e-15 the smallest subnormal adds nothing to a norm.
     return np.maximum(eps * np.exp(-phi * t), _TINY)
 
 
@@ -61,24 +61,31 @@ def _floor(m: int) -> float:
     return 1.0 + 4 * m * _EPS
 
 
-def _divisor(
-    w: NDArray, width: float | NDArray, floor: float | NDArray
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(w, div) with h = w / div, div = max(||w|| + width, ||w|| floor) and
-    ||w|| the hypot chain: the one formula for the direction h of every
-    law. Where div overflows, those rows and their width are first divided
-    by the row's largest entry, which leaves h unchanged in exact
-    arithmetic; the other rows keep their bits. width and floor may be
-    columns with one entry per row."""
-    nrm = _row_norms(w)
-    div = np.maximum(nrm + width, nrm * floor)
+def _direction(
+    w: NDArray, width: float | NDArray, floor: float | NDArray, zero: float | NDArray | None = None,
+    out: NDArray | None = None, work: tuple = (None, None, None),
+) -> NDArray[np.float64]:
+    """h = w / div with div = max(||w|| + width, ||w|| floor) and ||w|| the
+    hypot chain, and h = 0 on rows whose div is at most `zero`: the one
+    formula for the direction h of every law. Where div overflows, those
+    rows and their width are first divided by the row's largest entry,
+    which leaves h unchanged in exact arithmetic; the other rows keep their
+    bits. width, floor and zero may be columns with one entry per row. h is
+    written into `out`, and `work` may hold the norm and divisor columns
+    and the boolean column of the zero rows."""
+    nrm, div, low = work
+    nrm = _row_norms(w, nrm)
+    div = np.add(nrm, width, out=div)
+    np.maximum(div, np.multiply(nrm, floor, out=nrm), out=div)
     if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
-        over = ~np.isfinite(div)
-        scale = np.where(over, np.abs(w).max(axis=-1, keepdims=True), 1.0)
+        scale = np.where(np.isfinite(div), 1.0, np.abs(w).max(axis=-1, keepdims=True))
         w, width = w / scale, width / scale
         nrm = _row_norms(w)
         div = np.maximum(nrm + width, nrm * floor)
-    return w, div
+    h = np.divide(w, div, out=out)
+    if zero is not None:
+        np.copyto(h, 0.0, where=np.less_equal(div, zero, out=low))
+    return h
 
 
 def _row_norms(w: NDArray, out: NDArray | None = None) -> NDArray[np.float64]:
@@ -209,25 +216,24 @@ class EdgeKernel:
     Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
     with w_ij = K(x_i - x_j). On static and discontinuous edges (a, b) =
     (c1, c2), on adaptive edges the edge gains (alpha, beta). Every edge
-    takes h = w / max(||w|| + width, ||w|| floor), ||w|| the hypot chain. On
-    static and adaptive edges the width and floor are boundary_layer's, so
-    h is boundary_layer; on discontinuous edges they are 0 and 1, the
-    zero-width boundary layer, and h is 0 where ||w|| <= 1e-15, so h is
-    discontinuous_sign. A call gathers x at the precomputed tail and head
-    indices, then forms one row norm, one divisor, one divide and one
-    multiply-add for u over all edges, scatters +u to tails and -u to heads
-    with one bincount over the (node, input) cells and applies B^T once, so
-    it costs O(E). Only rows whose divisor is not finite go, with their own
-    width and floor, to the helper the two directions share, which rescales
-    them.
+    takes h = w / max(||w|| + width, ||w|| floor), ||w|| the hypot chain,
+    from the one routine that forms the direction. Each block holds its own
+    width and floor: boundary_layer's on static and adaptive blocks, so h
+    is boundary_layer; on discontinuous blocks the width of eps = 0, the
+    smallest subnormal, and floor 1, with h = 0 where the divisor is at
+    most 1e-15, so h is discontinuous_sign. A call gathers x at the
+    precomputed tail and head indices, forms h over all edges at once, then
+    one multiply-add for u, scatters +u to tails and -u to heads with one
+    bincount over the (node, input) cells and applies B^T once, so it costs
+    O(E).
 
     The kernel holds each block's constants only in the per-edge stacks a
     call reads: (a, b) as one (2, E, 1) stack, with (c1, c2) on the fixed
-    edges; the width and floor as (E, 1) columns, the width taking one exp
-    per distinct (eps, phi) once per distinct call time where there are
-    static or adaptive edges; and the rates (mu,
-    nu), decays (theta, chi) and initial edge gains `gains0` (alpha0, beta0)
-    as (2, Ea) stacks over the adaptive edges, empty where there are none.
+    edges; the width, floor and zero threshold as (E, 1) columns, the width
+    taking one exp per block once per distinct call time, and no threshold
+    column without a discontinuous block; and the rates (mu, nu), decays
+    (theta, chi) and initial edge gains `gains0` (alpha0, beta0) as (2, Ea)
+    stacks over the adaptive edges, empty where there are none.
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
@@ -278,7 +284,6 @@ class EdgeKernel:
             ours = [p for p, m in zip(blocks, modes) if m in laws]
             return per_edge(laws, np.array([[float(getattr(p, k)) for p in ours] for k in names]))
 
-        fixed, smooth = ("discontinuous", "static"), ("static", "adaptive")
         self._KT, self._BT = blocks[0].K.T, plant.B.T
         self._Gamma = adaptive[0].Gamma if adaptive else None
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
@@ -287,27 +292,22 @@ class EdgeKernel:
         cells = self._ends[:, None] * plant.m + np.arange(plant.m)
         self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
 
-        # edges [0, ns) are discontinuous, [ns, nf) static, [nf, E) adaptive
+        # edges [0, nf) are discontinuous or static, [nf, E) adaptive
         E, m, Ea = len(self.tails), plant.m, int(self.gain_offsets[-1])
-        self._ns = ns = sum(c for c, law in zip(counts, modes) if law == "discontinuous")
-        self._nf = nf = ns + sum(c for c, law in zip(counts, modes) if law == "static")
+        self._nf = nf = sum(c for c, law in zip(counts, modes) if law != "adaptive")
         # The work arrays of a call: x at the tails then at the heads, d =
-        # x_i - x_j, w and h as one stack, the row norms, ||w|| floor and the
-        # divisor. The products a*w and b*h, stacked alike, become [u; -u]
-        # for the scatter. The views a call works on are made here once.
+        # x_i - x_j, w and h as one stack, and the direction's work. The
+        # products a*w and b*h, stacked alike, become [u; -u] for the
+        # scatter. The views a call works on are made here once.
         x_ends, d = self._x_ends, self._d = np.empty((2 * E, plant.n)), np.empty((E, plant.n))
         self._wh, u = np.empty((2, E, m)), np.empty((2, E, m))
         self._w, self._h = w, h = self._wh
-        self._nrm, self._div, self._scaled = np.empty((E, 1)), np.empty((E, 1)), np.empty((E, 1))
+        self._work = (np.empty((E, 1)), np.empty((E, 1)), np.empty((E, 1), dtype=bool))
         self._ends_x, self._u, self._u_rows = (x_ends[:E], x_ends[E:]), u, (u[0], u[1])
         # (a, b) per edge: (c1, c2) on the fixed edges; the adaptive edges
         # take their gains in on each call
         self._ab = np.empty((2, E, 1))
-        self._ab[:, :nf, 0] = stack(fixed, "c1", "c2")
-        if ns:
-            # h may be nonzero on all but the discontinuous rows at the zero threshold
-            self._nonzero = np.ones((E, 1), dtype=bool)
-            self._sign = (self._nrm[:ns], h[:ns], self._nonzero[:ns])
+        self._ab[:, :nf, 0] = stack(("discontinuous", "static"), "c1", "c2")
         # the edge-gain rates, rate * (-decay * gain + drive), and the initial
         # gains, each in rows alpha then beta; empty where no block is adaptive
         self._rate = stack(("adaptive",), "mu", "nu")
@@ -315,23 +315,23 @@ class EdgeKernel:
         self.gains0 = stack(("adaptive",), "alpha0", "beta0")
         self._gains, drive = self._ab[:, nf:, 0], np.empty((2, Ea))
         self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
-        # width 0 and floor 1 on the discontinuous edges; on the others
-        # boundary_layer's floor and the width of each edge's distinct (eps,
-        # phi) pair, formed only where there are such edges
-        self._width, self._floor = np.zeros((E, 1)), np.ones((E, 1))
-        self._floor[ns:] = _floor(m)
-        self._smooth_width, self._width_t = self._width[ns:, 0], None
-        pairs = [(p.eps, p.phi) for p, law in zip(blocks, modes) if law in smooth]
-        keys, pair = np.unique(np.array(pairs, dtype=float).reshape(-1, 2), axis=0,
-                               return_inverse=True)
-        self._pair_eps, self._pair_phi = keys.T
-        self._pair_of_edge = per_edge(smooth, pair.ravel())   # numpy 2.0.0 returns it 2-D
+        # The direction's constants per block, repeated over its edges: a
+        # discontinuous block is the boundary layer of eps = 0, with floor 1
+        # and h = 0 at or below the zero threshold; the others have
+        # boundary_layer's floor and no threshold
+        sign = np.array([law == "discontinuous" for law in modes], dtype=bool)
+        self._eps = np.where(sign, 0.0, [float(p.eps) for p in blocks])
+        self._phi = np.array([float(p.phi) for p in blocks])
+        self._block_of_edge = edge = np.repeat(np.arange(len(blocks)), counts)
+        self._width, self._width_t = np.empty((E, 1)), None
+        self._floor = np.where(sign, 1.0, _floor(m))[edge, None]
+        self._zero = np.where(sign, _ZERO_NORM, -1.0)[edge, None] if sign.any() else None
 
     def _set_width(self, t: float) -> None:
-        # boundary_layer's width, one exp per distinct (eps, phi); the
-        # indices are in range, and "clip" writes out without a buffer
-        _width(self._pair_eps, self._pair_phi, t).take(
-            self._pair_of_edge, out=self._smooth_width, mode="clip")
+        # one exp per block, repeated over its edges; the indices are in
+        # range, and "clip" writes out without a buffer
+        _width(self._eps, self._phi, t).take(self._block_of_edge, out=self._width[:, 0],
+                                             mode="clip")
         self._width_t = t
 
     def add_to(self, t: float, x: NDArray, gains: NDArray, dx: NDArray, rates: NDArray) -> None:
@@ -340,29 +340,13 @@ class EdgeKernel:
         (2, Ea), into rates (2, Ea) (not touched where there are no adaptive
         edges). It works in the kernel's own arrays, so one kernel serves one
         call at a time."""
-        E, ns, nf = len(self.tails), self._ns, self._nf
-        w, h, nrm, div = self._w, self._h, self._nrm, self._div
+        E, nf = len(self.tails), self._nf
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
         np.subtract(*self._ends_x, out=self._d)
-        np.matmul(self._d, self._KT, out=w)
-        _row_norms(w, nrm)
-        if ns < E and t != self._width_t:
+        np.matmul(self._d, self._KT, out=self._w)
+        if t != self._width_t:
             self._set_width(t)
-        np.add(nrm, self._width, out=div)
-        np.maximum(div, np.multiply(nrm, self._floor, out=self._scaled), out=div)
-        over = None
-        if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
-            over = np.flatnonzero(~np.isfinite(div))
-            div[over] = 1.0                    # their h is set below
-        if ns:
-            nrm_sign, h_sign, nonzero_sign = self._sign
-            np.greater(nrm_sign, _ZERO_NORM, out=nonzero_sign)
-            h_sign.fill(0.0)
-            np.divide(w, div, out=h, where=self._nonzero)
-        else:
-            np.divide(w, div, out=h)
-        if over is not None:
-            h[over] = np.divide(*_divisor(w[over], self._width[over], self._floor[over]))
+        _direction(self._w, self._width, self._floor, self._zero, self._h, self._work)
         if nf < E:
             np.copyto(self._gains, gains)
         u, (u0, u1) = self._u, self._u_rows

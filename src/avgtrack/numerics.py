@@ -67,7 +67,7 @@ def sym_eigvals(m: NDArray) -> NDArray[np.float64]:
     scale = max(1.0, float(np.abs(m).max(initial=0.0)))
     if np.abs(m - m.T).max(initial=0.0) > 1e-10 * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return np.linalg.eigvalsh((m + m.T) / 2.0)
+    return np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)      # halves first: m + m.T may overflow
 
 
 def solve_lyapunov(
@@ -154,8 +154,7 @@ def _initial_gain(A: NDArray, B: NDArray, Q: NDArray) -> NDArray:
     The Newton iteration downstream polishes the residual.
     """
     n = A.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):   # reported below, in one line
-        H = np.block([[A, -B @ B.T], [-Q, -A.T]])
+    H = np.block([[A, -B @ B.T], [-Q, -A.T]])
     if not np.isfinite(H).all():
         raise SingularSystem("the Hamiltonian [[A, -B B^T], [-Q, -A^T]] is not finite")
     vals, vecs = np.linalg.eig(H)
@@ -180,11 +179,21 @@ def solve_are(
     Newton-Kleinman iteration: from a stabilizing gain K_k, solve the
     Lyapunov equation of the closed loop A - B K_k for P_k and update
     K_{k+1} = B^T P_k. Quadratically convergent; the initial stabilizing
-    gain comes from the Hamiltonian stable subspace.
+    gain comes from the Hamiltonian stable subspace. A LinAlgError on the
+    way, such as an SVD that does not converge, raises SingularSystem.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     Q = np.asarray(Q, dtype=float)
+    try:
+        # a failure is reported in one line, which numpy's warnings would add to
+        with np.errstate(all="ignore"):
+            return _newton_kleinman(A, B, Q, cfg)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"the ARE solve: {exc}") from None
+
+
+def _newton_kleinman(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) -> AreSolution:
     if not is_stabilizable(A, B, cfg):
         raise NotStabilizable("(A, B) is not stabilizable: it fails the PBH test")
     if sym_eigvals(Q)[0] <= 0:

@@ -27,10 +27,10 @@ class LinearPlant:
         B = np.asarray(self.B, dtype=float)
         if B.ndim == 1:
             B = B.reshape(-1, 1)
-        if A.shape[0] != A.shape[1]:
-            raise ConfigError("A must be square")
-        if B.shape[0] != A.shape[0]:
-            raise ConfigError("B row count must match A dimension")
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ConfigError(f"A must be square, got shape {A.shape}")
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
+            raise ConfigError(f"B must be a matrix of A's {A.shape[0]} rows, got shape {B.shape}")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
             raise ConfigError("A, B must be finite")
         object.__setattr__(self, "A", A)

@@ -7,6 +7,7 @@ variation-of-constants path in `signals` stays available as an oracle.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from numbers import Real
@@ -41,6 +42,8 @@ class SimConfig:
         if not 0 < self.dt <= self.t_end < math.inf:
             raise ConfigError(f"need 0 < dt <= t_end < inf, got dt={self.dt}, t_end={self.t_end}")
         steps = self.t_end / self.dt    # integrate runs round(steps) steps
+        if not steps <= sys.maxsize:
+            raise ConfigError(f"t_end/dt = {steps:.10g} must be at most {sys.maxsize} steps")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"t_end/dt = {steps:.10g} must be a whole number of steps")
         if self.integrator != "rk4":

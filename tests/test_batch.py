@@ -272,9 +272,10 @@ def test_blocks_of_two_laws_failing_at_one_step_name_the_first_in_the_file(tmp_p
 
 
 # the steps the kernel takes to form each direction over a group's edges:
-# one hypot-chain row norm for both, and boundary_layer's width, which the
-# zero-width discontinuous_sign does not form
-NORM_STEP = {"boundary_layer": ("_row_norms", "_width"), "discontinuous_sign": ("_row_norms",)}
+# one hypot-chain row norm and one width for both, discontinuous_sign's the
+# width of eps = 0
+NORM_STEP = {"boundary_layer": ("_row_norms", "_width"),
+             "discontinuous_sign": ("_row_norms", "_width")}
 
 
 @pytest.mark.parametrize("law, own, other", [
@@ -387,6 +388,11 @@ class TestUnion:
         np.testing.assert_array_equal(k.tails[:6], [0, 1, 2, 3, 0, 0])
         np.testing.assert_array_equal(k._ab[:, :, 0], [[gb.c1] * 6 + [ga.c1] * 12,
                                                        [gb.c2] * 6 + [ga.c2] * 12])
+        # the discontinuous block is the boundary layer of eps = 0 and floor
+        # 1, with the zero threshold
+        np.testing.assert_array_equal(k._eps, [0.0, ga.eps, ga.eps])
+        np.testing.assert_array_equal(k._floor[:, 0], [1.0] * 6 + [control._floor(1)] * 12)
+        np.testing.assert_array_equal(k._zero[:, 0], [1e-15] * 6 + [-1.0] * 12)
 
     def test_kernel_holds_block_constants_per_edge(self):
         a = at.parse_scenario(variant("static", "a", RING6))
@@ -398,14 +404,14 @@ class TestUnion:
                        ["adaptive", "static", "static"])
         np.testing.assert_array_equal(k._ab[:, :12, 0], [[ga.c1] * 6 + [gb.c1] * 6,
                                                          [ga.c2] * 6 + [gb.c2] * 6])
-        # one (eps, phi) pair per distinct pair of the blocks, whatever their law
-        np.testing.assert_array_equal(k._pair_eps[k._pair_of_edge], [5.0] * 6 + [4.0] * 12)
-        np.testing.assert_array_equal(k._pair_phi[k._pair_of_edge], [0.5] * 6 + [0.7] * 12)
-        assert len(k._pair_eps) == 2
+        # each block's own (eps, phi) pair, whatever its law
+        np.testing.assert_array_equal(k._eps[k._block_of_edge], [5.0] * 6 + [4.0] * 12)
+        np.testing.assert_array_equal(k._phi[k._block_of_edge], [0.5] * 6 + [0.7] * 12)
+        assert len(k._eps) == 3 and k._zero is None
         np.testing.assert_array_equal(k._rate, [[2.0] * 6, [gc.nu] * 6])
         np.testing.assert_array_equal(k._decay, [[-gc.theta] * 6, [-0.5] * 6])
         np.testing.assert_array_equal(k.gains0, [[0.25] * 6, [0.0] * 6])
         # with no adaptive block the adaptive stacks are empty
         same = EdgeKernel([a.graph, a.graph], a.reference_set.plant, [ga, ga], "static")
         assert same._rate.shape == same._decay.shape == same.gains0.shape == (2, 0)
-        assert list(same._pair_eps) == [ga.eps] and list(same._pair_phi) == [ga.phi]
+        assert list(same._eps) == [ga.eps] * 2 and list(same._phi) == [ga.phi] * 2

@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import avgtrack as at
 from avgtrack.cli import main
@@ -440,8 +446,16 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("sim", "dt"), None, "sim: dt ", id="dt-null"),
     pytest.param(("sim", "record_every"), float("inf"), "sim: record_every ",
                  id="record_every-inf"),
+    # more steps than an index can count: list(range(...)) raised
+    # OverflowError, and an infinite t_end/dt was "cannot convert float
+    # infinity to integer"
+    pytest.param(("sim", "dt"), 1e-30, "sim: t_end/dt = 2e+31 must be at most ", id="dt-1e-30"),
+    pytest.param(("sim", "dt"), 1e-320, "sim: t_end/dt = inf must be at most ", id="dt-1e-320"),
     pytest.param(("graph", "n"), "six", "graph: ", id="n-string"),
     pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: ", id="Q-ragged"),
+    # numpy's invalid-value warning in the symmetry check was a second line
+    pytest.param(("design", "Q", 1, 1), float("inf"),
+                 "design.Q: must be finite, got [[1.0, 0.0], [0.0, inf]]", id="Q-inf"),
     pytest.param(("design", "margins"), [1], "design.margins: ", id="margins-one"),
     pytest.param(("design", "eps"), "wide", "design.eps: ", id="eps-string"),
     pytest.param(("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: ", id="r0-wrong-length"),
@@ -463,6 +477,12 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("numerics", "are_max_iter"), "x", "numerics: are_max_iter ",
                  id="are_max_iter-string"),
     pytest.param(("plant", "A"), [[1.0, 2.0]], "plant: ", id="A-not-square"),
+    # a plant of more than two dimensions reached the gain printer, or had
+    # its square first two dimensions taken for a matrix
+    pytest.param(("plant", "B"), [[[[1, 2], [3, 4]]], [[[1, 2], [3, 4]]]],
+                 "plant: B must be a matrix of A's 2 rows, got shape (2, 1, 2, 2)", id="B-4d"),
+    pytest.param(("plant", "A"), [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
+                 "plant: A must be square, got shape (2, 2, 2)", id="A-3d"),
     # int(inf) raises OverflowError, which escaped as a traceback
     pytest.param(("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter ",
                  id="are_max_iter-inf"),
@@ -584,6 +604,85 @@ def test_design_overflow_exit_2(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert err == "design failed: the Hamiltonian [[A, -B B^T], [-Q, -A^T]] is not finite\n"
     assert out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")      # numpy's overflow warnings would be more lines
+@pytest.mark.parametrize("command", ["run", "gains"])
+def test_design_linalg_failure_exit_2(tmp_path, capsys, command):
+    # a finite A whose Kronecker sum overflows in the Lyapunov solve, where
+    # the SVD's LinAlgError escaped as a traceback
+    cfg = scenario_config("ring-demo")
+    cfg["plant"]["A"][1][1] = -1e308
+    args = ["--out", str(tmp_path / "out")] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("design failed: the ARE solve: ") and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "out").exists()
+
+
+def leaf_paths(node, path=()):
+    """The paths to the scalars and empty containers of a config."""
+    if not isinstance(node, (dict, list)) or not node:
+        yield path
+    else:
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from leaf_paths(child, path + (key,))
+
+
+# values that escaped main when put into a canned config by hand or by an
+# earlier fuzz; no small positive number, which as dt would make a long run
+POOL = [None, True, False, 0, 1, -1, 1e308, -1e308, 1e-320, float("nan"), float("inf"),
+        float("-inf"), "x", "", [], [[]], [[1, 2], [3, 4]], 2**63]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A canned config with one or two of its leaves set to values of POOL."""
+    cfg = scenario_config(draw(st.sampled_from(NAMES)))
+    paths = list(leaf_paths(cfg))
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2, unique=True)):
+        _set(cfg, path, draw(st.sampled_from(POOL)))
+    return cfg
+
+
+def mutated(name, *edits):
+    cfg = scenario_config(name)
+    for path, value in edits:
+        _set(cfg, path, value)
+    return cfg
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(cfg=mutated_configs())
+@example(cfg=mutated("paper-sec5-static", (("sim", "dt"), 1e-30)))
+@example(cfg=mutated("paper-sec5-static", (("sim", "dt"), 1e-320)))
+@example(cfg=mutated("ring-demo", (("plant", "A", 1, 1), -1e308)))
+@example(cfg=mutated("paper-sec5-static", (("plant", "B"), [[1e308], [1.0]])))
+@example(cfg=mutated("paper-sec5-static", (("agents", 4, "input", "amp"), [[[1, 2], [3, 4]]])))
+@example(cfg=mutated("paper-sec5-static", (("agents", 1, "input"),
+                                           {"kind": "constant", "value": [[]]})))
+@example(cfg=mutated("twin-integrator", (("plant", "B"), [[[[1, 2], [3, 4]]]] * 2)))
+@example(cfg=mutated("paper-sec5-static", (("design", "Q", 1, 1), float("inf"))))
+@example(cfg=mutated("paper-sec5-static", (("design", "Q", 0, 0), 1e308)))
+@pytest.mark.parametrize("command", ["run", "gains"])
+def test_mutated_config_exits_with_files_or_one_line(command, cfg):
+    # exit 0 with the three files, or exit 1 or 2 with one stderr line; no
+    # exception leaves main, and no numpy warning adds a line
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        args = ["--out", str(out), "--t-end", "0.01"] if command == "run" else []
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", write_config(Path(tmp), cfg), *args])
+        if code == 0:
+            assert command == "gains" or all(
+                (out / f).is_file() for f in ("trajectory.csv", "diagnostics.csv", "summary.json"))
+        else:
+            assert code in (1, 2)
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert len(lines) == 1 and err.getvalue().endswith("\n"), lines
 
 
 def test_blow_up_prints_one_line(tmp_path):

@@ -1,8 +1,8 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
-hypot chain's row norm and the one divisor it gives every law's direction
-h, the discontinuous sign as the zero-width boundary layer, one evaluation
-of the inputs and one boundary-layer width per distinct stage time, RK4 and
-the one-pass kernel in their preallocated work arrays, and the
+hypot chain's row norm and the one routine that forms every law's direction
+h from it, the discontinuous sign as the boundary layer of eps = 0, one
+evaluation of the inputs and one width per distinct stage time, RK4 and the
+one-pass kernel in their preallocated work arrays, and the
 one-template-per-record CSV writer."""
 
 import dataclasses
@@ -48,9 +48,12 @@ def test_row_norms_are_hypot_reduce(w):
     want = np.hypot.reduce(w, axis=-1, keepdims=True, initial=0.0)
     assert same_bits(control._row_norms(w), want)
     floor = 1.0 + 4 * w.shape[-1] * np.finfo(float).eps
-    # no row of these overflows, so none is rescaled
-    got, div = control._divisor(w, 0.25, floor)
-    assert same_bits(got, w) and same_bits(div, np.maximum(want + 0.25, want * floor))
+    # no row of these overflows, so none is rescaled: the divisor is formed
+    # from the hypot norm in the work column, and h is w over it
+    nrm, div = np.empty((len(w), 1)), np.empty((len(w), 1))
+    h = control._direction(w, 0.25, floor, work=(nrm, div, None))
+    assert same_bits(div, np.maximum(want + 0.25, want * floor))
+    assert same_bits(h, w / np.maximum(want + 0.25, want * floor))
 
 
 def sign_oracle(w):
@@ -408,8 +411,8 @@ def test_kernel_call_bits_for_one_law_and_two_inputs(seed, laws, m):
 @pytest.mark.parametrize("m", [1, 2])
 def test_kernel_call_bits_where_blocks_share_part_of_a_width(m):
     # two static blocks share eps but not phi, and one (eps, phi) pair is
-    # shared by a static and an adaptive block, so the width is keyed on the
-    # whole pair; the discontinuous block's pair takes no part
+    # shared by a static and an adaptive block, so each block's width is of
+    # its own whole pair; the discontinuous block's is that of eps = 0
     laws = ("adaptive", "static", "discontinuous", "static")
     pairs = [(2.0, 0.9), (2.0, 0.3), (2.0, 0.6), (2.0, 0.9)]
     blocks = [(g, rs, dataclasses.replace(p, eps=eps, phi=phi))
@@ -418,7 +421,12 @@ def test_kernel_call_bits_where_blocks_share_part_of_a_width(m):
     N = sum(g.n_nodes for g, _, _ in blocks)
     x = np.random.default_rng(m).standard_normal((N, 2))
     kernel = kernel_call_matches_allocating_form(blocks, laws, x)
-    assert sorted(zip(kernel._pair_eps, kernel._pair_phi)) == [(2.0, 0.3), (2.0, 0.9)]
+    # the last call was at t = 40
+    own = [control._width(0.0 if law == "discontinuous" else eps, phi, 40.0)
+           for law, (eps, phi) in zip(laws, pairs)]
+    want = np.repeat([own[b] for b in kernel.order], [blocks[b][0].n_edges for b in kernel.order])
+    assert same_bits(kernel._width[:, 0], want)
+    assert set(want) == {TINY, *(control._width(2.0, phi, 40.0) for phi in (0.3, 0.9))}
 
 
 def identity_blocks(laws, m):
@@ -472,8 +480,8 @@ def first_block_rows(kernel, w, law, count):
 def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
     # the largest double overflows the divisor of boundary-layer rows, and
     # 1.5e308 the hypot chain over two columns; discontinuous rows, with
-    # floor 1, overflow only there. Only those rows go to the one helper
-    # that rescales them, with their own width and floor
+    # floor 1, overflow only there. The one routine that forms h rescales
+    # those rows, with their own width and floor, in its one call per call
     laws = ("adaptive", "discontinuous", "static")
     blocks = identity_blocks(laws, m)
     values = [1e300, 1.5e308, -np.finfo(float).max]
@@ -489,16 +497,27 @@ def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
     smooth_over = ~np.isfinite(norms[ns:] * (1.0 + 4 * m * np.finfo(float).eps))
     # each large row's node also ends the edge before it on the ring
     assert (sign_over.sum(), smooth_over.sum()) == ((0, 4) if m == 1 else (4, 8))
-    handed = Counter()
-    for name in ("_divisor", "boundary_layer", "discontinuous_sign"):
+    handed, normed = Counter(), Counter()
+    for name in ("_direction", "boundary_layer", "discontinuous_sign"):
         def counted(w, *args, _f=getattr(control, name), _name=name):
-            handed[_name] += len(w)
+            handed[_name] += 1
             return _f(w, *args)
         monkeypatch.setattr(control, name, counted)
+    row_norms = control._row_norms
+
+    def norms(w, out=None):
+        normed["work" if out is not None else "rescaled"] += len(w)
+        return row_norms(w, out)
+
+    monkeypatch.setattr(control, "_row_norms", norms)
     Ea = int(kernel.gain_offsets[-1])
     for t in (0.0, 1.5, 1.5, 40.0):
         kernel(t, x, np.ones(Ea), np.ones(Ea))
-    assert handed == {"_divisor": 4 * (sign_over.sum() + smooth_over.sum())}
+    assert handed == {"_direction": 4}
+    # each call takes the norms of all rows once in its work column, and
+    # again once its divisor overflows, here on the rescaled rows of all edges
+    E = len(kernel.tails)
+    assert normed == {"work": 4 * E, "rescaled": 4 * E}
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -534,8 +553,7 @@ def test_width_formed_once_per_distinct_stage_time(monkeypatch):
     for law in ("discontinuous", "static"):
         formed.clear()
         at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3), law)
-        # a discontinuous group has no width; RK4's four stages per step
-        # take at most three distinct times
-        assert sum(formed.values()) == (0 if law == "discontinuous" else len(formed))
-        assert law == "discontinuous" or 2 * 300 <= len(formed) <= 3 * 300 + 1
-
+        # every law forms its width, the discontinuous law that of eps = 0;
+        # RK4's four stages per step take at most three distinct times
+        assert sum(formed.values()) == len(formed)
+        assert 2 * 300 <= len(formed) <= 3 * 300 + 1
