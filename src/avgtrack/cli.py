@@ -13,7 +13,6 @@ and ends the run.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -33,7 +32,10 @@ from .errors import (
 from .report import write_outputs
 
 
-def _load_configs(path: str, seed: int | None) -> list[Scenario]:
+def _load_configs(path: str, seed: int | None, sim: dict | None = None) -> list[Scenario]:
+    """The scenarios of the config file, each with the given `sim` entries
+    (--dt, --t-end) put into its sim block before it is checked, so that
+    summary.json records them too."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -42,6 +44,12 @@ def _load_configs(path: str, seed: int | None) -> list[Scenario]:
     items = raw if isinstance(raw, list) else [raw]
     if not items:
         raise ConfigError(f"config {path} holds an empty list of scenarios")
+    given = {k: v for k, v in (sim or {}).items() if v is not None}
+    if given:
+        # a sim block that is not an object is left for the parser to reject
+        items = [dict(item, sim=dict(item["sim"], **given))
+                 if isinstance(item, dict) and isinstance(item.get("sim"), dict) else item
+                 for item in items]
     return [parse_scenario(item, seed=seed) for item in items]
 
 
@@ -74,14 +82,6 @@ def cmd_gains(args: argparse.Namespace) -> int:
     reports = [_gain_report(scn) for scn in _load_configs(args.config, seed=None)]
     print("\n\n".join(reports))
     return 0
-
-
-def _with_overrides(scn: Scenario, overrides: dict) -> Scenario:
-    """The scenario with the given --dt / --t-end applied, both to the run
-    and to the config that summary.json records."""
-    given = {k: v for k, v in overrides.items() if v is not None}
-    raw = dict(scn.raw, sim=dict(scn.raw.get("sim", {}), **given))
-    return dataclasses.replace(scn, sim=dataclasses.replace(scn.sim, **given), raw=raw)
 
 
 def _design(scn: Scenario) -> StaticGains | AdaptiveParams:
@@ -118,8 +118,7 @@ def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    overrides = {"dt": args.dt, "t_end": args.t_end}
-    scns = [_with_overrides(s, overrides) for s in _load_configs(args.config, seed=args.seed)]
+    scns = _load_configs(args.config, seed=args.seed, sim={"dt": args.dt, "t_end": args.t_end})
     names = Counter(s.name for s in scns) if len(scns) > 1 else Counter()  # a list's directories
     bad = sorted(name for name, k in names.items()
                  if k > 1 or name in ("", ".", "..") or any(c in name for c in "/\\\0"))

@@ -112,9 +112,7 @@ class Scenario:
         if self.adaptive is None:
             raise ConfigError("adaptive algorithm needs an 'adaptive' section")
         P, K = control.feedback_gain(self.reference_set.plant, self.design_Q, self.numerics)
-        return control.AdaptiveParams(
-            K=K, Gamma=K.T @ K, eps=self.eps, phi=self.phi, P=P, **self.adaptive
-        )
+        return control.AdaptiveParams(K=K, eps=self.eps, phi=self.phi, P=P, **self.adaptive)
 
 
 def _parse_input(d: dict, where: str) -> InputDescriptor:

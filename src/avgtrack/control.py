@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -63,7 +63,7 @@ def _floor(m: int) -> float:
 
 def _direction(
     w: NDArray, width: float | NDArray, floor: float | NDArray, zero: float | NDArray | None = None,
-    out: NDArray | None = None, work: tuple = (None, None, None),
+    out: NDArray | None = None, work: tuple = (None, None, None, None),
 ) -> NDArray[np.float64]:
     """h = w / div with div = max(||w|| + width, ||w|| floor) and ||w|| the
     hypot chain, and h = 0 on rows whose div is at most `zero`: the one
@@ -71,12 +71,13 @@ def _direction(
     rows and their width are first divided by the row's largest entry,
     which leaves h unchanged in exact arithmetic; the other rows keep their
     bits. width, floor and zero may be columns with one entry per row. h is
-    written into `out`, and `work` may hold the norm and divisor columns
+    written into `out`, and `work` may hold the norm and divisor columns,
+    which keep ||w|| and div of the rows as given, the column of ||w|| floor
     and the boolean column of the zero rows."""
-    nrm, div, low = work
+    nrm, div, floored, low = work
     nrm = _row_norms(w, nrm)
     div = np.add(nrm, width, out=div)
-    np.maximum(div, np.multiply(nrm, floor, out=nrm), out=div)
+    np.maximum(div, np.multiply(nrm, floor, out=floored), out=div)
     if not math.isfinite(np.maximum.reduce(div, axis=None, initial=0.0)):
         scale = np.where(np.isfinite(div), 1.0, np.abs(w).max(axis=-1, keepdims=True))
         w, width = w / scale, width / scale
@@ -126,7 +127,6 @@ class AdaptiveParams:
     """Designed constants of the adaptive-coupling law."""
 
     K: NDArray[np.float64]       # m x n, K = -B^T P
-    Gamma: NDArray[np.float64]   # n x n, Gamma = P B B^T P = K^T K
     mu: float
     nu: float
     theta: float
@@ -136,10 +136,28 @@ class AdaptiveParams:
     P: NDArray[np.float64]
     alpha0: float = 0.0          # shared per-edge initial gains
     beta0: float = 0.0
+    # n x n, Gamma = P B B^T P = K^T K, derived from K; a given Gamma must
+    # equal K^T K to rounding
+    Gamma: NDArray[np.float64] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         for name in ("mu", "nu", "theta", "chi", "eps", "phi", "alpha0", "beta0"):
             located(name, in_range, name, getattr(self, name))
+        K = np.asarray(self.K, dtype=float)
+        gamma = K.T @ K
+        if self.Gamma is not None:
+            located("Gamma", _is_gram, self.Gamma, K, gamma)
+        object.__setattr__(self, "Gamma", gamma)
+
+
+def _is_gram(given, K: NDArray, gamma: NDArray) -> None:
+    # to rounding: within 1e-12 of the largest entry of |K|^T |K|, the
+    # scale of the sums that form K^T K
+    given = np.asarray(given, dtype=float)
+    scale = (np.abs(K).T @ np.abs(K)).max(initial=0.0)
+    if given.shape != gamma.shape or not np.abs(given - gamma).max(initial=0.0) <= 1e-12 * scale:
+        raise ConfigError(f"must be K^T K = P B B^T P, the {gamma.shape} Gram matrix of K, to "
+                          f"rounding; leave it out to have it derived from K")
 
 
 def in_range(name: str, value) -> float:
@@ -225,15 +243,19 @@ class EdgeKernel:
     precomputed tail and head indices, forms h over all edges at once, then
     one multiply-add for u, scatters +u to tails and -u to heads with one
     bincount over the (node, input) cells and applies B^T once, so it costs
-    O(E).
+    O(E). The adaptive edges' drives, (x_i - x_j)^T Gamma (x_i - x_j) =
+    ||w||^2 for alpha and w . h = ||w||^2 / div for beta, come from the norm
+    and divisor that forming h leaves in the work columns.
 
     The kernel holds each block's constants only in the per-edge stacks a
     call reads: (a, b) as one (2, E, 1) stack, with (c1, c2) on the fixed
-    edges; the width, floor and zero threshold as (E, 1) columns, the width
-    taking one exp per block once per distinct call time, and no threshold
-    column without a discontinuous block; and the rates (mu, nu), decays
-    (theta, chi) and initial edge gains `gains0` (alpha0, beta0) as (2, Ea)
-    stacks over the adaptive edges, empty where there are none.
+    edges; the floor and zero threshold as (E, 1) columns, with no
+    threshold column without a discontinuous block; and the rates (mu, nu),
+    decays (theta, chi) and initial edge gains `gains0` (alpha0, beta0) as
+    (2, Ea) stacks over the adaptive edges, empty where there are none. The
+    width depends on time alone: `widths` forms its (E, 1) columns for a
+    vector of times, with one exp per block and time, and a call reads the
+    column of its time.
 
     `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
     also stay one law for all). The kernel then couples the disjoint union of
@@ -243,8 +265,8 @@ class EdgeKernel:
     that order, `order` and `laws` give each block's index in the caller's
     order and its law, and `node_offsets` and `gain_offsets` where its nodes
     start in the union and its edge gains among the adaptive edges, with the
-    totals at the end. K must be the same in every block, and Gamma in every
-    adaptive block. Every term is edge-local, so no block sees another's.
+    totals at the end. K must be the same in every block. Every term is
+    edge-local, so no block sees another's.
     """
 
     def __init__(
@@ -267,10 +289,8 @@ class EdgeKernel:
         self.order = sorted(range(len(blocks)), key=lambda b: LAWS.index(modes[b]))
         graphs, blocks = [graphs[b] for b in self.order], [blocks[b] for b in self.order]
         self.laws = modes = [modes[b] for b in self.order]
-        adaptive = [p for p, m in zip(blocks, modes) if m == "adaptive"]
-        for shared, name in ((blocks, "K"), (adaptive, "Gamma")):
-            if any(_bits(getattr(p, name)) != _bits(getattr(shared[0], name)) for p in shared):
-                raise ConfigError(f"the blocks of one kernel must share {name}")
+        if any(_bits(p.K) != _bits(blocks[0].K) for p in blocks):
+            raise ConfigError("the blocks of one kernel must share K")
         counts = [h.n_edges for h in graphs]
         self.node_offsets = np.cumsum([0] + [h.n_nodes for h in graphs])
         self.gain_offsets = np.cumsum([0] + [c * (m == "adaptive") for c, m in zip(counts, modes)])
@@ -285,7 +305,6 @@ class EdgeKernel:
             return per_edge(laws, np.array([[float(getattr(p, k)) for p in ours] for k in names]))
 
         self._KT, self._BT = blocks[0].K.T, plant.B.T
-        self._Gamma = adaptive[0].Gamma if adaptive else None
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
         self.tails, self.heads = np.concatenate(index, axis=1)
         self._ends = np.concatenate([self.tails, self.heads])
@@ -302,7 +321,8 @@ class EdgeKernel:
         x_ends, d = self._x_ends, self._d = np.empty((2 * E, plant.n)), np.empty((E, plant.n))
         self._wh, u = np.empty((2, E, m)), np.empty((2, E, m))
         self._w, self._h = w, h = self._wh
-        self._work = (np.empty((E, 1)), np.empty((E, 1)), np.empty((E, 1), dtype=bool))
+        nrm, div, floored = np.empty((3, E, 1))
+        self._work = (nrm, div, floored, np.empty((E, 1), dtype=bool))
         self._ends_x, self._u, self._u_rows = (x_ends[:E], x_ends[E:]), u, (u[0], u[1])
         # (a, b) per edge: (c1, c2) on the fixed edges; the adaptive edges
         # take their gains in on each call
@@ -314,7 +334,7 @@ class EdgeKernel:
         self._decay = -stack(("adaptive",), "theta", "chi")
         self.gains0 = stack(("adaptive",), "alpha0", "beta0")
         self._gains, drive = self._ab[:, nf:, 0], np.empty((2, Ea))
-        self._adaptive = (d[nf:], w[nf:], h[nf:], drive, drive[0], drive[1])
+        self._adaptive = (nrm[nf:, 0], div[nf:, 0], drive, drive[0], drive[1])
         # The direction's constants per block, repeated over its edges: a
         # discontinuous block is the boundary layer of eps = 0, with floor 1
         # and h = 0 at or below the zero threshold; the others have
@@ -323,30 +343,31 @@ class EdgeKernel:
         self._eps = np.where(sign, 0.0, [float(p.eps) for p in blocks])
         self._phi = np.array([float(p.phi) for p in blocks])
         self._block_of_edge = edge = np.repeat(np.arange(len(blocks)), counts)
-        self._width, self._width_t = np.empty((E, 1)), None
         self._floor = np.where(sign, 1.0, _floor(m))[edge, None]
         self._zero = np.where(sign, _ZERO_NORM, -1.0)[edge, None] if sign.any() else None
 
-    def _set_width(self, t: float) -> None:
-        # one exp per block, repeated over its edges; the indices are in
-        # range, and "clip" writes out without a buffer
-        _width(self._eps, self._phi, t).take(self._block_of_edge, out=self._width[:, 0],
-                                             mode="clip")
-        self._width_t = t
+    def widths(self, times: Sequence[float], out: NDArray | None = None) -> NDArray[np.float64]:
+        """The width of every edge at each of the T given times, (T, E): one
+        exp per block and time, repeated over the block's edges. `out` may
+        take it."""
+        per_block = _width(self._eps, self._phi, np.asarray(times, dtype=float)[:, None])
+        # the indices are in range, and "clip" writes out without a buffer
+        return per_block.take(self._block_of_edge, axis=1, out=out, mode="clip")
 
-    def add_to(self, t: float, x: NDArray, gains: NDArray, dx: NDArray, rates: NDArray) -> None:
-        """Add the coupling at time t and agent states x (N, n) into dx, and
-        write the rates of the adaptive edges' gains, gains = [alpha; beta]
-        (2, Ea), into rates (2, Ea) (not touched where there are no adaptive
-        edges). It works in the kernel's own arrays, so one kernel serves one
-        call at a time."""
+    def add_to(
+        self, width: NDArray, x: NDArray, gains: NDArray, dx: NDArray, rates: NDArray
+    ) -> None:
+        """Add the coupling at agent states x (N, n) into dx, and write the
+        rates of the adaptive edges' gains, gains = [alpha; beta] (2, Ea),
+        into rates (2, Ea) (not touched where there are no adaptive edges).
+        `width` is the (E, 1) column of the widths at the call's time, a row
+        of `widths`. It works in the kernel's own arrays, so one kernel
+        serves one call at a time."""
         E, nf = len(self.tails), self._nf
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
         np.subtract(*self._ends_x, out=self._d)
         np.matmul(self._d, self._KT, out=self._w)
-        if t != self._width_t:
-            self._set_width(t)
-        _direction(self._w, self._width, self._floor, self._zero, self._h, self._work)
+        _direction(self._w, width, self._floor, self._zero, self._h, self._work)
         if nf < E:
             np.copyto(self._gains, gains)
         u, (u0, u1) = self._u, self._u_rows
@@ -357,10 +378,11 @@ class EdgeKernel:
         np.add(dx, cells.reshape(-1, u.shape[2]) @ self._BT, out=dx)
         if nf == E:
             return
-        d, w, h, drive, d_gamma_d, w_dot_h = self._adaptive
-        np.einsum("ei,ij,ej->e", d, self._Gamma, d, out=d_gamma_d)
-        # ||w||^2 / (||w|| + width) = w . h
-        np.einsum("em,em->e", w, h, out=w_dot_h)
+        # (x_i - x_j)^T K^T K (x_i - x_j) = ||w||^2, and w . h = ||w||^2 / div,
+        # from the norm and divisor columns that forming h left
+        nrm, div, drive, squares, over_div = self._adaptive
+        np.multiply(nrm, nrm, out=squares)
+        np.divide(squares, div, out=over_div)
         np.multiply(self._decay, gains, out=rates)
         np.add(rates, drive, out=rates)
         np.multiply(self._rate, rates, out=rates)
@@ -387,7 +409,7 @@ class EdgeKernel:
                     raise ConfigError(f"{name} needs {Ea} entries, one per adaptive edge, got "
                                       f"{'none' if v is None else np.shape(v)}")
             gains[:] = alpha, beta
-        self.add_to(t, x, gains, coupling, rates)
+        self.add_to(self.widths([t])[0, :, None], x, gains, coupling, rates)
         return (coupling, *(rates if Ea else (None, None)))
 
 

@@ -131,19 +131,18 @@ def _largest_norm(v: NDArray, axis: int | None) -> float:
     return float(nrm if axis is None else nrm.max())
 
 
-def eval_input(d: InputDescriptor, t: float, m: int = 1) -> NDArray[np.float64]:
-    """Evaluate f(t) for t >= 0."""
+def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np.float64]:
+    """Evaluate f(t) for t >= 0, or f at each of an array of times, one row
+    of m entries per time."""
+    t = np.asarray(t, dtype=float)
     if d.kind == "zero":
-        return np.zeros(m)
+        return np.zeros(t.shape + (m,))
     if d.kind == "constant":
-        return d.value.copy()
+        return np.broadcast_to(d.value, t.shape + d.value.shape).copy()
     if d.kind == "sinusoid":
-        return d.amp * np.sin(d.omega * t + d.phase)
+        return d.amp * np.sin(d.omega * t[..., None] + d.phase)
     # table: hold-last beyond grid, hold-first before it
-    out = np.empty(d.values.shape[1])
-    for k in range(d.values.shape[1]):
-        out[k] = np.interp(t, d.times, d.values[:, k])
-    return out
+    return np.stack([np.interp(t, d.times, v) for v in d.values.T], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,15 @@ class ReferenceSet:
                 tables.append(i)
         return amp, omega, phase, const, tuple(tables)
 
-    def eval_inputs(self, t: float) -> NDArray[np.float64]:
-        """All f_i(t) stacked as an (N, m) array."""
+    def eval_inputs(self, t: float | Sequence[float]) -> NDArray[np.float64]:
+        """All f_i(t) stacked as an (N, m) array; for a vector of T times,
+        one such array per time, (T, N, m), each with the bits of a call at
+        its time alone."""
         amp, omega, phase, const, tables = self._parametric
-        f = amp * np.sin(omega * t + phase)[:, None] + const
+        t = np.asarray(t, dtype=float)
+        f = amp * np.sin(omega * t[..., None] + phase)[..., None] + const
         for i in tables:
-            f[i] = eval_input(self.inputs[i], t, self.plant.m)
+            f[..., i, :] = eval_input(self.inputs[i], t, self.plant.m)
         return f
 
 

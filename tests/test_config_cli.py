@@ -321,8 +321,39 @@ class TestRunCommand:
         cfg["sim"]["t_end"] = 1
         code, out = run_cli(tmp_path, cfg, "--dt", "0.3")
         assert code == 2
+        # the override is checked with the sim block it enters
         err = capsys.readouterr().err
-        assert err.startswith("config error: t_end/dt") and err.count("\n") == 1
+        assert err.startswith("config error: sim: t_end/dt") and err.count("\n") == 1
+        assert not out.exists()
+
+    # paper-sec5-static with sim.dt = 0.3 (t_end 20 / 0.3 is no whole number
+    # of steps, nor is 1.0 / 0.3), and overrides that make the run valid
+    @pytest.mark.parametrize("t_end, extra", [
+        (20.0, ("--t-end", "0.3")),
+        (20.0, ("--t-end", "0.6")),
+        (20.0, ("--dt", "0.001", "--t-end", "0.3")),
+        (1.0, ("--dt", "0.01")),
+        (1.0, ("--dt", "0.001")),
+    ])
+    def test_override_that_makes_the_sim_block_valid_runs(self, tmp_path, capsys, t_end, extra):
+        cfg = scenario_config("paper-sec5-static")
+        cfg["sim"].update(t_end=t_end, dt=0.3)
+        code, out = run_cli(tmp_path, cfg, *extra)
+        assert code == 0 and capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        given = dict(zip(extra[::2], map(float, extra[1::2])))
+        assert summary["config"]["sim"]["dt"] == given.get("--dt", 0.3)
+        assert summary["config"]["sim"]["t_end"] == given.get("--t-end", t_end)
+
+    @pytest.mark.parametrize("t_end", [20.0, 1.0])
+    def test_sim_block_off_the_step_grid_alone_exit_2(self, tmp_path, capsys, t_end):
+        cfg = scenario_config("paper-sec5-static")
+        cfg["sim"].update(t_end=t_end, dt=0.3)
+        code, out = run_cli(tmp_path, cfg)
+        steps = f"{t_end / 0.3:.10g}"
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: sim: t_end/dt = {steps} must be a whole number of steps\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--dt", "--t-end"])
@@ -422,7 +453,9 @@ def test_malformed_config_exit_2(tmp_path, capsys, path, value):
     if path == ("adaptive",):
         cfg["algorithm"] = "adaptive"
     _set(cfg, path, value)
-    code, out = run_cli(tmp_path, cfg, "--t-end", "0.01")
+    # --t-end would replace a malformed t_end before the sim block is checked
+    short = () if path == ("sim", "t_end") else ("--t-end", "0.01")
+    code, out = run_cli(tmp_path, cfg, *short)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(("config error: ", "design failed: ")) and err.count("\n") == 1
@@ -449,7 +482,7 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     # more steps than an index can count: list(range(...)) raised
     # OverflowError, and an infinite t_end/dt was "cannot convert float
     # infinity to integer"
-    pytest.param(("sim", "dt"), 1e-30, "sim: t_end/dt = 2e+31 must be at most ", id="dt-1e-30"),
+    pytest.param(("sim", "dt"), 1e-30, "sim: t_end/dt = 1e+28 must be at most ", id="dt-1e-30"),
     pytest.param(("sim", "dt"), 1e-320, "sim: t_end/dt = inf must be at most ", id="dt-1e-320"),
     pytest.param(("graph", "n"), "six", "graph: ", id="n-string"),
     pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: ", id="Q-ragged"),

@@ -16,9 +16,9 @@ from avgtrack import (
     design_gains,
     discontinuous_sign,
 )
-from avgtrack.control import NetworkState, adaptive_rhs, edge_signals, static_rhs
+from avgtrack.control import EdgeKernel, NetworkState, adaptive_rhs, edge_signals, static_rhs
 from avgtrack.errors import ConfigError, NotConnected, NotStabilizable
-from conftest import SEC5_A, SEC5_B, ring_graph
+from conftest import SEC5_A, SEC5_B, random_stabilizable, ring_graph
 
 
 def sec5_refset(n_agents=6):
@@ -375,3 +375,63 @@ class TestAdaptiveRhs:
         f = rs.eval_inputs(0.9)
         residual = (d.x - x @ SEC5_A.T - f @ SEC5_B.T).sum(axis=0)
         np.testing.assert_allclose(residual, 0.0, atol=1e-12)
+
+
+class TestAdaptiveGamma:
+    """Gamma = P B B^T P = K^T K is derived from K; a given Gamma must be
+    K^T K to rounding."""
+
+    def test_gamma_derived_from_k(self):
+        sol = at.solve_are(SEC5_A, SEC5_B, np.eye(2))
+        K = -SEC5_B.T @ sol.P
+        rates = dict(mu=10.0, nu=10.0, theta=0.01, chi=0.01, eps=5.0, phi=0.5, P=sol.P)
+        want = (K.T @ K).tobytes()
+        assert AdaptiveParams(K=K, **rates).Gamma.tobytes() == want
+        for given in (K.T @ K, sol.P @ SEC5_B @ SEC5_B.T @ sol.P):
+            assert AdaptiveParams(K=K, Gamma=given, **rates).Gamma.tobytes() == want
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_paper_form_accepted_on_random_plants(self, seed):
+        # P B B^T P equals K^T K only to rounding on most of these plants
+        A, B, Q = random_stabilizable(np.random.default_rng(seed))
+        P = at.solve_are(A, B, Q).P
+        K = -B.T @ P
+        params = AdaptiveParams(K=K, Gamma=P @ B @ B.T @ P, P=P, mu=1.0, nu=1.0, theta=0.1,
+                                chi=0.1, eps=1.0, phi=0.5)
+        assert params.Gamma.tobytes() == (K.T @ K).tobytes()
+
+    @pytest.mark.parametrize("given", [
+        pytest.param(lambda G: 2.0 * G, id="twice"),
+        pytest.param(lambda G: G + 1e-9 * np.abs(G).max(), id="off-by-1e-9"),
+        pytest.param(lambda G: np.eye(3), id="wrong-shape"),
+        pytest.param(lambda G: np.full_like(G, np.nan), id="nan"),
+        pytest.param(lambda G: "Gamma", id="string"),
+    ])
+    def test_gamma_other_than_k_t_k_rejected(self, given):
+        params = sec5_adaptive_params()
+        with pytest.raises(ConfigError, match="^Gamma: "):
+            AdaptiveParams(K=params.K, Gamma=given(params.Gamma), P=params.P, mu=1.0, nu=1.0,
+                           theta=0.1, chi=0.1, eps=1.0, phi=0.5)
+
+    def test_drive_is_the_paper_quadratic_form(self):
+        # with alpha = beta = 0 the rates are mu and nu times the drives:
+        # (x_i - x_j)^T P B B^T P (x_i - x_j) for alpha, with P from the
+        # ARE, and w . h for beta, with w = K (x_i - x_j) and h boundary_layer's
+        sol = at.solve_are(SEC5_A, SEC5_B, np.eye(2))
+        params = sec5_adaptive_params(mu=3.0, nu=7.0)
+        g = ring_graph(6)
+        kernel = EdgeKernel(g, LinearPlant(A=SEC5_A, B=SEC5_B), params, "adaptive")
+        gamma = sol.P @ SEC5_B @ SEC5_B.T @ sol.P
+        rng = np.random.default_rng(5)
+        tails, heads = graphmod.edge_index(g)
+        zeros = np.zeros(g.n_edges)
+        for scale in (1e-6, 1.0, 1e6):
+            for t in (0.0, 0.7, 30.0):
+                x = scale * rng.standard_normal((6, 2))
+                _, dalpha, dbeta = kernel(t, x, zeros, zeros)
+                d = x[tails] - x[heads]
+                paper = np.einsum("ei,ij,ej->e", d, gamma, d)
+                np.testing.assert_allclose(dalpha / params.mu, paper, rtol=1e-12, atol=0)
+                w = d @ params.K.T
+                w_dot_h = np.sum(w * boundary_layer(w, params.eps, params.phi, t), axis=1)
+                np.testing.assert_allclose(dbeta / params.nu, w_dot_h, rtol=1e-12, atol=0)

@@ -1,8 +1,9 @@
 """The hot loop's cheap paths keep the bits of the plain numpy forms: the
 hypot chain's row norm and the one routine that forms every law's direction
-h from it, the discontinuous sign as the boundary layer of eps = 0, one
-evaluation of the inputs and one width per distinct stage time, RK4 and the
-one-pass kernel in their preallocated work arrays, and the
+h from it, the discontinuous sign as the boundary layer of eps = 0, the
+inputs and widths formed once per distinct stage time in one pass per block
+of steps, RK4 and the one-pass kernel in their preallocated work arrays, the
+adaptive drives from the norm and divisor that forming h leaves, and the
 one-template-per-record CSV writer."""
 
 import dataclasses
@@ -49,9 +50,11 @@ def test_row_norms_are_hypot_reduce(w):
     assert same_bits(control._row_norms(w), want)
     floor = 1.0 + 4 * w.shape[-1] * np.finfo(float).eps
     # no row of these overflows, so none is rescaled: the divisor is formed
-    # from the hypot norm in the work column, and h is w over it
-    nrm, div = np.empty((len(w), 1)), np.empty((len(w), 1))
-    h = control._direction(w, 0.25, floor, work=(nrm, div, None))
+    # from the hypot norm in the work column, which keeps the norm, and h is
+    # w over it
+    nrm, div, floored = np.empty((3, len(w), 1))
+    h = control._direction(w, 0.25, floor, work=(nrm, div, floored, None))
+    assert same_bits(nrm, want)
     assert same_bits(div, np.maximum(want + 0.25, want * floor))
     assert same_bits(h, w / np.maximum(want + 0.25, want * floor))
 
@@ -95,26 +98,56 @@ def test_discontinuous_sign_of_one_input_is_the_sign(w):
         assert same_bits(discontinuous_sign(v[None]), s)
 
 
+def distinct_stage_times(dt, steps, per_block):
+    """RK4's stage times with a repeat dropped, one list per block of steps:
+    k3 shares k2's time, and a step's k1 shares the previous k4's where
+    k*dt + dt == (k+1)*dt, also where the two steps fall in two blocks."""
+    out, last = [], None
+    for start in range(0, steps, per_block):
+        out.append([])
+        for k in range(start, min(start + per_block, steps)):
+            for t in (k * dt, k * dt + dt / 2.0, k * dt + dt / 2.0, k * dt + dt):
+                if t != last:
+                    out[-1].append(t)
+                last = t
+    return out
+
+
+def sec5_block_steps():
+    """The steps of one block on the Sec. 5 ring, whose table rows hold
+    f(t) B^T for 6 agents of 2 states and 6 edge widths, and check that
+    three rows per step fit the table's cap."""
+    row_bytes = 8 * (6 * 2 + 6)
+    per_block = sim.block_steps(row_bytes)
+    assert 3 * per_block * row_bytes <= sim.TABLE_BYTES < 3 * (per_block + 1) * row_bytes
+    return per_block
+
+
+def counting(monkeypatch, cls, name):
+    """The list of time vectors that each call of cls.name gets."""
+    seen = []
+    method = getattr(cls, name)
+
+    def counted(self, times, *args, **kwargs):
+        seen.append(list(times))
+        return method(self, times, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return seen
+
+
 @pytest.mark.parametrize("dt, steps", [(1e-3, 300), (0.1, 30), (0.01, 7)])
 def test_inputs_evaluated_once_per_distinct_stage_time(monkeypatch, dt, steps):
+    # one call per block of steps, over the block's distinct stage times
     scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
     gains = scn.build_static_gains()
-    seen = []
-    evaluate = ReferenceSet.eval_inputs
-
-    def counted(self, t):
-        seen.append(t)
-        return evaluate(self, t)
-
-    monkeypatch.setattr(ReferenceSet, "eval_inputs", counted)
+    seen = counting(monkeypatch, ReferenceSet, "eval_inputs")
     at.run(scn.graph, scn.reference_set, gains, SimConfig(dt * steps, dt))
-    # RK4's stage times, with a repeat dropped: k3 shares k2's time, and a
-    # step's k1 shares the previous k4's where k*dt + dt == (k+1)*dt
-    stages = [s for k in range(steps) for s in (k * dt, k * dt + dt / 2.0,
-                                                k * dt + dt / 2.0, k * dt + dt)]
-    distinct = [t for i, t in enumerate(stages) if i == 0 or t != stages[i - 1]]
-    assert seen == distinct
-    assert len(seen) <= 3 * steps + 1
+    per_block = sec5_block_steps()
+    want = distinct_stage_times(dt, steps, per_block)
+    assert seen == want
+    assert len(seen) == -(-steps // per_block)
+    assert sum(map(len, seen)) <= 3 * steps
 
 
 def per_row_writer(path, scn, traj):
@@ -245,12 +278,19 @@ def allocating_coupling(kernel, blocks, t, x, alpha, beta):
     coupling = cells.reshape(-1, u.shape[1]) @ plant.B.T
     if not adaptive:
         return coupling, None, None
-    # each adaptive block's rates repeated over its edges, which come last
-    mu, theta, nu, chi = np.repeat([[p.mu, p.theta, p.nu, p.chi] for _, p in adaptive],
-                                   [g.n_edges for g, _ in adaptive], axis=0).T
-    d, w, h = (v[len(v) - len(mu):] for v in (d, w, h))
-    dalpha = mu * (-theta * alpha + np.einsum("ei,ij,ej->e", d, adaptive[0][1].Gamma, d))
-    dbeta = nu * (-chi * beta + np.einsum("em,em->e", w, h))
+    # each adaptive block's rates and width repeated over its edges, which
+    # come last
+    mu, theta, nu, chi, width = np.repeat(
+        [[p.mu, p.theta, p.nu, p.chi, control._width(p.eps, p.phi, t)] for _, p in adaptive],
+        [g.n_edges for g, _ in adaptive], axis=0).T
+    w = w[len(w) - len(mu):]
+    # the drives (x_i - x_j)^T K^T K (x_i - x_j) = ||w||^2 and w . h =
+    # ||w||^2 / div, from the norm and boundary_layer's divisor
+    nrm = np.hypot.reduce(w, axis=1, initial=0.0)
+    squares = nrm * nrm
+    div = np.maximum(nrm + width, nrm * (1.0 + 4 * w.shape[1] * np.finfo(float).eps))
+    dalpha = mu * (-theta * alpha + squares)
+    dbeta = nu * (-chi * beta + squares / div)
     return coupling, dalpha, dbeta
 
 
@@ -265,14 +305,11 @@ def allocating_run_blocks(blocks, cfg, laws):
     N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
     A, B = rs.plant.A, rs.plant.B
-    last = [None, None]
 
     def rhs(t, y):
         x = y[:Nn].reshape(N, n)
         r = y[Nn : 2 * Nn].reshape(N, n)
-        if t != last[0]:
-            last[:] = t, rs.eval_inputs(t) @ B.T
-        fB = last[1]
+        fB = rs.eval_inputs(t) @ B.T
         coupling, *rates = allocating_coupling(kernel, blocks, t, x, y[2 * Nn : 2 * Nn + Ea],
                                                y[2 * Nn + Ea :])
         parts = [(x @ A.T + fB + coupling).ravel(), (r @ A.T + fB).ravel()]
@@ -339,6 +376,17 @@ def test_workspace_run_has_the_bits_of_the_allocating_run(seed, record_every):
 def test_two_input_plant_has_the_bits_of_the_allocating_run(record_every):
     blocks, laws = two_input_blocks()
     assert_same_run_bits(blocks, SimConfig(0.05, 1e-3, record_every=record_every), laws)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 7])
+def test_blocks_of_few_steps_have_the_bits_of_the_allocating_run(monkeypatch, per_block):
+    # a table of 33 agents' f(t) B^T on two states and 33 widths per row,
+    # capped to hold three rows for each of `per_block` steps: a block's
+    # first row is often the previous block's last, copied
+    blocks, laws = two_input_blocks()
+    monkeypatch.setattr(sim, "TABLE_BYTES", 3 * per_block * 8 * (33 * 2 + 33))
+    assert sim.block_steps(8 * (33 * 2 + 33)) == per_block
+    assert_same_run_bits(blocks, SimConfig(0.05, 1e-3, record_every=3), laws)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -421,12 +469,13 @@ def test_kernel_call_bits_where_blocks_share_part_of_a_width(m):
     N = sum(g.n_nodes for g, _, _ in blocks)
     x = np.random.default_rng(m).standard_normal((N, 2))
     kernel = kernel_call_matches_allocating_form(blocks, laws, x)
-    # the last call was at t = 40
-    own = [control._width(0.0 if law == "discontinuous" else eps, phi, 40.0)
+    times = [0.0, 1.5, 40.0]
+    own = [control._width(0.0 if law == "discontinuous" else eps, phi, np.array(times))
            for law, (eps, phi) in zip(laws, pairs)]
-    want = np.repeat([own[b] for b in kernel.order], [blocks[b][0].n_edges for b in kernel.order])
-    assert same_bits(kernel._width[:, 0], want)
-    assert set(want) == {TINY, *(control._width(2.0, phi, 40.0) for phi in (0.3, 0.9))}
+    want = np.repeat([own[b] for b in kernel.order], [blocks[b][0].n_edges for b in kernel.order],
+                     axis=0).T
+    assert same_bits(kernel.widths(times), want)
+    assert set(want[-1]) == {TINY, *(control._width(2.0, phi, 40.0) for phi in (0.3, 0.9))}
 
 
 def identity_blocks(laws, m):
@@ -539,21 +588,74 @@ def test_kernel_call_bits_at_the_zero_threshold(laws, m):
         assert norms[2] == 1e-15 and norms[3] > 1e-15
 
 
-def test_width_formed_once_per_distinct_stage_time(monkeypatch):
-    formed = Counter()
-    set_width = control.EdgeKernel._set_width
-
-    def counted(self, t):
-        formed[t] += 1
-        set_width(self, t)
-
-    monkeypatch.setattr(control.EdgeKernel, "_set_width", counted)
+@pytest.mark.parametrize("per_block", [1, 4])
+def test_blocks_share_a_row_only_where_their_times_agree(monkeypatch, per_block):
+    # with blocks of few steps, a block's first time is formed again where
+    # (k+1)*dt differs from the previous step's k*dt + dt in its last bit,
+    # and copied where the two agree
     scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
     gains = scn.build_static_gains()
+    seen = counting(monkeypatch, ReferenceSet, "eval_inputs")
+    row_bytes = 8 * (6 * 2 + 6)
+    monkeypatch.setattr(sim, "TABLE_BYTES", 3 * per_block * row_bytes)
+    at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3))
+    want = distinct_stage_times(1e-3, 300, per_block)
+    assert seen == want
+    # a block that starts at step k forms k*dt again exactly where it differs
+    # from (k-1)*dt + dt, and both cases occur
+    dt, starts = 1e-3, range(per_block, 300, per_block)
+    fresh = [k * dt != (k - 1) * dt + dt for k in starts]
+    assert [times[0] == k * dt for times, k in zip(want[1:], starts)] == fresh
+    assert any(fresh) and not all(fresh)
+
+
+def test_width_formed_once_per_distinct_stage_time(monkeypatch):
+    scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
+    gains = scn.build_static_gains()
+    seen = counting(monkeypatch, control.EdgeKernel, "widths")
     for law in ("discontinuous", "static"):
-        formed.clear()
+        seen.clear()
         at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3), law)
-        # every law forms its width, the discontinuous law that of eps = 0;
-        # RK4's four stages per step take at most three distinct times
-        assert sum(formed.values()) == len(formed)
-        assert 2 * 300 <= len(formed) <= 3 * 300 + 1
+        # every law forms its width, the discontinuous law that of eps = 0,
+        # in one call per block of steps, over the block's distinct stage
+        # times; RK4's four stages per step take at most three
+        assert seen == distinct_stage_times(1e-3, 300, sec5_block_steps())
+        assert 2 * 300 <= sum(map(len, seen)) <= 3 * 300
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       laws=st.lists(st.sampled_from(control.LAWS), min_size=1, max_size=4),
+       times=st.lists(st.one_of(st.floats(0.0, 1e3), st.sampled_from([0.0, 5e-4, 1e-3, 1e6])),
+                      min_size=1, max_size=8))
+def test_width_rows_have_the_bits_of_each_time(seed, laws, times):
+    # every block's width at each time, repeated over its edges; on
+    # discontinuous blocks the width of eps = 0, the smallest subnormal
+    blocks = random_blocks(seed, laws, 2, 1, own_rates=True)
+    graphs, sets, gains = zip(*blocks)
+    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    rows = kernel.widths(times)
+    assert rows.shape == (len(times), len(kernel.tails))
+    counts = [blocks[b][0].n_edges for b in kernel.order]
+    for t, row in zip(times, rows):
+        own = [control._width(0.0 if law == "discontinuous" else gains[b].eps, gains[b].phi, t)
+               for b, law in zip(kernel.order, kernel.laws)]
+        assert same_bits(row, np.repeat(own, counts))
+        assert same_bits(row, kernel.widths([t])[0])
+        assert all(w == TINY for w, law in zip(own, kernel.laws) if law == "discontinuous")
+
+
+@pytest.mark.parametrize("plant", [*at.scenarios.NAMES, "seven-states"])
+@pytest.mark.parametrize("N", [36, 1000])
+def test_contiguous_a_transpose_keeps_the_product_bits(plant, N):
+    # run_blocks multiplies the (2, N, n) stack of x and r by a C-contiguous
+    # copy of A^T, not by the transposed view
+    if plant == "seven-states":
+        A = np.random.default_rng(7).standard_normal((7, 7))
+    else:
+        A = at.parse_scenario(at.scenario_config(plant)).reference_set.plant.A
+    AT = np.ascontiguousarray(A.T)
+    rng = np.random.default_rng(N)
+    for _ in range(200):
+        xr = rng.standard_normal((2, N, len(A))) * 10.0 ** rng.integers(-8, 8, size=(2, N, 1))
+        assert same_bits(np.matmul(xr, AT), np.matmul(xr, A.T))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avgtrack import (
     InputDescriptor,
@@ -239,3 +241,68 @@ class TestReferenceTrajectory:
             rs_b, 0, t, quad_steps=1000
         )
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+GRID = (0.5, 1.0, 2.5, 3.0)          # table inputs' sample times come from here
+
+
+@st.composite
+def references_and_times(draw):
+    """A reference set of zero, constant, sinusoid and table inputs on m = 1
+    or 2 inputs, and stage times before, on, inside and past the tables'
+    grids."""
+    m = draw(st.sampled_from([1, 2]))
+    values = st.floats(-1e3, 1e3, allow_subnormal=True)
+    inputs = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["zero", "constant", "sinusoid", "table"]))
+        if kind == "zero":
+            inputs.append(InputDescriptor(kind="zero"))
+        elif kind == "constant":
+            inputs.append(InputDescriptor(kind="constant", value=draw(st.lists(
+                values, min_size=m, max_size=m))))
+        elif kind == "sinusoid":
+            inputs.append(InputDescriptor(
+                kind="sinusoid", amp=draw(st.lists(values, min_size=m, max_size=m)),
+                omega=draw(st.floats(0.0, 10.0)), phase=draw(st.floats(-4.0, 4.0))))
+        else:
+            times = sorted(draw(st.sets(st.sampled_from(GRID), min_size=1)))
+            rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=len(times),
+                                 max_size=len(times)))
+            inputs.append(InputDescriptor(kind="table", times=times, values=rows))
+    plant = LinearPlant(A=-np.eye(2), B=np.ones((2, m)))
+    rs = make_refset(plant, np.zeros((len(inputs), 2)), inputs)
+    t = st.one_of(st.sampled_from((0.0, *GRID, 0.75, 2.0, 50.0)), st.floats(0.0, 60.0))
+    return rs, draw(st.lists(t, min_size=1, max_size=8))
+
+
+def per_time_form(rs, t):
+    """f_i(t) for one time, in the form a call at one time always took: the
+    parametric kinds as amp sin(omega t + phase) + const over all agents,
+    each table column by np.interp."""
+    amp, omega, phase, const, tables = rs._parametric
+    f = amp * np.sin(omega * t + phase)[:, None] + const
+    for i in tables:
+        d = rs.inputs[i]
+        f[i] = [np.interp(t, d.times, d.values[:, k]) for k in range(rs.plant.m)]
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=references_and_times())
+@example(case=(make_refset(LinearPlant(A=-np.eye(2), B=np.ones((2, 2))), np.zeros((2, 2)), [
+    InputDescriptor(kind="table", times=[0.5, 3.0], values=[[1.0, -2.0], [3.0, 0.5]]),
+    InputDescriptor(kind="sinusoid", amp=[1.0, -0.0], omega=1.0, phase=0.0)]),
+    [0.0, 0.5, 1.75, 3.0, 7.0]))
+def test_eval_over_times_has_the_bits_of_each_time(case):
+    rs, times = case
+    got = rs.eval_inputs(times)
+    assert got.shape == (len(times), rs.n_agents, rs.plant.m)
+    for t, f in zip(times, got):
+        one = rs.eval_inputs(t)
+        assert one.tobytes() == f.tobytes() == per_time_form(rs, t).tobytes()
+    for d in rs.inputs:
+        rows = eval_input(d, np.array(times), rs.plant.m)
+        assert rows.shape == (len(times), rs.plant.m)
+        for t, row in zip(times, rows):
+            assert row.tobytes() == eval_input(d, t, rs.plant.m).tobytes()
