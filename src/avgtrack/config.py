@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -42,6 +43,34 @@ def _section(cls, d: dict, where: str):
     `cls`; the class converts and checks the values."""
     _check_keys(d, {f.name for f in fields(cls)}, where)
     return located(where, cls, **d)
+
+
+# every value in a config is a number, null, or an object or list of such
+# values, but at the top-level text keys, sim.integrator and an input's kind
+_TEXT_KEYS = {"name", "algorithm", "assumptions"}
+_PLAIN = {int, float, type(None)}
+# an agent, its input and the input's kind, by their paths without the index
+_AGENT_NOT_NUMBERS = {("agents",), ("agents", "input"), ("agents", "input", "kind")}
+
+
+def _numbers_only(value, where: tuple) -> None:
+    """Reject a boolean or a string anywhere but at the text keys: Python
+    reads true as 1, and numpy reads "2.5" as 2.5. One in place of a
+    section, an agent or its input is left to their parsers, which say that
+    an object belongs there. A list of plain numbers is checked in one pass,
+    as most of a config's values sit in such lists."""
+    if isinstance(value, (bool, str)):
+        if (len(where) > 1 and where != ("sim", "integrator")
+                and where[:1] + where[2:] not in _AGENT_NOT_NUMBERS):
+            path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in where)[1:]
+            raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
+        return
+    items = (enumerate(value) if isinstance(value, list)
+             else value.items() if isinstance(value, dict) else ())
+    for key, child in items:
+        kind = type(child)
+        if not (kind in _PLAIN or kind is list and _PLAIN.issuperset(map(type, child))):
+            _numbers_only(child, (*where, key))
 
 
 def _initial_state(r0, n: int) -> np.ndarray:
@@ -141,6 +170,9 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
 
 def _parse(cfg: dict, seed: int | None) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "scenario config")
+    for key, value in cfg.items():
+        if key not in _TEXT_KEYS:
+            _numbers_only(value, (key,))
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
     g = located("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))

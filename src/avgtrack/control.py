@@ -1,6 +1,6 @@
 """The two distributed average-tracking laws: boundary-layer smoothing, the
-edge-coupling kernel of the static, discontinuous and adaptive closed loops,
-and the gain design recipe."""
+one closed loop of the static, discontinuous and adaptive laws, and the gain
+design recipe."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from numpy.typing import NDArray
 from . import graph as graphmod
 from .errors import ConfigError, located
 from .numerics import NumericsConfig, DEFAULT_CONFIG, solve_are
-from .signals import LinearPlant, ReferenceSet
+from .signals import LinearPlant, ReferenceSet, concat_references
 
 
 _EPS = np.finfo(float).eps
@@ -225,100 +225,97 @@ def design_gains(
     return StaticGains(K=K, c1=c1, c2=c2, eps=eps, phi=phi, P=P)
 
 
-LAWS = ("discontinuous", "static", "adaptive")   # the order of a kernel's edge slices
+LAWS = ("discontinuous", "static", "adaptive")   # the order of a closed loop's edge slices
 
 
-class EdgeKernel:
-    """Edge coupling of the three laws on one graph, built once per run.
+class ClosedLoop:
+    """The closed loop of the three laws over (graph, references, gains)
+    blocks, built once per run. Agent i follows x_i' = A x_i + B f_i +
+    B sum_j u_ij beside its reference r_i' = A r_i + B f_i, with
+    u_ij = a_ij w_ij + b_ij h_ij and w_ij = K(x_i - x_j): (a, b) = (c1, c2)
+    on static and discontinuous edges, the edge gains (alpha, beta), whose
+    rates are rate * (-decay * gain + drive), on adaptive edges.
 
-    Agent i is driven by its edges alone, through u_ij = a_ij w_ij + b_ij h_ij
-    with w_ij = K(x_i - x_j). On static and discontinuous edges (a, b) =
-    (c1, c2), on adaptive edges the edge gains (alpha, beta). Every edge
-    takes h = w / max(||w|| + width, ||w|| floor), ||w|| the hypot chain,
-    from the one routine that forms the direction. Each block holds its own
-    width and floor: boundary_layer's on static and adaptive blocks, so h
-    is boundary_layer; on discontinuous blocks the width of eps = 0, the
-    smallest subnormal, and floor 1, with h = 0 where the divisor is at
-    most 1e-15, so h is discontinuous_sign. A call gathers x at the
-    precomputed tail and head indices, forms h over all edges at once, then
-    one multiply-add for u, scatters +u to tails and -u to heads with one
-    bincount over the (node, input) cells and applies B^T once, so it costs
-    O(E). The adaptive edges' drives, (x_i - x_j)^T Gamma (x_i - x_j) =
-    ||w||^2 for alpha and w . h = ||w||^2 / div for beta, come from the norm
-    and divisor that forming h leaves in the work columns.
+    Block b runs under law mode[b] (or `mode` for all) on the disjoint union
+    of the graphs. The loop holds the blocks in the order of LAWS, the
+    caller's order within a law, so each law's edges are one slice and a
+    group of one law does no work of another. In that order, `order` and
+    `laws` give each block's index in the caller's order and its law,
+    `node_offsets` and `gain_offsets` where its nodes and its adaptive edge
+    gains start, with the totals at the end, and `references` joins the
+    blocks' references. The blocks share the plant and K, and every term is
+    edge-local, so no block sees another's. The state [x, r, alpha, beta]
+    starts at `y0`, and `owner` gives each entry's block in the caller's
+    order. `terms(times)` forms the terms that depend on time alone,
+    `row_bytes` per time, and `loop(row, y, out)` is the vector field.
 
-    The kernel holds each block's constants only in the per-edge stacks a
-    call reads: (a, b) as one (2, E, 1) stack, with (c1, c2) on the fixed
-    edges; the floor and zero threshold as (E, 1) columns, with no
-    threshold column without a discontinuous block; and the rates (mu, nu),
-    decays (theta, chi) and initial edge gains `gains0` (alpha0, beta0) as
-    (2, Ea) stacks over the adaptive edges, empty where there are none. The
-    width depends on time alone: `widths` forms its (E, 1) columns for a
-    vector of times, with one exp per block and time, and a call reads the
-    column of its time.
-
-    `g`, `gains` and `mode` may instead be equal-length sequences (`mode` may
-    also stay one law for all). The kernel then couples the disjoint union of
-    the graphs, block b with gains[b] under law mode[b]. It holds the blocks
-    in the order of LAWS, the caller's order within a law, so each law's
-    edges are one slice, and a group of one law does no work of another. In
-    that order, `order` and `laws` give each block's index in the caller's
-    order and its law, and `node_offsets` and `gain_offsets` where its nodes
-    start in the union and its edge gains among the adaptive edges, with the
-    totals at the end. K must be the same in every block. Every term is
-    edge-local, so no block sees another's.
+    Every edge takes h = w / max(||w|| + width, ||w|| floor), ||w|| the
+    hypot chain, from the one routine that forms the direction: with
+    boundary_layer's width and floor on static and adaptive blocks, and on
+    discontinuous blocks with the width of eps = 0, the smallest subnormal,
+    floor 1 and h = 0 where the divisor is at most 1e-15, which is
+    discontinuous_sign. The coupling gathers x at the tail and head indices,
+    forms h and u over all edges at once, and scatters +u to tails and -u to
+    heads with one bincount over the (node, input) cells, in O(E). The
+    adaptive drives, (x_i - x_j)^T Gamma (x_i - x_j) = ||w||^2 and
+    w . h = ||w||^2 / div, come from the norm and divisor that forming h
+    leaves. Each block's constants are held only in the per-edge stacks a
+    call reads: (a, b) as one (2, E, 1) stack, the floor and zero threshold
+    as (E, 1) columns (no threshold without a discontinuous block), and the
+    rates (mu, nu), decays (theta, chi) and `gains0` (alpha0, beta0) as
+    (2, Ea) stacks, empty where no block is adaptive.
     """
 
     def __init__(
         self,
-        g: graphmod.Graph | Sequence[graphmod.Graph],
-        plant: LinearPlant,
-        gains: StaticGains | AdaptiveParams | Sequence[StaticGains | AdaptiveParams],
+        blocks: Sequence[tuple[graphmod.Graph, ReferenceSet, StaticGains | AdaptiveParams]],
         mode: str | Sequence[str] = "static",
     ):
-        graphs, blocks = ([g], [gains]) if isinstance(g, graphmod.Graph) else (list(g), list(gains))
         modes = [mode] * len(blocks) if isinstance(mode, str) else list(mode)
         if len(modes) != len(blocks):
             raise ConfigError(f"{len(modes)} modes for {len(blocks)} blocks")
-        for m, p in zip(modes, blocks):
+        for (g, rs, p), m in zip(blocks, modes):
+            if g.n_nodes != rs.n_agents:
+                raise ConfigError("graph size must match the number of agents")
             if m not in LAWS:
                 raise ConfigError(f"unknown mode {m!r}")
             needed = AdaptiveParams if m == "adaptive" else StaticGains
             if not isinstance(p, needed):
                 raise ConfigError(f"{m} mode needs {needed.__name__}")
         self.order = sorted(range(len(blocks)), key=lambda b: LAWS.index(modes[b]))
-        graphs, blocks = [graphs[b] for b in self.order], [blocks[b] for b in self.order]
+        graphs, sets, gains = zip(*[blocks[b] for b in self.order])
         self.laws = modes = [modes[b] for b in self.order]
-        if any(_bits(p.K) != _bits(blocks[0].K) for p in blocks):
-            raise ConfigError("the blocks of one kernel must share K")
+        if any(_bits(p.K) != _bits(gains[0].K) for p in gains):
+            raise ConfigError("the blocks of one closed loop must share K")
+        self.references = concat_references(sets)
+        plant, N = self.references.plant, self.references.n_agents
         counts = [h.n_edges for h in graphs]
         self.node_offsets = np.cumsum([0] + [h.n_nodes for h in graphs])
         self.gain_offsets = np.cumsum([0] + [c * (m == "adaptive") for c, m in zip(counts, modes)])
 
-        def per_edge(laws: tuple[str, ...], values) -> NDArray:
-            # values[..., k] of the k-th block under `laws`, repeated over its edges
-            return np.repeat(values, [c for c, m in zip(counts, modes) if m in laws], axis=-1)
-
         def stack(laws: tuple[str, ...], *names: str) -> NDArray[np.float64]:
-            # one row per name, one column per edge of the blocks under `laws`
-            ours = [p for p, m in zip(blocks, modes) if m in laws]
-            return per_edge(laws, np.array([[float(getattr(p, k)) for p in ours] for k in names]))
+            # one row per name, one column per edge of the blocks under
+            # `laws`: each block's value repeated over its edges
+            ours = [(p, c) for p, c, m in zip(gains, counts, modes) if m in laws]
+            values = np.array([[float(getattr(p, k)) for p, _ in ours] for k in names])
+            return np.repeat(values, [c for _, c in ours], axis=-1)
 
-        self._KT, self._BT = blocks[0].K.T, plant.B.T
+        # A^T held C-contiguous: the product keeps its bits and takes a faster route
+        self._AT, self._KT, self._BT = np.ascontiguousarray(plant.A.T), gains[0].K.T, plant.B.T
         index = [graphmod.edge_index(h) + o for h, o in zip(graphs, self.node_offsets)]
         self.tails, self.heads = np.concatenate(index, axis=1)
         self._ends = np.concatenate([self.tails, self.heads])
         cells = self._ends[:, None] * plant.m + np.arange(plant.m)
-        self._cells, self._n_cells = cells.ravel(), int(self.node_offsets[-1]) * plant.m
+        self._cells, self._n_cells = cells.ravel(), N * plant.m
 
         # edges [0, nf) are discontinuous or static, [nf, E) adaptive
-        E, m, Ea = len(self.tails), plant.m, int(self.gain_offsets[-1])
+        E, n, m, Ea = len(self.tails), plant.n, plant.m, int(self.gain_offsets[-1])
         self._nf = nf = sum(c for c, law in zip(counts, modes) if law != "adaptive")
         # The work arrays of a call: x at the tails then at the heads, d =
         # x_i - x_j, w and h as one stack, and the direction's work. The
         # products a*w and b*h, stacked alike, become [u; -u] for the
         # scatter. The views a call works on are made here once.
-        x_ends, d = self._x_ends, self._d = np.empty((2 * E, plant.n)), np.empty((E, plant.n))
+        x_ends, d = self._x_ends, self._d = np.empty((2 * E, n)), np.empty((E, n))
         self._wh, u = np.empty((2, E, m)), np.empty((2, E, m))
         self._w, self._h = w, h = self._wh
         nrm, div, floored = np.empty((3, E, 1))
@@ -340,19 +337,48 @@ class EdgeKernel:
         # and h = 0 at or below the zero threshold; the others have
         # boundary_layer's floor and no threshold
         sign = np.array([law == "discontinuous" for law in modes], dtype=bool)
-        self._eps = np.where(sign, 0.0, [float(p.eps) for p in blocks])
-        self._phi = np.array([float(p.phi) for p in blocks])
-        self._block_of_edge = edge = np.repeat(np.arange(len(blocks)), counts)
+        self._eps = np.where(sign, 0.0, [float(p.eps) for p in gains])
+        self._phi = np.array([float(p.phi) for p in gains])
+        self._block_of_edge = edge = np.repeat(np.arange(len(gains)), counts)
         self._floor = np.where(sign, 1.0, _floor(m))[edge, None]
         self._zero = np.where(sign, _ZERO_NORM, -1.0)[edge, None] if sign.any() else None
 
-    def widths(self, times: Sequence[float], out: NDArray | None = None) -> NDArray[np.float64]:
+        # the state [x, r, alpha, beta] and the block of each entry; one
+        # time's terms are f(t) B^T and the edges' widths
+        r0 = self.references.initial_states.ravel()
+        self.y0 = np.concatenate([r0, r0, self.gains0.ravel()])
+        nodes = np.repeat(self.order, np.diff(self.node_offsets) * n)
+        edges = np.repeat(self.order, np.diff(self.gain_offsets))
+        self.owner = np.concatenate([nodes, nodes, edges, edges])
+        self.row_bytes = 8 * (N * n + E)
+        self._split, self._shapes = 2 * N * n, ((2, N, n), (2, Ea))
+
+    def widths(self, times: Sequence[float]) -> NDArray[np.float64]:
         """The width of every edge at each of the T given times, (T, E): one
-        exp per block and time, repeated over the block's edges. `out` may
-        take it."""
+        exp per block and time, repeated over the block's edges."""
         per_block = _width(self._eps, self._phi, np.asarray(times, dtype=float)[:, None])
-        # the indices are in range, and "clip" writes out without a buffer
-        return per_block.take(self._block_of_edge, axis=1, out=out, mode="clip")
+        return per_block.take(self._block_of_edge, axis=1)
+
+    def terms(self, times: Sequence[float]) -> list[tuple[NDArray, NDArray]]:
+        """The terms of the vector field that depend on time alone, in new
+        arrays: one row (f(t) B^T, the (E, 1) width column) per given time,
+        which `loop` reads in place of the time."""
+        fB = self.references.eval_inputs(times) @ self._BT
+        return list(zip(fB, self.widths(times)[:, :, None]))
+
+    def loop(self, row: tuple[NDArray, NDArray], y: NDArray, out: NDArray) -> None:
+        """Write the vector field at the state y into out, an array shaped
+        like y, at the time of `row`, a row of `terms`. x and r go through
+        one product over their (2, N, n) stack, of the shape of a product
+        over x or r alone."""
+        f_BT, width = row
+        split, (xr_shape, gains_shape) = self._split, self._shapes
+        xr, dxr = y[:split].reshape(xr_shape), out[:split].reshape(xr_shape)
+        np.matmul(xr, self._AT, out=dxr)
+        np.add(dxr, f_BT, out=dxr)
+        # the edge gains and their rates are empty unless a block is adaptive
+        self.add_to(width, xr[0], y[split:].reshape(gains_shape), dxr[0],
+                    out[split:].reshape(gains_shape))
 
     def add_to(
         self, width: NDArray, x: NDArray, gains: NDArray, dx: NDArray, rates: NDArray
@@ -360,9 +386,9 @@ class EdgeKernel:
         """Add the coupling at agent states x (N, n) into dx, and write the
         rates of the adaptive edges' gains, gains = [alpha; beta] (2, Ea),
         into rates (2, Ea) (not touched where there are no adaptive edges).
-        `width` is the (E, 1) column of the widths at the call's time, a row
-        of `widths`. It works in the kernel's own arrays, so one kernel
-        serves one call at a time."""
+        `width` is the (E, 1) column of the widths at the call's time. It
+        works in the loop's own arrays, so one loop serves one call at a
+        time."""
         E, nf = len(self.tails), self._nf
         x.take(self._ends, axis=0, out=self._x_ends, mode="clip")   # the ends are in range
         np.subtract(*self._ends_x, out=self._d)
@@ -386,31 +412,6 @@ class EdgeKernel:
         np.multiply(self._decay, gains, out=rates)
         np.add(rates, drive, out=rates)
         np.multiply(self._rate, rates, out=rates)
-
-    def __call__(
-        self, t: float, x: NDArray, alpha: NDArray | None = None, beta: NDArray | None = None
-    ) -> tuple[NDArray, NDArray | None, NDArray | None]:
-        """(coupling, dalpha, dbeta) at time t, agent states x (N, n) and the
-        gains alpha, beta of the adaptive edges: coupling[i] sums +-u_ij B^T
-        over the edges at i; the edge-gain rates cover the adaptive edges and
-        are None where there are none."""
-        x = np.asarray(x, dtype=float)
-        N, n = int(self.node_offsets[-1]), self._KT.shape[0]
-        if x.shape != (N, n):
-            raise ConfigError(f"x needs shape ({N}, {n}), {N} rows for {N} agents of {n} "
-                              f"states, got {x.shape}")
-        # -0.0 is the identity of addition: coupling keeps the bits of the product
-        coupling = np.full((N, n), -0.0)
-        Ea = int(self.gain_offsets[-1])
-        gains, rates = np.empty((2, Ea)), np.empty((2, Ea))
-        if Ea:
-            for name, v in (("alpha", alpha), ("beta", beta)):
-                if v is None or np.shape(v) != (Ea,):
-                    raise ConfigError(f"{name} needs {Ea} entries, one per adaptive edge, got "
-                                      f"{'none' if v is None else np.shape(v)}")
-            gains[:] = alpha, beta
-        self.add_to(self.widths([t])[0, :, None], x, gains, coupling, rates)
-        return (coupling, *(rates if Ea else (None, None)))
 
 
 def _bits(v) -> bytes:
@@ -438,7 +439,7 @@ def static_rhs(
     dx_i = A x_i + c1 B sum_j K(x_i - x_j) + c2 B sum_j h_i[K(x_i - x_j)] + B f_i.
     With discontinuous=True the smoothed h_i is replaced by the unit-direction
     sign term (chattering-comparison mode). `inputs` may carry a precomputed
-    rs.eval_inputs(t) to avoid re-evaluation.
+    rs.eval_inputs(t), (N, m), to avoid re-evaluation.
     """
     return _closed_loop(state, rs, gains, g, "discontinuous" if discontinuous else "static", inputs)
 
@@ -452,8 +453,6 @@ def adaptive_rhs(
 ) -> NetworkState:
     """Closed-loop vector field of the adaptive law plus the two
     sigma-modified edge adaptation laws."""
-    if state.alpha is None or state.beta is None:
-        raise ConfigError("adaptive mode needs edge gains in the state")
     return _closed_loop(state, rs, params, g, "adaptive", inputs)
 
 
@@ -465,9 +464,25 @@ def _closed_loop(
     mode: str,
     inputs: NDArray | None,
 ) -> NetworkState:
-    # one call builds its own kernel; sim.run builds one per run
-    f = rs.eval_inputs(state.t) if inputs is None else inputs
-    kernel = EdgeKernel(g, rs.plant, gains, mode)
-    coupling, dalpha, dbeta = kernel(state.t, state.x, state.alpha, state.beta)
-    dx = state.x @ rs.plant.A.T + f @ rs.plant.B.T + coupling
-    return NetworkState(t=1.0, x=dx, alpha=dalpha, beta=dbeta)
+    # one call of a one-block ClosedLoop at y = [x, x, alpha, beta], which
+    # keeps the x part and the edge-gain rates; sim.run builds one per run
+    loop = ClosedLoop([(g, rs, gains)], mode)
+    N, n, m, Ea = rs.n_agents, rs.plant.n, rs.plant.m, int(loop.gain_offsets[-1])
+    x = np.asarray(state.x, dtype=float)
+    if x.shape != (N, n):
+        raise ConfigError(f"x needs shape ({N}, {n}), {N} rows for {N} agents of {n} "
+                          f"states, got {x.shape}")
+    edge_gains = (state.alpha, state.beta) if Ea else ()
+    for name, v in zip(("alpha", "beta"), edge_gains):
+        if v is None or np.shape(v) != (Ea,):
+            raise ConfigError(f"{name} needs {Ea} entries, one per adaptive edge, got "
+                              f"{'none' if v is None else np.shape(v)}")
+    f = rs.eval_inputs(state.t) if inputs is None else np.asarray(inputs, dtype=float)
+    if f.shape != (N, m):
+        raise ConfigError(f"inputs needs shape ({N}, {m}), one row per agent and one column "
+                          f"per input, got {f.shape}")
+    y = np.concatenate([x.ravel(), x.ravel(), *edge_gains])
+    dy = np.empty_like(y)
+    loop.loop((f @ rs.plant.B.T, loop.widths([state.t])[0, :, None]), y, dy)
+    rates = dy[2 * N * n :].reshape(2, Ea) if Ea else (None, None)
+    return NetworkState(t=1.0, x=dy[: N * n].reshape(N, n), alpha=rates[0], beta=rates[1])

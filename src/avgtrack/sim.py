@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 from . import control
 from .errors import ConfigError, NonFinite
 from .graph import Graph
-from .signals import ReferenceSet, concat_references
+from .signals import ReferenceSet
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,8 @@ def integrate(
     a sequence whose i-th item rhs then gets in place of times[i]. A step's
     k2 and k3 share a time, and its k1 shares the previous step's k4's
     where the two agree bit for bit, so a block of S steps has at most 3S
-    distinct times.
+    distinct times. Where a block's first time is the previous block's last,
+    bit for bit, that item is kept and terms gets the block's other times.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     y = np.array(initial, dtype=float)
@@ -109,6 +110,8 @@ def integrate(
     half, sixth = dt / 2.0, dt / 6.0
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
     per_block = block_steps(row_bytes)
+    terms = terms or list
+    last = (None, None)     # the previous block's last time and its item
     for start in range(0, n_steps, per_block):
         steps = range(start, min(start + per_block, n_steps))
         # each stage time's row among the block's distinct times: three per
@@ -120,7 +123,9 @@ def integrate(
                 if not times or s != times[-1]:
                     times.append(s)
                 rows.append(len(times) - 1)
-        args = times if terms is None else terms(times)
+        keep = int(times[0] == last[0])
+        args = [last[1]] * keep + list(terms(times[keep:]))
+        last = times[-1], args[-1]
         stage_args = [args[i] for i in rows]
         for k, j in zip(steps, range(0, len(rows), 3)):
             a1, a23, a4 = stage_args[j : j + 3]
@@ -177,75 +182,22 @@ def run_blocks(
     `mode` is one law for all blocks, or one law per block. The blocks must
     share the plant and K. The state [x, r, alpha, beta], with alpha and
     beta on the adaptive edges only, follows the order in which the
-    EdgeKernel holds the blocks. Every term
-    is edge-local, so a block's states see the same operations as in a run
-    of its own. They keep its bits when the block's graph has three or more
-    edges and the plant at most seven states and inputs; beyond that, numpy
-    forms a row of a product by a route that depends on the row's place. A
-    non-finite value raises NonFinite at the first step that has one, with
-    `block` the lowest index, in the order given, of a block that does.
+    ClosedLoop holds the blocks. Every term is edge-local, so a block's
+    states see the same operations as in a run of its own. They keep its
+    bits when the block's graph has three or more edges and the plant at
+    most seven states and inputs; beyond that, numpy forms a row of a
+    product by a route that depends on the row's place. A non-finite value
+    raises NonFinite at the first step that has one, with `block` the lowest
+    index, in the order given, of a block that does.
     """
-    for g, rs, _ in blocks:
-        if g.n_nodes != rs.n_agents:
-            raise ConfigError("graph size must match the number of agents")
-    graphs, sets, gains = zip(*blocks)
-    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, mode)
-    order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
-    rs = concat_references([sets[b] for b in order])
-    N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
-    Nn = N * n
-    E = len(kernel.tails)
-    # A^T held C-contiguous: the product keeps its bits and takes a faster route
-    AT, BT = np.ascontiguousarray(rs.plant.A.T), rs.plant.B.T
-
-    # the time-only terms f(t) B^T and the edges' widths, one row of each
-    # per distinct stage time of a block of steps, and the views of each row
-    row_bytes = 8 * (N * n + E)
-    n_rows = 3 * block_steps(row_bytes)
-    fB, width = np.empty((n_rows, N, n)), np.empty((n_rows, E, 1))
-    table = list(zip(fB, width))
-    last = [None, 0]        # the previous block's last time and its row
-
-    def terms(times: list[float]) -> list[tuple[NDArray, NDArray]]:
-        # where a block's first step shares the previous block's last time,
-        # that row is copied rather than formed again
-        rows, first = len(times), int(times[0] == last[0])
-        if first and last[1]:
-            fB[0], width[0] = fB[last[1]], width[last[1]]
-        np.matmul(rs.eval_inputs(times[first:]), BT, out=fB[first:rows])
-        kernel.widths(times[first:], out=width[first:rows, :, 0])
-        last[:] = times[-1], rows - 1
-        return table
-
-    def rhs(row: tuple[NDArray, NDArray], y: NDArray, out: NDArray) -> None:
-        f_BT, w = row
-        # x and r as one (2, N, n) stack: one product per half, of the shape
-        # of a product over x or r alone
-        xr, dxr = y[: 2 * Nn].reshape(2, N, n), out[: 2 * Nn].reshape(2, N, n)
-        np.matmul(xr, AT, out=dxr)
-        np.add(dxr, f_BT, out=dxr)
-        # the edge gains [alpha; beta] and their rates are empty unless a block is adaptive
-        kernel.add_to(w, xr[0], y[2 * Nn :].reshape(2, Ea), dxr[0], out[2 * Nn :].reshape(2, Ea))
-
-    r0 = rs.initial_states
-    y0 = [r0.ravel(), r0.ravel(), kernel.gains0.ravel()]
-    node_owner = np.repeat(order, np.diff(nodes) * n)
-    edge_owner = np.repeat(order, np.diff(edges))
-    owner = np.concatenate([node_owner, node_owner, edge_owner, edge_owner])
-    times, ys = integrate(rhs, np.concatenate(y0), cfg, owner, terms, row_bytes)
-    T = len(times)
-    x = ys[:, :Nn].reshape(T, N, n)
-    r = ys[:, Nn : 2 * Nn].reshape(T, N, n)
-    alpha = ys[:, 2 * Nn : 2 * Nn + Ea]
-    beta = ys[:, 2 * Nn + Ea :]
+    loop = control.ClosedLoop(blocks, mode)
+    nodes, edges = loop.node_offsets, loop.gain_offsets
+    times, ys = integrate(loop.loop, loop.y0, cfg, loop.owner, loop.terms, loop.row_bytes)
+    (N, n), Ea = loop.references.initial_states.shape, int(edges[-1])
+    xr = ys[:, : 2 * N * n].reshape(len(times), 2, N, n)
+    gains = ys[:, 2 * N * n :].reshape(len(times), 2, Ea)
     trajs = [None] * len(blocks)
-    for b, law, n0, n1, e0, e1 in zip(order, kernel.laws, nodes, nodes[1:], edges, edges[1:]):
-        trajs[b] = Trajectory(
-            times=times,
-            x=x[:, n0:n1],
-            r=r[:, n0:n1],
-            alpha=alpha[:, e0:e1] if law == "adaptive" else None,
-            beta=beta[:, e0:e1] if law == "adaptive" else None,
-            mode=law,
-        )
+    for b, law, n0, n1, e0, e1 in zip(loop.order, loop.laws, nodes, nodes[1:], edges, edges[1:]):
+        alpha, beta = gains[:, :, e0:e1].swapaxes(0, 1) if law == "adaptive" else (None, None)
+        trajs[b] = Trajectory(times, xr[:, 0, n0:n1], xr[:, 1, n0:n1], alpha, beta, law)
     return trajs

@@ -104,3 +104,21 @@ def random_blocks(seed, laws, n, m, own_rates=False):
                              inputs=inputs)
         blocks.append((at.Graph(N, tuple(sorted(edges))), rs, gains))
     return blocks
+
+
+def loop_coupling(loop, t, x, alpha=None, beta=None):
+    """(coupling, dalpha, dbeta) of a ClosedLoop at time t, agent states x
+    and the adaptive edges' gains alpha and beta: its add_to from a -0.0
+    start, the identity of addition, so the coupling keeps the bits of the
+    product. The rates are None where no edge is adaptive."""
+    Ea = int(loop.gain_offsets[-1])
+    coupling, rates = np.full(np.shape(x), -0.0), np.empty((2, Ea))
+    gains = np.array([alpha, beta], dtype=float) if Ea else np.empty((2, 0))
+    loop.add_to(loop.widths([t])[0, :, None], np.asarray(x, dtype=float), gains, coupling, rates)
+    return (coupling, *(rates if Ea else (None, None)))
+
+
+def zero_references(plant, n):
+    """n agents of the plant at rest with zero inputs."""
+    return at.ReferenceSet(plant=plant, initial_states=np.zeros((n, plant.n)),
+                           inputs=tuple(at.InputDescriptor(kind="zero") for _ in range(n)))

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 import avgtrack as at
 from avgtrack import cli, control, sim
 from avgtrack.cli import main
-from avgtrack.control import EdgeKernel
+from avgtrack.control import ClosedLoop
 from avgtrack.errors import ConfigError, NonFinite
 from avgtrack.scenarios import scenario_config
 from avgtrack.signals import concat_references
-from conftest import random_blocks
+from conftest import loop_coupling, random_blocks, zero_references
 
 RING6 = [[i, (i + 1) % 6] for i in range(6)]
 FIVE = [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4], [0, 2]]   # 5-ring plus a chord
@@ -143,14 +143,13 @@ def test_blocks_of_mixed_laws_keep_the_bits_of_runs_alone(seed, laws, n, m):
 def coupling_by_block(blocks, laws, states, t):
     """Each block's coupling and edge-gain rates from one kernel over all
     blocks, in the order given; states[b] holds block b's (x, alpha, beta)."""
-    kernel = EdgeKernel([g for g, _, _ in blocks], blocks[0][1].plant,
-                        [p for _, _, p in blocks], laws)
+    kernel = ClosedLoop(blocks, laws)
     assert [laws[b] for b in kernel.order] == kernel.laws
     assert kernel.laws == sorted(laws, key=control.LAWS.index)
     x = np.concatenate([states[b][0] for b in kernel.order])
     gains = [states[b][1:] for b in kernel.order if laws[b] == "adaptive"]
     alpha, beta = (np.concatenate(v) for v in zip(*gains)) if gains else (None, None)
-    coupling, dalpha, dbeta = kernel(t, x, alpha, beta)
+    coupling, dalpha, dbeta = loop_coupling(kernel, t, x, alpha, beta)
     nodes, edges = kernel.node_offsets, kernel.gain_offsets
     out = [None] * len(blocks)
     for k, b in enumerate(kernel.order):
@@ -341,7 +340,8 @@ class TestUnion:
         graphs = [at.Graph(3, ((0, 1), (1, 2))), at.Graph(2, ((0, 1),)), at.Graph(3, ((0, 2),))]
         scn = at.parse_scenario(variant("static", "a", RING6))
         gains = scn.build_static_gains()
-        k = EdgeKernel(graphs, scn.reference_set.plant, [gains] * 3, "static")
+        plant = scn.reference_set.plant
+        k = ClosedLoop([(g, zero_references(plant, g.n_nodes), gains) for g in graphs], "static")
         np.testing.assert_array_equal(k.node_offsets, [0, 3, 5, 8])
         np.testing.assert_array_equal(k.tails, [0, 1, 3, 5])
         np.testing.assert_array_equal(k.heads, [1, 2, 4, 7])
@@ -370,11 +370,11 @@ class TestUnion:
         a = at.parse_scenario(variant("static", "a", RING6))
         b = at.parse_scenario(variant("static", "b", FIVE))
         ga, gb = a.build_static_gains(), b.build_static_gains()
-        plant = a.reference_set.plant
-        EdgeKernel([a.graph, b.graph], plant, [ga, gb], "static")
+        sa, sb = (a.graph, a.reference_set), (b.graph, b.reference_set)
+        ClosedLoop([(*sa, ga), (*sb, gb)], "static")
         other = at.StaticGains(K=2 * gb.K, c1=gb.c1, c2=gb.c2, eps=gb.eps, phi=gb.phi, P=gb.P)
         with pytest.raises(ConfigError, match="share K"):
-            EdgeKernel([a.graph, b.graph], plant, [ga, other], "static")
+            ClosedLoop([(*sa, ga), (*sb, other)], "static")
 
     def test_kernel_blocks_come_in_law_order(self):
         # the kernel puts the blocks in the order of LAWS itself, keeping the
@@ -382,8 +382,8 @@ class TestUnion:
         a = at.parse_scenario(variant("static", "a", RING6))
         b = at.parse_scenario(variant("discontinuous", "b", FIVE))
         ga, gb = a.build_static_gains(), b.build_static_gains()
-        k = EdgeKernel([a.graph, b.graph, a.graph], a.reference_set.plant, [ga, gb, ga],
-                       ["static", "discontinuous", "static"])
+        sa, sb = (a.graph, a.reference_set), (b.graph, b.reference_set)
+        k = ClosedLoop([(*sa, ga), (*sb, gb), (*sa, ga)], ["static", "discontinuous", "static"])
         assert k.order == [1, 0, 2]
         assert k.laws == ["discontinuous", "static", "static"]
         np.testing.assert_array_equal(k.node_offsets, [0, 5, 11, 17])
@@ -402,8 +402,8 @@ class TestUnion:
         c = at.parse_scenario(variant("adaptive", "c", FIVE, eps=4.0, phi=0.7))
         ga, gb = a.build_static_gains(), b.build_static_gains()
         gc = dataclasses.replace(c.build_adaptive_params(), mu=2.0, chi=0.5, alpha0=0.25)
-        k = EdgeKernel([c.graph, a.graph, b.graph], a.reference_set.plant, [gc, ga, gb],
-                       ["adaptive", "static", "static"])
+        k = ClosedLoop([(c.graph, c.reference_set, gc), (a.graph, a.reference_set, ga),
+                        (b.graph, b.reference_set, gb)], ["adaptive", "static", "static"])
         np.testing.assert_array_equal(k._ab[:, :12, 0], [[ga.c1] * 6 + [gb.c1] * 6,
                                                          [ga.c2] * 6 + [gb.c2] * 6])
         # each block's own (eps, phi) pair, whatever its law
@@ -414,6 +414,6 @@ class TestUnion:
         np.testing.assert_array_equal(k._decay, [[-gc.theta] * 6, [-0.5] * 6])
         np.testing.assert_array_equal(k.gains0, [[0.25] * 6, [0.0] * 6])
         # with no adaptive block the adaptive stacks are empty
-        same = EdgeKernel([a.graph, a.graph], a.reference_set.plant, [ga, ga], "static")
+        same = ClosedLoop([(a.graph, a.reference_set, ga)] * 2, "static")
         assert same._rate.shape == same._decay.shape == same.gains0.shape == (2, 0)
         assert list(same._eps) == [ga.eps] * 2 and list(same._phi) == [ga.phi] * 2

@@ -484,7 +484,7 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     # infinity to integer"
     pytest.param(("sim", "dt"), 1e-30, "sim: t_end/dt = 1e+28 must be at most ", id="dt-1e-30"),
     pytest.param(("sim", "dt"), 1e-320, "sim: t_end/dt = inf must be at most ", id="dt-1e-320"),
-    pytest.param(("graph", "n"), "six", "graph: ", id="n-string"),
+    pytest.param(("graph", "n"), "six", 'graph.n: must be a number, got "six"', id="n-string"),
     pytest.param(("design", "Q"), [[1.0, 0.0], [0.0]], "design.Q: ", id="Q-ragged"),
     # numpy's invalid-value warning in the symmetry check was a second line
     pytest.param(("design", "Q", 1, 1), float("inf"),
@@ -492,7 +492,8 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("design", "margins"), [1], "design.margins: ", id="margins-one"),
     pytest.param(("design", "eps"), "wide", "design.eps: ", id="eps-string"),
     pytest.param(("agents", 0, "r0"), [1.0, -1.0, 0.0], "agents[0].r0: ", id="r0-wrong-length"),
-    pytest.param(("agents", 2, "input", "amp"), ["x"], "agents[2].input: ", id="amp-string"),
+    pytest.param(("agents", 2, "input", "amp"), ["x"],
+                 'agents[2].input.amp[0]: must be a number, got "x"', id="amp-string"),
     # one entry per input, each a number: these reached the reference set
     # and escaped as a traceback
     pytest.param(("agents", 4, "input", "amp"), [[[1, 2], [3, 4]]],
@@ -507,8 +508,8 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
                  "agents[0].input: values must be one row of numbers per time",
                  id="values-nested"),
     pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: ", id="mu-string"),
-    pytest.param(("numerics", "are_max_iter"), "x", "numerics: are_max_iter ",
-                 id="are_max_iter-string"),
+    pytest.param(("numerics", "are_max_iter"), "x",
+                 'numerics.are_max_iter: must be a number, got "x"', id="are_max_iter-string"),
     pytest.param(("plant", "A"), [[1.0, 2.0]], "plant: ", id="A-not-square"),
     # a plant of more than two dimensions reached the gain printer, or had
     # its square first two dimensions taken for a matrix
@@ -536,6 +537,13 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     # checked although the static law reads no rate
     pytest.param(("adaptive", "mu"), -1.0, "adaptive.mu: must be positive and finite",
                  id="mu-negative-static"),
+    # a string or boolean where an object belongs is not taken for a number
+    pytest.param(("sim",), "x", "sim must be a JSON object\n", id="sim-string"),
+    pytest.param(("graph",), "ring", "graph must be a JSON object\n", id="graph-string"),
+    pytest.param(("design",), True, "design must be a JSON object\n", id="design-boolean"),
+    pytest.param(("agents", 1), "x", "agents[1] must be a JSON object\n", id="agent-string"),
+    pytest.param(("agents", 0, "input"), "zero", "agents[0].input: input kind None ",
+                 id="input-string"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
@@ -546,6 +554,47 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + where) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, value, where", [
+    # booleans ran as 1 or 0, and a t_end of true was recorded in summary.json
+    (("sim", "t_end"), True, "sim.t_end: must be a number, got true"),
+    (("numerics", "are_max_iter"), True, "numerics.are_max_iter: must be a number, got true"),
+    (("agents", 0, "r0"), [True, False], "agents[0].r0[0]: must be a number, got true"),
+    (("graph", "edges", 0), [False, True], "graph.edges[0][0]: must be a number, got false"),
+    (("design", "eps"), True, "design.eps: must be a number, got true"),
+    (("adaptive", "mu"), True, "adaptive.mu: must be a number, got true"),
+    # numeric strings ran where numpy or float() read them ...
+    (("sim", "t_end"), "0.02", 'sim.t_end: must be a number, got "0.02"'),
+    (("design", "eps"), "2.5", 'design.eps: must be a number, got "2.5"'),
+    (("agents", 0, "r0"), ["1", "0"], 'agents[0].r0[0]: must be a number, got "1"'),
+    (("plant", "A"), [["0", "1"], ["-1", "-2"]], 'plant.A[0][0]: must be a number, got "0"'),
+    (("adaptive", "mu"), "10", 'adaptive.mu: must be a number, got "10"'),
+    # ... and exited 2 with another message where int() or a check read them
+    (("sim", "record_every"), "2", 'sim.record_every: must be a number, got "2"'),
+    (("graph", "edges", 0), ["0", "1"], 'graph.edges[0][0]: must be a number, got "0"'),
+    (("graph", "n"), "6", 'graph.n: must be a number, got "6"'),
+    (("numerics", "are_residual_tol"), "1e-9",
+     'numerics.are_residual_tol: must be a number, got "1e-9"'),
+])
+def test_config_number_must_be_a_json_number(tmp_path, capsys, path, value, where):
+    cfg = scenario_config("paper-sec5-static")
+    _set(cfg, path, value)
+    # --t-end would replace the value under test
+    code, out = run_cli(tmp_path, cfg, *(() if path == ("sim", "t_end") else ("--t-end", "0.02")))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {where}\n"
+    assert not out.exists()
+
+
+def test_text_keys_keep_their_strings(tmp_path):
+    # name, algorithm, the input kind, the integrator and the free-form
+    # assumptions are the only text a config holds
+    cfg = scenario_config("paper-sec5-static")
+    cfg["assumptions"] = {"note": "text", "flags": [True, "x"]}
+    cfg["sim"]["integrator"] = "rk4"
+    code, out = run_cli(tmp_path, cfg, "--t-end", "0.02")
+    assert code == 0 and (out / "summary.json").is_file()
 
 
 def test_whole_float_graph_entries_run_as_integers(tmp_path):

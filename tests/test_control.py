@@ -16,9 +16,9 @@ from avgtrack import (
     design_gains,
     discontinuous_sign,
 )
-from avgtrack.control import EdgeKernel, NetworkState, adaptive_rhs, edge_signals, static_rhs
+from avgtrack.control import ClosedLoop, NetworkState, adaptive_rhs, edge_signals, static_rhs
 from avgtrack.errors import ConfigError, NotConnected, NotStabilizable
-from conftest import SEC5_A, SEC5_B, random_stabilizable, ring_graph
+from conftest import SEC5_A, SEC5_B, loop_coupling, random_stabilizable, ring_graph
 
 
 def sec5_refset(n_agents=6):
@@ -420,7 +420,7 @@ class TestAdaptiveGamma:
         sol = at.solve_are(SEC5_A, SEC5_B, np.eye(2))
         params = sec5_adaptive_params(mu=3.0, nu=7.0)
         g = ring_graph(6)
-        kernel = EdgeKernel(g, LinearPlant(A=SEC5_A, B=SEC5_B), params, "adaptive")
+        loop = ClosedLoop([(g, sec5_refset(), params)], "adaptive")
         gamma = sol.P @ SEC5_B @ SEC5_B.T @ sol.P
         rng = np.random.default_rng(5)
         tails, heads = graphmod.edge_index(g)
@@ -428,7 +428,7 @@ class TestAdaptiveGamma:
         for scale in (1e-6, 1.0, 1e6):
             for t in (0.0, 0.7, 30.0):
                 x = scale * rng.standard_normal((6, 2))
-                _, dalpha, dbeta = kernel(t, x, zeros, zeros)
+                _, dalpha, dbeta = loop_coupling(loop, t, x, zeros, zeros)
                 d = x[tails] - x[heads]
                 paper = np.einsum("ei,ij,ej->e", d, gamma, d)
                 np.testing.assert_allclose(dalpha / params.mu, paper, rtol=1e-12, atol=0)

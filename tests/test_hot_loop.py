@@ -24,7 +24,7 @@ from avgtrack import (
 from avgtrack.errors import NonFinite
 from avgtrack.report import write_trajectory_csv
 from avgtrack.signals import concat_references
-from conftest import random_blocks
+from conftest import loop_coupling, random_blocks
 
 TINY = np.finfo(float).smallest_subnormal
 SPECIAL = [0.0, -0.0, TINY, -TINY, 3 * TINY, 2.2e-308, -1e-310, 1e300, -1e300, 1.0]
@@ -297,10 +297,9 @@ def allocating_coupling(kernel, blocks, t, x, alpha, beta):
 def allocating_run_blocks(blocks, cfg, laws):
     """sim.run_blocks with a returning rhs that joins x, r and the rates with
     np.concatenate: (x, r, alpha, beta) per block, in the order given."""
-    graphs, sets, gains = zip(*blocks)
-    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    kernel = control.ClosedLoop(blocks, laws)
     order, nodes, edges = kernel.order, kernel.node_offsets, kernel.gain_offsets
-    rs = concat_references([sets[b] for b in order])
+    rs = concat_references([blocks[b][1] for b in order])
     adaptive = [b for b, law in zip(order, kernel.laws) if law == "adaptive"]
     N, n, Ea = rs.n_agents, rs.plant.n, int(edges[-1])
     Nn = N * n
@@ -409,30 +408,28 @@ def test_blow_up_reported_as_by_the_allocating_run():
 def test_kernel_call_has_the_bits_of_the_allocating_form(seed):
     laws = ["static", "discontinuous", "adaptive"][seed % 3 :] + ["adaptive"] * (seed // 3)
     blocks = random_blocks(seed, laws, 2 + seed % 3, 1 + seed % 2, own_rates=True)
-    graphs, sets, gains = zip(*blocks)
-    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    kernel = control.ClosedLoop(blocks, laws)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((int(kernel.node_offsets[-1]), sets[0].plant.n))
+    x = rng.standard_normal((int(kernel.node_offsets[-1]), blocks[0][1].plant.n))
     x[1] = x[0]                      # zero rows of w, whose h is +-0
     Ea = int(kernel.gain_offsets[-1])
     alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
     for t in (0.0, 1.5):
         want = allocating_coupling(kernel, blocks, t, x, alpha, beta)
-        for got, expected in zip(kernel(t, x, alpha, beta), want):
+        for got, expected in zip(loop_coupling(kernel, t, x, alpha, beta), want):
             assert (got is None and expected is None) or same_bits(got, expected)
 
 
 def kernel_call_matches_allocating_form(blocks, laws, x):
     """Assert that the kernel's call on x has the bits of the allocating
     form at four call times, and return the kernel."""
-    graphs, sets, gains = zip(*blocks)
-    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    kernel = control.ClosedLoop(blocks, laws)
     Ea = int(kernel.gain_offsets[-1])
     rng = np.random.default_rng(Ea)
     alpha, beta = rng.uniform(0, 2, Ea), rng.uniform(0, 2, Ea)
     for t in (0.0, 1.5, 1.5, 40.0):           # a repeated time reuses the width
         want = allocating_coupling(kernel, blocks, t, x, alpha, beta)
-        for got, expected in zip(kernel(t, x, alpha, beta), want):
+        for got, expected in zip(loop_coupling(kernel, t, x, alpha, beta), want):
             assert (got is None and expected is None) or same_bits(got, expected)
     return kernel
 
@@ -561,7 +558,7 @@ def test_kernel_call_bits_where_rows_overflow(monkeypatch, m):
     monkeypatch.setattr(control, "_row_norms", norms)
     Ea = int(kernel.gain_offsets[-1])
     for t in (0.0, 1.5, 1.5, 40.0):
-        kernel(t, x, np.ones(Ea), np.ones(Ea))
+        loop_coupling(kernel, t, x, np.ones(Ea), np.ones(Ea))
     assert handed == {"_direction": 4}
     # each call takes the norms of all rows once in its work column, and
     # again once its divisor overflows, here on the rescaled rows of all edges
@@ -612,7 +609,7 @@ def test_blocks_share_a_row_only_where_their_times_agree(monkeypatch, per_block)
 def test_width_formed_once_per_distinct_stage_time(monkeypatch):
     scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
     gains = scn.build_static_gains()
-    seen = counting(monkeypatch, control.EdgeKernel, "widths")
+    seen = counting(monkeypatch, control.ClosedLoop, "widths")
     for law in ("discontinuous", "static"):
         seen.clear()
         at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3), law)
@@ -632,8 +629,8 @@ def test_width_rows_have_the_bits_of_each_time(seed, laws, times):
     # every block's width at each time, repeated over its edges; on
     # discontinuous blocks the width of eps = 0, the smallest subnormal
     blocks = random_blocks(seed, laws, 2, 1, own_rates=True)
-    graphs, sets, gains = zip(*blocks)
-    kernel = control.EdgeKernel(graphs, sets[0].plant, gains, laws)
+    gains = [p for _, _, p in blocks]
+    kernel = control.ClosedLoop(blocks, laws)
     rows = kernel.widths(times)
     assert rows.shape == (len(times), len(kernel.tails))
     counts = [blocks[b][0].n_edges for b in kernel.order]
