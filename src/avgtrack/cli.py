@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -126,10 +127,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"scenario name(s) {bad} do not each name a subdirectory of --out; give "
                           "each scenario of a list its own 'name', not empty, '.' or '..', and "
                           "without '/', '\\' or NUL")
+    out_dirs = [Path(args.out, scn.name) if names else Path(args.out) for scn in scns]
+    # write_outputs makes the directories, which a file in their place fails
+    for path in (p for out_dir in out_dirs for p in (out_dir, *out_dir.parents)):
+        if os.path.lexists(path) and not os.path.isdir(path):
+            raise ConfigError(f"--out {args.out}: {path} exists and is not a directory")
     groups: dict[tuple, list] = {}
-    for i, scn in enumerate(scns):
+    for i, (scn, out_dir) in enumerate(zip(scns, out_dirs)):
         gains = _design(scn)
-        out_dir = Path(args.out, scn.name) if names else Path(args.out)
         groups.setdefault(_group_key(i, scn, gains), []).append((scn, gains, out_dir))
     for group in groups.values():
         _run_group(group)
@@ -178,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFinite as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    except AvgTrackError as exc:
+    except (AvgTrackError, OSError) as exc:      # OSError: a file could not be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

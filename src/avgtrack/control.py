@@ -136,18 +136,27 @@ class AdaptiveParams:
     P: NDArray[np.float64]
     alpha0: float = 0.0          # shared per-edge initial gains
     beta0: float = 0.0
-    # n x n, Gamma = P B B^T P = K^T K, derived from K; a given Gamma must
-    # equal K^T K to rounding
-    Gamma: NDArray[np.float64] | None = field(default=None, kw_only=True)
+    # n x n, Gamma = P B B^T P = K^T K, derived from K. __init__ takes a Gamma
+    # only to check it, so dataclasses.replace derives it again from a new K
+    Gamma: NDArray[np.float64] = field(init=False)
 
     def __post_init__(self):
         for name in ("mu", "nu", "theta", "chi", "eps", "phi", "alpha0", "beta0"):
             located(name, in_range, name, getattr(self, name))
         K = np.asarray(self.K, dtype=float)
-        gamma = K.T @ K
-        if self.Gamma is not None:
-            located("Gamma", _is_gram, self.Gamma, K, gamma)
-        object.__setattr__(self, "Gamma", gamma)
+        object.__setattr__(self, "Gamma", K.T @ K)
+
+
+_fields_init = AdaptiveParams.__init__
+
+
+def _init_taking_gamma(self, *args, Gamma=None, **kwargs):
+    _fields_init(self, *args, **kwargs)
+    if Gamma is not None:
+        located("Gamma", _is_gram, Gamma, np.asarray(self.K, dtype=float), self.Gamma)
+
+
+AdaptiveParams.__init__ = _init_taking_gamma
 
 
 def _is_gram(given, K: NDArray, gamma: NDArray) -> None:
@@ -246,8 +255,8 @@ class ClosedLoop:
     blocks' references. The blocks share the plant and K, and every term is
     edge-local, so no block sees another's. The state [x, r, alpha, beta]
     starts at `y0`, and `owner` gives each entry's block in the caller's
-    order. `terms(times)` forms the terms that depend on time alone,
-    `row_bytes` per time, and `loop(row, y, out)` is the vector field.
+    order. `terms(times)` forms the terms that depend on time alone, and
+    `loop(row, y, out)` is the vector field.
 
     Every edge takes h = w / max(||w|| + width, ||w|| floor), ||w|| the
     hypot chain, from the one routine that forms the direction: with
@@ -350,7 +359,6 @@ class ClosedLoop:
         nodes = np.repeat(self.order, np.diff(self.node_offsets) * n)
         edges = np.repeat(self.order, np.diff(self.gain_offsets))
         self.owner = np.concatenate([nodes, nodes, edges, edges])
-        self.row_bytes = 8 * (N * n + E)
         self._split, self._shapes = 2 * N * n, ((2, N, n), (2, Ea))
 
     def widths(self, times: Sequence[float]) -> NDArray[np.float64]:

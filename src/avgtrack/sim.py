@@ -62,13 +62,7 @@ class Trajectory:
     mode: str
 
 
-TABLE_BYTES = 64 * 1024     # the time-only terms held for one block of steps
-
-
-def block_steps(row_bytes: int) -> int:
-    """The steps of one block: as many as fit three rows of `row_bytes`
-    each, one per distinct stage time, in TABLE_BYTES, and at least one."""
-    return max(1, TABLE_BYTES // (3 * row_bytes))
+BLOCK_STEPS = 32    # the steps of one block, whose time-only terms are formed in one pass
 
 
 def integrate(
@@ -76,8 +70,7 @@ def integrate(
     initial: NDArray,
     cfg: SimConfig,
     owner: NDArray[np.intp] | None = None,
-    terms: Callable[[list[float]], Sequence] | None = None,
-    row_bytes: int = 8,
+    terms: Callable[[list[float]], Sequence] = list,
 ) -> tuple[NDArray, NDArray]:
     """Fixed-step RK4 on a flat state vector.
 
@@ -91,14 +84,13 @@ def integrate(
     give the block of each state entry; a NonFinite then names the lowest
     block with a non-finite entry.
 
-    The steps run in blocks of block_steps(row_bytes). `terms`, if given,
-    forms the terms of the vector field that depend on time alone:
-    terms(times) gets a block's distinct stage times, in order, and returns
-    a sequence whose i-th item rhs then gets in place of times[i]. A step's
-    k2 and k3 share a time, and its k1 shares the previous step's k4's
-    where the two agree bit for bit, so a block of S steps has at most 3S
-    distinct times. Where a block's first time is the previous block's last,
-    bit for bit, that item is kept and terms gets the block's other times.
+    The steps run in blocks of BLOCK_STEPS. `terms` forms the terms of the
+    vector field that depend on time alone: terms(times) gets all of a
+    block's distinct stage times, in order, and returns a sequence whose
+    i-th item rhs then gets in place of times[i], with the same bits
+    whatever other times share the call. A step's k2 and k3 share a time,
+    and its k1 shares the previous step's k4's where the two agree bit for
+    bit, so a block of S steps has at most 3S distinct times.
     """
     n_steps = int(round(cfg.t_end / cfg.dt))
     y = np.array(initial, dtype=float)
@@ -109,11 +101,8 @@ def integrate(
     dt = cfg.dt
     half, sixth = dt / 2.0, dt / 6.0
     k1, k2, k3, k4, stage = (np.empty_like(y) for _ in range(5))
-    per_block = block_steps(row_bytes)
-    terms = terms or list
-    last = (None, None)     # the previous block's last time and its item
-    for start in range(0, n_steps, per_block):
-        steps = range(start, min(start + per_block, n_steps))
+    for start in range(0, n_steps, BLOCK_STEPS):
+        steps = range(start, min(start + BLOCK_STEPS, n_steps))
         # each stage time's row among the block's distinct times: three per
         # step, for k1, for k2 and k3, and for k4
         times, rows = [], []
@@ -123,12 +112,9 @@ def integrate(
                 if not times or s != times[-1]:
                     times.append(s)
                 rows.append(len(times) - 1)
-        keep = int(times[0] == last[0])
-        args = [last[1]] * keep + list(terms(times[keep:]))
-        last = times[-1], args[-1]
-        stage_args = [args[i] for i in rows]
-        for k, j in zip(steps, range(0, len(rows), 3)):
-            a1, a23, a4 = stage_args[j : j + 3]
+        args = terms(times)
+        stage_args = iter([args[i] for i in rows])     # three per step
+        for k, a1, a23, a4 in zip(steps, stage_args, stage_args, stage_args):
             rhs(a1, y, k1)
             np.add(y, np.multiply(half, k1, out=stage), out=stage)
             rhs(a23, stage, k2)
@@ -192,7 +178,7 @@ def run_blocks(
     """
     loop = control.ClosedLoop(blocks, mode)
     nodes, edges = loop.node_offsets, loop.gain_offsets
-    times, ys = integrate(loop.loop, loop.y0, cfg, loop.owner, loop.terms, loop.row_bytes)
+    times, ys = integrate(loop.loop, loop.y0, cfg, loop.owner, loop.terms)
     (N, n), Ea = loop.references.initial_states.shape, int(edges[-1])
     xr = ys[:, : 2 * N * n].reshape(len(times), 2, N, n)
     gains = ys[:, 2 * N * n :].reshape(len(times), 2, Ea)

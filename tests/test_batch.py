@@ -291,12 +291,10 @@ def test_one_law_calls_nothing_on_an_empty_slice(monkeypatch, law, own, other):
     scn = at.parse_scenario(variant(law, "a", RING6))
     at.run(scn.graph, scn.reference_set, scn.build_static_gains(), scn.sim, law)
     # one norm per RK4 stage: 300 steps of four; the widths of all distinct
-    # stage times of a block of steps in one call, and 300 steps of the
-    # 6-ring (12 states, 6 edges per row of the time-only table) in two blocks
+    # stage times of a block of steps in one call, one per block
     assert calls["_row_norms"] == 4 * 300
     if "_width" in NORM_STEP[own]:
-        assert sim.block_steps(8 * (12 + 6)) == 151
-        assert calls["_width"] == 2
+        assert calls["_width"] == -(-300 // sim.BLOCK_STEPS) == 10
     # no step of the other law's direction that this law's does not share
     assert all(calls[step] == 0 for step in set(NORM_STEP[other]) - set(NORM_STEP[own]))
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avgtrack as at
+from avgtrack import cli
 from avgtrack.cli import main
 from avgtrack.errors import ConfigError
 from avgtrack.report import write_diagnostics_csv, write_trajectory_csv
@@ -373,6 +374,38 @@ class TestRunCommand:
         with (out / "diagnostics.csv").open() as fh:
             last = list(csv.reader(fh))[-1]
         assert float(last[0]) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("out, blocked", [
+        ("taken", "taken"),
+        ("taken/sub", "taken"),
+        ("taken/sub/deeper", "taken"),
+        ("list", "list/paper-sec5-static"),
+    ])
+    def test_out_at_a_file_exit_2_before_the_run(self, tmp_path, capsys, monkeypatch, out,
+                                                  blocked):
+        # a file at --out, at one of its ancestors or at a list scenario's
+        # directory stops the run before its first step, and nothing is made
+        (tmp_path / "taken").write_text("kept")
+        (tmp_path / "list").mkdir()
+        (tmp_path / "list" / "paper-sec5-static").write_text("kept")
+        cfg = scenario_config("paper-sec5-static")
+        path = write_config(tmp_path, [cfg, dict(cfg, name="other")] if out == "list" else cfg)
+        monkeypatch.setattr(cli.sim, "run_blocks", lambda *a, **k: pytest.fail("a group ran"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", path, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err == (f"config error: --out {tmp_path / out}: "
+                                           f"{tmp_path / blocked} exists and is not a directory\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / blocked).read_text() == "kept"
+
+    def test_failed_write_exit_1_in_one_line(self, tmp_path, capsys):
+        # a directory where trajectory.csv belongs fails the write after the run
+        cfg = scenario_config("twin-integrator")
+        (tmp_path / "out" / "trajectory.csv").mkdir(parents=True)
+        code, out = run_cli(tmp_path, cfg, "--t-end", "0.1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: [Errno 21] Is a directory: '{out / 'trajectory.csv'}'\n"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_1(self, tmp_path, capsys):

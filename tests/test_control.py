@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -412,6 +414,16 @@ class TestAdaptiveGamma:
         with pytest.raises(ConfigError, match="^Gamma: "):
             AdaptiveParams(K=params.K, Gamma=given(params.Gamma), P=params.P, mu=1.0, nu=1.0,
                            theta=0.1, chi=0.1, eps=1.0, phi=0.5)
+
+    def test_replace_derives_gamma_from_the_new_k(self):
+        params = sec5_adaptive_params()
+        K = 2.0 * params.K
+        assert dataclasses.replace(params, K=K).Gamma.tobytes() == (K.T @ K).tobytes()
+        assert dataclasses.replace(params, mu=3.0).Gamma.tobytes() == params.Gamma.tobytes()
+        # the constructor still checks a Gamma it is given
+        with pytest.raises(ConfigError, match="^Gamma: "):
+            AdaptiveParams(K=K, Gamma=params.Gamma, P=params.P, mu=1.0, nu=1.0, theta=0.1,
+                           chi=0.1, eps=1.0, phi=0.5)
 
     def test_drive_is_the_paper_quadratic_form(self):
         # with alpha = beta = 0 the rates are mu and nu times the drives:

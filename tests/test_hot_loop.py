@@ -101,26 +101,18 @@ def test_discontinuous_sign_of_one_input_is_the_sign(w):
 def distinct_stage_times(dt, steps, per_block):
     """RK4's stage times with a repeat dropped, one list per block of steps:
     k3 shares k2's time, and a step's k1 shares the previous k4's where
-    k*dt + dt == (k+1)*dt, also where the two steps fall in two blocks."""
-    out, last = [], None
+    k*dt + dt == (k+1)*dt and the two steps fall in one block. Each block
+    lists its own first time."""
+    out = []
     for start in range(0, steps, per_block):
         out.append([])
+        last = None
         for k in range(start, min(start + per_block, steps)):
             for t in (k * dt, k * dt + dt / 2.0, k * dt + dt / 2.0, k * dt + dt):
                 if t != last:
                     out[-1].append(t)
                 last = t
     return out
-
-
-def sec5_block_steps():
-    """The steps of one block on the Sec. 5 ring, whose table rows hold
-    f(t) B^T for 6 agents of 2 states and 6 edge widths, and check that
-    three rows per step fit the table's cap."""
-    row_bytes = 8 * (6 * 2 + 6)
-    per_block = sim.block_steps(row_bytes)
-    assert 3 * per_block * row_bytes <= sim.TABLE_BYTES < 3 * (per_block + 1) * row_bytes
-    return per_block
 
 
 def counting(monkeypatch, cls, name):
@@ -143,7 +135,7 @@ def test_inputs_evaluated_once_per_distinct_stage_time(monkeypatch, dt, steps):
     gains = scn.build_static_gains()
     seen = counting(monkeypatch, ReferenceSet, "eval_inputs")
     at.run(scn.graph, scn.reference_set, gains, SimConfig(dt * steps, dt))
-    per_block = sec5_block_steps()
+    per_block = sim.BLOCK_STEPS
     want = distinct_stage_times(dt, steps, per_block)
     assert seen == want
     assert len(seen) == -(-steps // per_block)
@@ -379,13 +371,52 @@ def test_two_input_plant_has_the_bits_of_the_allocating_run(record_every):
 
 @pytest.mark.parametrize("per_block", [1, 2, 7])
 def test_blocks_of_few_steps_have_the_bits_of_the_allocating_run(monkeypatch, per_block):
-    # a table of 33 agents' f(t) B^T on two states and 33 widths per row,
-    # capped to hold three rows for each of `per_block` steps: a block's
-    # first row is often the previous block's last, copied
+    # blocks of `per_block` steps: a block's first time is often the
+    # previous block's last, formed again
     blocks, laws = two_input_blocks()
-    monkeypatch.setattr(sim, "TABLE_BYTES", 3 * per_block * 8 * (33 * 2 + 33))
-    assert sim.block_steps(8 * (33 * 2 + 33)) == per_block
+    monkeypatch.setattr(sim, "BLOCK_STEPS", per_block)
     assert_same_run_bits(blocks, SimConfig(0.05, 1e-3, record_every=3), laws)
+
+
+def ring_and_chords(N, seed):
+    """One static block on N agents of the Sec. 5 plant, on a ring plus N
+    random chords, with its own initial states and input phases."""
+    rng = np.random.default_rng(seed)
+    edges = {(i, i + 1) for i in range(N - 1)} | {(0, N - 1)}
+    while len(edges) < 2 * N:
+        i, j = sorted(int(v) for v in rng.choice(N, size=2, replace=False))
+        edges.add((i, j))
+    cfg = at.scenario_config("paper-sec5-static")
+    cfg["graph"] = {"n": N, "edges": [list(e) for e in sorted(edges)]}
+    angles = rng.uniform(0, 2 * np.pi, N)
+    cfg["agents"] = [
+        {"r0": [2 * math.cos(a), 2 * math.sin(a)],
+         "input": {"kind": "sinusoid", "amp": [rng.uniform(0.5, 1)], "omega": 1.0,
+                   "phase": rng.uniform(0, 2 * np.pi)}}
+        for a in angles
+    ]
+    scn = at.parse_scenario(cfg)
+    return [(scn.graph, scn.reference_set, scn.build_static_gains())], ["static"]
+
+
+@pytest.mark.parametrize("case", ["mixed-one-input", "mixed-two-inputs", "ring-and-chords"])
+def test_run_bits_do_not_depend_on_the_block_size(monkeypatch, case):
+    # each block forms the terms of all its own stage times, so where the
+    # blocks end moves no bit of a run
+    laws = ("static", "adaptive", "discontinuous", "adaptive")
+    if case == "ring-and-chords":
+        blocks, laws = ring_and_chords(250, 5)
+    else:
+        blocks = random_blocks(11, laws, 2, 1 if case == "mixed-one-input" else 2, own_rates=True)
+    cfg = SimConfig(0.1, 1e-3, record_every=3)
+    assert sim.BLOCK_STEPS < 100
+    want = sim.run_blocks(blocks, cfg, laws)
+    for per_block in (1, 2, 7):
+        monkeypatch.setattr(sim, "BLOCK_STEPS", per_block)
+        for got, traj in zip(sim.run_blocks(blocks, cfg, laws), want):
+            assert same_bits(got.x, traj.x) and same_bits(got.r, traj.r)
+            for a, b in ((got.alpha, traj.alpha), (got.beta, traj.beta)):
+                assert (a is None and b is None) or same_bits(a, b)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -587,23 +618,31 @@ def test_kernel_call_bits_at_the_zero_threshold(laws, m):
 
 @pytest.mark.parametrize("per_block", [1, 4])
 def test_blocks_share_a_row_only_where_their_times_agree(monkeypatch, per_block):
-    # with blocks of few steps, a block's first time is formed again where
-    # (k+1)*dt differs from the previous step's k*dt + dt in its last bit,
-    # and copied where the two agree
+    # with blocks of few steps, every block forms its own first time k*dt;
+    # where it agrees bit for bit with the previous block's last time,
+    # (k-1)*dt + dt, the two rows have the same bits, and both cases occur
     scn = at.parse_scenario(at.scenario_config("paper-sec5-static"))
     gains = scn.build_static_gains()
-    seen = counting(monkeypatch, ReferenceSet, "eval_inputs")
-    row_bytes = 8 * (6 * 2 + 6)
-    monkeypatch.setattr(sim, "TABLE_BYTES", 3 * per_block * row_bytes)
+    seen, formed = [], []
+    terms = control.ClosedLoop.terms
+
+    def recorded(self, times):
+        rows = terms(self, times)
+        seen.append(list(times))
+        formed.append(rows)
+        return rows
+
+    monkeypatch.setattr(control.ClosedLoop, "terms", recorded)
+    monkeypatch.setattr(sim, "BLOCK_STEPS", per_block)
     at.run(scn.graph, scn.reference_set, gains, SimConfig(0.3, 1e-3))
-    want = distinct_stage_times(1e-3, 300, per_block)
-    assert seen == want
-    # a block that starts at step k forms k*dt again exactly where it differs
-    # from (k-1)*dt + dt, and both cases occur
+    assert seen == distinct_stage_times(1e-3, 300, per_block)
     dt, starts = 1e-3, range(per_block, 300, per_block)
-    fresh = [k * dt != (k - 1) * dt + dt for k in starts]
-    assert [times[0] == k * dt for times, k in zip(want[1:], starts)] == fresh
-    assert any(fresh) and not all(fresh)
+    assert [times[0] for times in seen[1:]] == [k * dt for k in starts]
+    agree = [k * dt == (k - 1) * dt + dt for k in starts]
+    shared = [all(same_bits(a, b) for a, b in zip(prev[-1], rows[0]))
+              for prev, rows in zip(formed, formed[1:])]
+    assert all(same for same, a in zip(shared, agree) if a)
+    assert any(agree) and not all(agree)
 
 
 def test_width_formed_once_per_distinct_stage_time(monkeypatch):
@@ -616,7 +655,7 @@ def test_width_formed_once_per_distinct_stage_time(monkeypatch):
         # every law forms its width, the discontinuous law that of eps = 0,
         # in one call per block of steps, over the block's distinct stage
         # times; RK4's four stages per step take at most three
-        assert seen == distinct_stage_times(1e-3, 300, sec5_block_steps())
+        assert seen == distinct_stage_times(1e-3, 300, sim.BLOCK_STEPS)
         assert 2 * 300 <= sum(map(len, seen)) <= 3 * 300
 
 
