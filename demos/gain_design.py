@@ -19,7 +19,7 @@ def main() -> None:
     print("Riccati solution P:\n", sol.P)
     print(f"Riccati residual: {sol.residual_norm:.2e} ({sol.iterations} Newton steps)")
 
-    lam2 = at.lambda2(scn.graph)
+    lam2 = scn.graph.lambda2
     f0 = at.input_bound(scn.reference_set)
     print(f"graph Fiedler value lambda2 = {lam2:.4f}")
     print(f"input amplitude bound f0 = {f0:.4f}")
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"c1 = 1/(2*lambda2) = {gains.c1:.4f}")
     print(f"c2 = f0*(N-1) = {gains.c2:.4f}")
 
-    consts = at.theorem_constants(gains.P, scn.design_Q, scn.graph, f0, scn.graph.n_nodes)
+    consts = at.theorem_constants(gains.P, scn.design_Q, scn.graph, f0)
     print(f"guaranteed decay rate gamma = {consts.gamma:.4f}")
 
 

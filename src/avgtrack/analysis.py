@@ -10,8 +10,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import RhoExceedsGamma
-from .graph import Graph, lambda2
-from .numerics import sym_eigvals
+from .graph import Graph
+from .numerics import finite_norms, sym_eigvals
 from .signals import ReferenceSet, reference_trajectory
 
 
@@ -43,9 +43,12 @@ def tracking_error(x: NDArray, r: NDArray) -> NDArray[np.float64]:
 
 
 def sum_invariant(x: NDArray, r: NDArray) -> float | NDArray[np.float64]:
-    """||sum_i x_i - sum_i r_i||; identically zero in exact arithmetic."""
-    s = np.asarray(x).sum(axis=-2) - np.asarray(r).sum(axis=-2)
-    return np.linalg.norm(s, axis=-1)
+    """||sum_i x_i - sum_i r_i||; identically zero in exact arithmetic. Where
+    the sums or their squares overflow, it is the norm of the sum of the
+    differences x_i - r_i, by finite_norms."""
+    x, r = np.asarray(x), np.asarray(r)
+    nrm = np.linalg.norm(x.sum(axis=-2) - r.sum(axis=-2), axis=-1)
+    return nrm if np.isfinite(nrm).all() else finite_norms(nrm, (x - r).sum(axis=-2))
 
 
 def _scalar(v: NDArray) -> float | NDArray[np.float64]:
@@ -55,10 +58,14 @@ def _scalar(v: NDArray) -> float | NDArray[np.float64]:
 
 def lyapunov_v1(xi: NDArray, P: NDArray) -> float | NDArray[np.float64]:
     """Quadratic consensus energy xi^T (M (x) P) xi of one stacked sample
-    (N, n), or of each sample of a series (T, N, n)."""
+    (N, n), or of each sample of a series (T, N, n). The energy of finite
+    states that overflows is +inf, never NaN: it is at least 0."""
     xi = np.asarray(xi, dtype=float)
     c = xi - xi.mean(axis=-2, keepdims=True)
-    return _scalar(np.einsum("...in,nm,...im->...", c, P, xi))
+    v = np.einsum("...in,nm,...im->...", c, P, xi)
+    if not np.isfinite(v).all():
+        v = np.where(np.isfinite(v) | ~np.isfinite(xi).all(axis=(-2, -1)), v, np.inf)
+    return _scalar(v)
 
 
 def v1_envelope(
@@ -136,19 +143,18 @@ def theorem_constants(
     Q: NDArray,
     g: Graph,
     f0: float,
-    n_agents: int,
+    *,
     mu: float = 1.0,
     nu: float = 1.0,
     theta: float = 1.0,
     chi: float = 1.0,
-    lam2: float | None = None,
 ) -> TheoremConstants:
     """Assemble the scalar constants, defaulting the analysis constants to
-    their minimal compliant values (the bounds tighten as they shrink).
-    `lam2` may carry lambda2(g) when the caller already has it."""
+    their minimal compliant values (the bounds tighten as they shrink). The
+    N agents are the nodes of g."""
     gamma = float(sym_eigvals(Q)[0] / sym_eigvals(P)[-1])
-    alpha_bar = 1.0 / (2.0 * (lambda2(g) if lam2 is None else lam2))
-    beta_bar = f0 * (n_agents - 1)
+    alpha_bar = 1.0 / (2.0 * g.lambda2)
+    beta_bar = f0 * (g.n_nodes - 1)
     delta = min(gamma, mu * theta, nu * chi)
     varrho = max(mu * theta, nu * chi)
     return TheoremConstants(

@@ -61,16 +61,14 @@ def _fmt_matrix(name: str, m: np.ndarray) -> str:
 
 def _gain_report(scn: Scenario) -> str:
     gains = scn.build_static_gains()
-    consts = theorem_constants(
-        gains.P, scn.design_Q, scn.graph, scn.f0, scn.reference_set.n_agents, lam2=scn.lambda2
-    )
+    consts = theorem_constants(gains.P, scn.design_Q, scn.graph, scn.f0)
     return "\n".join([
         f"scenario: {scn.name}",
         "stabilizability: (A, B) is stabilizable",
         _fmt_matrix("P", gains.P),
         _fmt_matrix("K", gains.K),
         _fmt_matrix("Gamma", gains.K.T @ gains.K),
-        f"lambda2 = {scn.lambda2:.6f}",
+        f"lambda2 = {scn.graph.lambda2:.6f}",
         f"f0 = {scn.f0:.6f}",
         f"c1 = {gains.c1:.6f}",
         f"c2 = {gains.c2:.6f}",
@@ -102,16 +100,17 @@ def _group_key(i: int, scn: Scenario, gains: StaticGains | AdaptiveParams) -> tu
     return (plant.A.tobytes(), plant.B.tobytes(), gains.K.tobytes(), scn.sim)
 
 
+# the per-step check reports a blow-up, and an overflow in the certificates
+# of a finite run reads inf; numpy's warnings would add lines
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]]) -> None:
     # the group's record arrays die with the call
     first = group[0][0]
     try:
-        # the per-step check reports a blow-up; numpy's warnings would add lines
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            trajs = sim.run_blocks(
-                [(scn.graph, scn.reference_set, gains) for scn, gains, _ in group], first.sim,
-                mode=[scn.algorithm for scn, _, _ in group],
-            )
+        trajs = sim.run_blocks(
+            [(scn.graph, scn.reference_set, gains) for scn, gains, _ in group], first.sim,
+            mode=[scn.algorithm for scn, _, _ in group],
+        )
     except NonFinite as exc:
         raise NonFinite(f"scenario {group[exc.block][0].name!r}: {exc}", time=exc.time) from exc
     for (scn, gains, out_dir), traj in zip(group, trajs):

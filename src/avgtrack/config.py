@@ -11,7 +11,7 @@ import numpy as np
 
 from . import control
 from .errors import MALFORMED, ConfigError, NotSymmetric, located
-from .graph import Graph, lambda2 as graph_lambda2
+from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
 from .signals import InputDescriptor, LinearPlant, ReferenceSet, input_bound
 from .sim import SimConfig
@@ -115,11 +115,6 @@ class Scenario:
     raw: dict = field(default_factory=dict)
 
     @cached_property
-    def lambda2(self) -> float:
-        """lambda2 of the graph, computed once: design, diagnostics and summary read it."""
-        return graph_lambda2(self.graph)
-
-    @cached_property
     def f0(self) -> float:
         """The input bound f0, computed once: design, diagnostics and `gains` read it."""
         return input_bound(self.reference_set)
@@ -134,7 +129,6 @@ class Scenario:
             phi=self.phi,
             margins=self.margins,
             cfg=self.numerics,
-            lam2=self.lambda2,
         )
 
     def build_adaptive_params(self) -> control.AdaptiveParams:

@@ -217,16 +217,14 @@ def design_gains(
     phi: float = 0.5,
     margins: tuple[float, float] = (1.0, 1.0),
     cfg: NumericsConfig = DEFAULT_CONFIG,
-    lam2: float | None = None,
 ) -> StaticGains:
     """Gain design recipe: ARE solve, then minimal compliant couplings.
 
     c1 = margin1 / (2*lambda2), c2 = margin2 * f0 * (N - 1); margins of 1
-    sit exactly on the design bounds. `lam2` may carry lambda2(g) when the
-    caller already has it; else lambda2(g) raises NotConnected if g is not connected.
+    sit exactly on the design bounds. g.lambda2 raises NotConnected, before
+    anything else is checked, if g is not connected.
     """
-    if lam2 is None:
-        lam2 = graphmod.lambda2(g)
+    lam2 = g.lambda2
     margins = located("margins", design_margins, margins)
     P, K = feedback_gain(plant, Q, cfg)
     c1 = margins[0] / (2.0 * lam2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,6 +56,11 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def lambda2(self) -> float:
+        """lambda2(self), computed once; NotConnected is raised at every read."""
+        return lambda2(self)
 
 
 def edge_index(g: Graph) -> NDArray[np.intp]:

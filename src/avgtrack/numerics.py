@@ -70,6 +70,19 @@ def sym_eigvals(m: NDArray) -> NDArray[np.float64]:
     return np.linalg.eigvalsh(m / 2.0 + m.T / 2.0)      # halves first: m + m.T may overflow
 
 
+def finite_norms(nrm: NDArray, v: NDArray, axis: int | None = -1) -> NDArray[np.float64]:
+    """`nrm`, the 2-norms of v along `axis` (all of v for None), each one not
+    finite formed again from its vector divided by its largest entry, as a
+    square overflows where the norm need not. Finite norms keep their bits."""
+    bad = ~np.isfinite(nrm)
+    if not bad.any():
+        return nrm
+    s = np.abs(v).max(axis=axis, keepdims=True)
+    s[~(np.isfinite(s) & (s > 0))] = 1.0      # 0 or not finite: the norm as it was
+    again = np.linalg.norm(v / s, axis=axis, keepdims=True) * s
+    return np.where(bad, again.reshape(np.shape(nrm)), nrm)[()]
+
+
 def solve_lyapunov(
     F: NDArray, Q: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
 ) -> NDArray[np.float64]:

@@ -11,6 +11,7 @@ from . import __version__, analysis
 from .config import Scenario
 from .control import AdaptiveParams, StaticGains
 from .errors import RhoExceedsGamma
+from .numerics import finite_norms
 from .sim import Trajectory
 
 ENVELOPE_SLACK = 1e-6  # numerical slack when counting envelope violations
@@ -21,21 +22,17 @@ def diagnostics_series(
 ) -> dict:
     """Per-recorded-time diagnostics plus the scalar summary quantities."""
     P = gains.P
-    rs = scn.reference_set
-    N = rs.n_agents
     edge_sum = 2 * scn.graph.n_edges  # sum_i |N_i|, ordered neighbor pairs
     adaptive = traj.mode == "adaptive"
 
     rates = dict(mu=gains.mu, nu=gains.nu, theta=gains.theta, chi=gains.chi) if adaptive else {}
-    consts = analysis.theorem_constants(
-        P, scn.design_Q, scn.graph, scn.f0, N, lam2=scn.lambda2, **rates
-    )
+    consts = analysis.theorem_constants(P, scn.design_Q, scn.graph, scn.f0, **rates)
 
     xi = analysis.consensus_error(traj.x)
     v1 = analysis.lyapunov_v1(xi, P)
     sum_inv = np.asarray(analysis.sum_invariant(traj.x, traj.r))
-    track = analysis.tracking_error(traj.x, traj.r)
-    final_err = np.linalg.norm(track[-1], axis=1)
+    track = analysis.tracking_error(traj.x[-1], traj.r[-1])
+    final_err = finite_norms(np.linalg.norm(track, axis=1), track)
 
     out = {
         "times": traj.times,
@@ -49,7 +46,7 @@ def diagnostics_series(
         "envelope_violations": None,
         "omega2_radius": None,
         "omega1_bound": None,
-        "final_xi_norm": float(np.linalg.norm(xi[-1])),
+        "final_xi_norm": float(finite_norms(np.linalg.norm(xi[-1]), xi[-1], None)),
     }
 
     if not adaptive:
@@ -57,7 +54,9 @@ def diagnostics_series(
             traj.times, v1[0], consts.gamma, gains.c2, gains.eps, gains.phi, edge_sum
         )
         out["envelope"] = env
-        out["envelope_violations"] = int(np.count_nonzero(v1 > env + ENVELOPE_SLACK))
+        # an overflowing V1, +inf, violates whatever the envelope
+        over = (v1 > env + ENVELOPE_SLACK) | (v1 == np.inf)
+        out["envelope_violations"] = int(np.count_nonzero(over))
     else:
         out["V2"] = analysis.lyapunov_v2(
             xi, P, traj.alpha, traj.beta, consts, gains.mu, gains.nu
@@ -80,7 +79,7 @@ def build_summary(
     static_like = traj.mode != "adaptive"
     return {
         "gamma": diag["consts"].gamma,
-        "lambda2": scn.lambda2,
+        "lambda2": scn.graph.lambda2,
         "c1": gains.c1 if static_like else None,
         "c2": gains.c2 if static_like else None,
         "omega2_radius": diag["omega2_radius"],
@@ -101,7 +100,7 @@ def write_trajectory_csv(path: Path, scn: Scenario, traj: Trajectory) -> None:
     n = scn.reference_set.plant.n
     track = analysis.tracking_error(traj.x, traj.r)
     # row-by-row inner products, as np.linalg.norm takes them on one row
-    track_norm = np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0]
+    track_norm = finite_norms(np.sqrt(track[..., None, :] @ track[..., :, None])[..., 0], track)
     # each record's values, flat: agent rows, then edge rows
     T, N = traj.x.shape[:2]
     agents = np.concatenate([traj.x, track_norm], axis=-1).reshape(T, -1)

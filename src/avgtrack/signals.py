@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ConfigError
-from .numerics import matrix_exp
+from .numerics import finite_norms, matrix_exp
 
 
 @dataclass(frozen=True)
@@ -111,24 +111,16 @@ class InputDescriptor:
 
     def bound(self) -> float:
         """Declared bound on sup_t ||f(t)|| (exact for parametric kinds,
-        max over the grid for tables). Where the sum of squares overflows,
-        the values are divided by their largest magnitude first, so a finite
-        norm comes out finite; numpy warns of that overflow unless over is
-        ignored, as input_bound does."""
+        max over the grid for tables). A finite norm comes out finite, by
+        finite_norms; numpy warns of the overflow of its sum of squares
+        unless over is ignored, as input_bound does."""
         if self.kind == "zero":
             return 0.0
         v, axis = (self.values, 1) if self.kind == "table" else (
             self.value if self.kind == "constant" else self.amp, None)
-        nrm = _largest_norm(v, axis)
-        if nrm == math.inf:
-            scale = float(np.abs(v).max())
-            nrm = scale * _largest_norm(v / scale, axis)
-        return nrm
-
-
-def _largest_norm(v: NDArray, axis: int | None) -> float:
-    nrm = np.linalg.norm(v, axis=axis)
-    return float(nrm if axis is None else nrm.max())
+        nrm = np.linalg.norm(v, axis=axis)
+        top = float(nrm if axis is None else nrm.max())
+        return top if top < math.inf else float(np.max(finite_norms(nrm, v, axis)))
 
 
 def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np.float64]:

@@ -82,7 +82,8 @@ def integrate(
     and the time-varying terms of the vector field see the exact stage
     times. Returns (times, states) with states[k] at times[k]. `owner` may
     give the block of each state entry; a NonFinite then names the lowest
-    block with a non-finite entry.
+    block with a non-finite entry. A record array that numpy cannot
+    allocate raises ConfigError before the first step.
 
     The steps run in blocks of BLOCK_STEPS. `terms` forms the terms of the
     vector field that depend on time alone: terms(times) gets all of a
@@ -92,10 +93,14 @@ def integrate(
     and its k1 shares the previous step's k4's where the two agree bit for
     bit, so a block of S steps has at most 3S distinct times.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps, every = int(round(cfg.t_end / cfg.dt)), cfg.record_every
     y = np.array(initial, dtype=float)
-    rec_idx = list(range(0, n_steps, cfg.record_every)) + [n_steps]
-    rec = np.empty((len(rec_idx), y.size))
+    rows = -(-n_steps // every) + 1     # each every-th step below n_steps, and n_steps
+    try:
+        rec = np.empty((rows, y.size))
+    except (MemoryError, ValueError):    # ValueError: more bytes than an index can count
+        raise ConfigError(f"sim: cannot allocate {rows} x {y.size} records for {n_steps} steps; "
+                          "raise dt or record_every") from None
     rec[0] = y
     n_rec = 1
     dt = cfg.dt
@@ -133,10 +138,10 @@ def integrate(
                 block = None if owner is None else int(owner[~np.isfinite(y)].min())
                 raise NonFinite(f"non-finite state at t={(k + 1) * dt:g}", time=(k + 1) * dt,
                                 block=block)
-            if k + 1 == rec_idx[n_rec]:
+            if (k + 1) % every == 0 or k + 1 == n_steps:
                 rec[n_rec] = y
                 n_rec += 1
-    times = np.array(rec_idx, dtype=float) * dt
+    times = np.append(np.arange(0, n_steps, every), n_steps) * dt
     return times, rec
 
 

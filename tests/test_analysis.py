@@ -80,6 +80,29 @@ class TestSumInvariant:
         x[1] += v
         assert sum_invariant(x, r) == pytest.approx(np.linalg.norm(v))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sample_formed_again_scaled(self):
+        # a sample whose squares overflow is formed again from x and r divided
+        # by its largest entry; the other samples keep their bits
+        rng = np.random.default_rng(29)
+        x, r = rng.standard_normal((2, 4, 3, 2))
+        x[1] *= 1e300
+        r[1] *= 1e300
+        got = sum_invariant(x, r)
+        kept = [0, 2, 3]
+        assert got[kept].tobytes() == sum_invariant(x[kept], r[kept]).tobytes()
+        assert np.isfinite(got[1]) and got[1] == sum_invariant(x[1], r[1])
+        want = np.linalg.norm(x[1].sum(0) / 1e300 - r[1].sum(0) / 1e300) * 1e300
+        assert got[1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sums_that_overflow_formed_again_scaled(self):
+        x = np.full((3, 2), 1e308)
+        assert sum_invariant(x, x) == 0.0
+        r = x.copy()
+        r[0, 0] = 0.5e308
+        assert sum_invariant(x, r) == pytest.approx(0.5e308, rel=1e-15)
+
 
 class TestLyapunovV1:
     def test_zero(self):
@@ -106,6 +129,20 @@ class TestLyapunovV1:
         assert v.shape == (50,)
         np.testing.assert_array_equal(v, [lyapunov_v1(s, P) for s in xi])
         assert type(lyapunov_v1(xi[0], P)) is float
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_plus_inf(self):
+        # with this P the sum of the overflowing terms is inf - inf, NaN
+        P = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        huge = consensus_error(np.array([[1e300, 0.0], [-1e300, 1.0], [0.0, -1e300]]))
+        assert np.isnan(np.einsum("in,nm,im->", huge, P, huge))
+        small = consensus_error(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
+        v = lyapunov_v1(np.stack([small, huge]), P)
+        assert v[0] == lyapunov_v1(small, P) and v[1] == np.inf
+        assert lyapunov_v1(huge, P) == np.inf
+        nan = small.copy()
+        nan[0, 0] = np.nan
+        assert np.isnan(lyapunov_v1(nan, P))      # a NaN state is no overflow
 
 
 class TestEnvelope:
@@ -171,6 +208,15 @@ class TestLyapunovV2:
         np.testing.assert_array_equal(v, stacked)
         assert type(stacked[0]) is float
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_is_plus_inf(self):
+        c = self.consts()
+        P = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        xi = consensus_error(np.array([[1e300, 0.0], [-1e300, 1.0], [0.0, -1e300]]))
+        gains = np.zeros(3)
+        assert lyapunov_v2(xi, P, gains, gains, c, 1.0, 1.0) == np.inf
+        assert lyapunov_v2(np.zeros((3, 2)), P, gains + 1e300, gains, c, 1.0, 1.0) == np.inf
+
 
 class TestOmegaBounds:
     def test_zero_leakage_zero_radius(self):
@@ -196,19 +242,19 @@ class TestOmegaBounds:
 
 class TestTheoremConstants:
     def test_identity_case(self):
-        c = theorem_constants(np.eye(2), np.eye(2), ring_graph(4), f0=0.0, n_agents=4)
+        c = theorem_constants(np.eye(2), np.eye(2), ring_graph(4), f0=0.0)
         assert c.gamma == pytest.approx(1.0)
 
     def test_sec5_gamma(self):
         P = at.solve_are(SEC5_A, SEC5_B, np.eye(2)).P
-        c = theorem_constants(P, np.eye(2), ring_graph(6), f0=3.5, n_agents=6)
+        c = theorem_constants(P, np.eye(2), ring_graph(6), f0=3.5)
         assert c.gamma == pytest.approx(1.0 / np.linalg.eigvalsh(P)[-1], abs=1e-10)
         assert c.alpha_bar == pytest.approx(0.5)
         assert c.beta_bar == pytest.approx(17.5)
 
     def test_min_max_arithmetic(self):
         c = theorem_constants(
-            np.eye(2), np.eye(2), ring_graph(4), f0=1.0, n_agents=4,
+            np.eye(2), np.eye(2), ring_graph(4), f0=1.0,
             mu=1.0, nu=1.0, theta=0.1, chi=0.1,
         )
         assert c.delta == pytest.approx(0.1)

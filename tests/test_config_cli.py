@@ -407,6 +407,49 @@ class TestRunCommand:
         assert code == 1
         assert err == f"error: [Errno 21] Is a directory: '{out / 'trajectory.csv'}'\n"
 
+    # an input of amplitude 1e300, or an r0 of 1e300, drives finite states
+    # whose squares overflow: the norms are formed again scaled, and V1 reads
+    # +inf, never NaN, and counts as a violation, also where V1(0) and so the
+    # envelope overflow
+    @pytest.mark.filterwarnings("error")      # a numpy warning would be a stderr line
+    @pytest.mark.parametrize("path, value, v1_0", [
+        (("agents", 0, "input", "amp"), [1e300], "17.5"),
+        (("agents", 0, "r0"), [1e300, 0.0], "inf"),
+    ])
+    def test_finite_run_of_huge_states_reports_finite_norms(self, tmp_path, capsys, path, value,
+                                                            v1_0):
+        cfg = mutated("paper-sec5-static", (path, value))
+        code, out = run_cli(tmp_path, cfg, "--t-end", "0.05")
+        assert code == 0 and capsys.readouterr().err == ""
+        summary = json.loads((out / "summary.json").read_text())
+        huge = summary["final_tracking_error"] + [summary["final_consensus_error_norm"]]
+        assert all(1e250 < v < 1e300 for v in huge), huge
+        assert 0 < summary["sup_sum_invariant"] < np.inf
+        with (out / "diagnostics.csv").open(newline="") as fh:
+            v1 = [row["V1"] for row in csv.DictReader(fh)]
+        assert v1 == [v1_0] + ["inf"] * 5
+        assert summary["envelope_violations"] == v1.count("inf")
+        text = (out / "trajectory.csv").read_text()
+        assert "inf" not in text and "nan" not in text
+
+    # record_every 1: more bytes than an index can count (ValueError); 10:
+    # more than any address space holds (MemoryError)
+    @pytest.mark.parametrize("every", [1, 10])
+    def test_record_array_beyond_memory_exit_2(self, tmp_path, capsys, monkeypatch, every):
+        # about 1e17 steps: the record schedule is arithmetic, and the record
+        # array fails to allocate before the first step
+        cfg = scenario_config("paper-sec5-static")
+        cfg["sim"].update(t_end=1e5, dt=1e-12, record_every=every)
+        steps = []
+        monkeypatch.setattr(cli.sim.control.ClosedLoop, "loop", lambda *args: steps.append(1))
+        code, out = run_cli(tmp_path, cfg)
+        n_steps = int(round(1e5 / 1e-12))
+        rows = -(-n_steps // every) + 1
+        assert code == 2 and capsys.readouterr().err == (
+            f"config error: sim: cannot allocate {rows} x 24 records for {n_steps} steps; "
+            "raise dt or record_every\n")
+        assert not steps and not out.exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_1(self, tmp_path, capsys):
         # stiff stable plant far outside the RK4 stability region at this dt
@@ -779,6 +822,7 @@ def mutated(name, *edits):
 @example(cfg=mutated("twin-integrator", (("plant", "B"), [[[[1, 2], [3, 4]]]] * 2)))
 @example(cfg=mutated("paper-sec5-static", (("design", "Q", 1, 1), float("inf"))))
 @example(cfg=mutated("paper-sec5-static", (("design", "Q", 0, 0), 1e308)))
+@example(cfg=mutated("paper-sec5-static", (("agents", 0, "input", "amp"), [1e300])))
 @pytest.mark.parametrize("command", ["run", "gains"])
 def test_mutated_config_exits_with_files_or_one_line(command, cfg):
     # exit 0 with the three files, or exit 1 or 2 with one stderr line; no
@@ -794,6 +838,7 @@ def test_mutated_config_exits_with_files_or_one_line(command, cfg):
         if code == 0:
             assert command == "gains" or all(
                 (out / f).is_file() for f in ("trajectory.csv", "diagnostics.csv", "summary.json"))
+            assert err.getvalue() == "" and not caught, [str(w.message) for w in caught]
         else:
             assert code in (1, 2)
             lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
@@ -825,6 +870,21 @@ def test_input_bound_taken_once_per_scenario(tmp_path, monkeypatch, command):
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
     assert len(calls) == 6 + 4
+
+
+@pytest.mark.parametrize("command", ["run", "gains"])
+def test_laplacian_spectrum_taken_once_per_scenario(tmp_path, monkeypatch, command):
+    # the design, the diagnostics and the summary (run) or the report (gains)
+    # share Graph.lambda2
+    cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
+    laplacians = [at.laplacian(at.parse_scenario(cfg).graph) for cfg in cfgs]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
+    assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
+    taken = [a for a in calls if any(np.array_equal(a, L) for L in laplacians)]
+    assert len(taken) == 2 and all(map(np.array_equal, taken, laplacians))
 
 
 def test_flat_table_input_runs(tmp_path):

@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgtrack as at
 from avgtrack import (
     Graph,
     is_connected,
@@ -14,7 +18,14 @@ from avgtrack import (
 from avgtrack.graph import incidence_matrix
 from avgtrack.errors import ConfigError, NotConnected
 from avgtrack.numerics import sym_eigvals
+from avgtrack.scenarios import NAMES
 from conftest import neighbors
+
+# the benchmark's workload generator, from its file
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 P2 = Graph(2, ((0, 1),))
 TRIANGLE = Graph(3, ((0, 1), (0, 2), (1, 2)))
@@ -168,6 +179,29 @@ class TestLambda2:
     def test_disconnected_raises(self):
         with pytest.raises(NotConnected):
             lambda2(Graph(3))
+
+    def test_property_raises_at_every_read(self):
+        g = Graph(3)
+        for _ in range(2):
+            with pytest.raises(NotConnected, match="lambda2 requires a connected graph"):
+                g.lambda2
+
+    def test_property_is_one_call_of_the_function(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        g = Graph(6, C6.edges)
+        assert g.lambda2 == g.lambda2
+        assert len(calls) == 1 and np.array_equal(calls[0], laplacian(g))
+
+    def test_property_has_the_bits_of_the_function(self):
+        # the canned graphs and the benchmark's seed-1 network (1000 nodes,
+        # 2000 edges)
+        network = json.loads(workloads.config_text("network-1k", 1))["graph"]
+        graphs = [at.parse_scenario(at.scenario_config(name)).graph for name in NAMES]
+        graphs.append(Graph(network["n"], tuple(map(tuple, network["edges"]))))
+        for g in graphs:
+            assert g.lambda2.hex() == lambda2(g).hex()
 
     def test_equals_the_symmetrised_spectrum(self):
         # the Laplacian is built exactly symmetric, so eigvalsh on it as built

@@ -11,7 +11,29 @@ from avgtrack import (
     sym_eigvals,
 )
 from avgtrack.errors import NotStabilizable, NotSymmetric, SingularSystem
+from avgtrack.numerics import finite_norms
 from conftest import random_stabilizable
+
+
+class TestFiniteNorms:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rows_whose_squares_overflow(self):
+        v = np.array([[3e200, -4e200], [3.0, 4.0], [0.0, 0.0], [np.inf, 1.0], [1.5e308, 1.5e308]])
+        nrm = finite_norms(np.linalg.norm(v, axis=-1), v)
+        assert nrm[0] == pytest.approx(5e200, rel=1e-15)
+        assert nrm[1:4].tolist() == [5.0, 0.0, np.inf]
+        assert nrm[4] == np.inf       # the norm itself is beyond the largest double
+
+    def test_finite_norms_returned_as_given(self):
+        v = np.arange(6.0).reshape(3, 2)
+        nrm = np.linalg.norm(v, axis=-1)
+        assert finite_norms(nrm, v) is nrm
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_all_axes(self):
+        v = np.array([[3e200, 0.0], [0.0, -4e200]])
+        nrm = finite_norms(np.linalg.norm(v), v, axis=None)
+        assert type(nrm) is np.float64 and nrm == pytest.approx(5e200, rel=1e-15)
 
 
 class TestSymEig:

@@ -43,6 +43,21 @@ class TestIntegrate:
         # stamps are k*dt*record_every exactly (index multiplication, no accumulation)
         np.testing.assert_array_equal(times[1:], np.arange(1, 11) * 0.2)
 
+    @pytest.mark.parametrize("n_steps, every", [(1, 1), (7, 1), (7, 3), (9, 3), (3, 10),
+                                                (10, 10), (301, 7)])
+    def test_records_at_the_listed_steps(self, n_steps, every):
+        # the schedule by arithmetic: every `every`-th step below n_steps and
+        # n_steps itself, with the times of that list of steps times dt
+        def rhs(t, y, out):
+            np.multiply(-np.cos(t), y, out=out)
+
+        cfg = SimConfig(n_steps * 1e-3, 1e-3, record_every=every)
+        times, ys = integrate(rhs, np.array([1.0, -2.0]), cfg)
+        _, every_step = integrate(rhs, np.array([1.0, -2.0]), SimConfig(cfg.t_end, cfg.dt))
+        steps = list(range(0, n_steps, every)) + [n_steps]
+        assert times.tobytes() == (np.array(steps, dtype=float) * 1e-3).tobytes()
+        assert ys.tobytes() == every_step[steps].tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_reported_with_time(self):
         def blowup(t, y, out):
