@@ -17,6 +17,7 @@ from .numerics import (
 )
 from .signals import (
     InputDescriptor,
+    InputTable,
     LinearPlant,
     ReferenceSet,
     eval_input,
@@ -52,7 +53,7 @@ __all__ = [
     "Graph", "laplacian", "is_connected", "lambda2",
     "AreSolution", "NumericsConfig", "is_stabilizable", "matrix_exp",
     "solve_are", "solve_lyapunov", "sym_eigvals",
-    "InputDescriptor", "LinearPlant", "ReferenceSet", "eval_input",
+    "InputDescriptor", "InputTable", "LinearPlant", "ReferenceSet", "eval_input",
     "input_bound", "reference_trajectory",
     "AdaptiveParams", "StaticGains", "boundary_layer", "design_gains",
     "discontinuous_sign",

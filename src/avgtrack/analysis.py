@@ -84,11 +84,15 @@ def v1_envelope(
     of eps*e^{-gamma(t-tau) - phi tau}, with the te^{-gamma t} branch at
     gamma == phi.
     """
+    t = np.asarray(t, dtype=float)
     if abs(gamma - phi) <= 1e-12:
         integral = eps * t * np.exp(-gamma * t)
     else:
         integral = eps / (gamma - phi) * (np.exp(-phi * t) - np.exp(-gamma * t))
-    return _scalar(np.exp(-gamma * t) * v1_0 + c2 * edge_count_sum * integral)
+    # an infinite V1(0) bounds nothing at any t, where e^{-gamma t} may
+    # underflow to 0 and 0 * inf is NaN
+    decay = np.exp(-gamma * t) * v1_0 if v1_0 < np.inf else np.full(np.shape(t), v1_0)
+    return _scalar(decay + c2 * edge_count_sum * integral)
 
 
 def lyapunov_v2(

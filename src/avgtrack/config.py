@@ -13,7 +13,7 @@ from . import control
 from .errors import MALFORMED, ConfigError, NotSymmetric, located
 from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
-from .signals import InputDescriptor, LinearPlant, ReferenceSet, input_bound
+from .signals import InputDescriptor, InputTable, LinearPlant, ReferenceSet, input_bound
 from .sim import SimConfig
 
 _TOP_KEYS = {
@@ -46,7 +46,8 @@ def _section(cls, d: dict, where: str):
 
 
 # every value in a config is a number, null, or an object or list of such
-# values, but at the top-level text keys, sim.integrator and an input's kind
+# values, but at the top-level text keys, sim.integrator and an input's kind;
+# the agents are checked by their own pass
 _TEXT_KEYS = {"name", "algorithm", "assumptions"}
 _PLAIN = {int, float, type(None)}
 # an agent, its input and the input's kind, by their paths without the index
@@ -138,6 +139,34 @@ class Scenario:
         return control.AdaptiveParams(K=K, eps=self.eps, phi=self.phi, P=P, **self.adaptive)
 
 
+_AGENT_KEYS = {"r0", "input"}
+_ZERO = {"kind": "zero"}
+_NUMBER = {int, float}
+# the list each parametric kind needs, of one entry per input
+_VECTOR = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
+
+
+def _plain_agent(agent, n: int, m: int) -> bool:
+    """True for an agent that the array pass reads as it stands: known keys,
+    r0 null or n numbers, and an input of a parametric kind with its keys,
+    its list of m numbers and number omega and phase."""
+    if type(agent) is not dict or not agent.keys() <= _AGENT_KEYS:
+        return False
+    r0 = agent.get("r0")
+    if r0 is not None and not (type(r0) is list and len(r0) == n
+                               and _NUMBER.issuperset(map(type, r0))):
+        return False
+    d = agent.get("input", _ZERO)
+    kind = d.get("kind") if type(d) is dict else None
+    if type(kind) is not str or kind not in _VECTOR or not d.keys() <= _INPUT_KEYS[kind]:
+        return False
+    for key in _VECTOR[kind]:
+        v = d.get(key)
+        if not (type(v) is list and len(v) == m and _NUMBER.issuperset(map(type, v))):
+            return False
+    return type(d.get("omega", 1.0)) in _NUMBER and type(d.get("phase", 0.0)) in _NUMBER
+
+
 def _parse_input(d: dict, where: str) -> InputDescriptor:
     kind = d.get("kind") if isinstance(d, dict) else None
     if kind not in _INPUT_KEYS:
@@ -145,6 +174,70 @@ def _parse_input(d: dict, where: str) -> InputDescriptor:
     _check_keys(d, _INPUT_KEYS[kind], where)
     # InputDescriptor converts the fields and checks that the kind has them
     return located(where, InputDescriptor, **d)
+
+
+def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, InputDescriptor]:
+    """Agent k checked alone: its r0 (None where it is drawn) and its input.
+    Its first fault raises, named by its index."""
+    _check_keys(agent, _AGENT_KEYS, f"agents[{k}]")
+    r0 = agent.get("r0")
+    if r0 is not None:
+        r0 = located(f"agents[{k}].r0", _initial_state, r0, n)
+    return r0, _parse_input(agent.get("input", _ZERO), f"agents[{k}].input")
+
+
+def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
+    """The agents' reference set, built in whole-array passes.
+
+    An agent in the plain form goes into the (N, n) initial states and the
+    input table as it stands, and one isfinite per array checks all of them.
+    Any other agent (a table input, a scalar amp, a fault, a non-finite
+    number) is then checked alone by `_agent`, in agent order, after the
+    agents' numbers are checked as every section's are: the first fault is
+    the one an agent-by-agent parse would name."""
+    if type(agents) is not list:
+        _numbers_only(agents, ("agents",))
+        agents = list(agents)
+    N, n, m = len(agents), plant.n, plant.m
+    plain = [_plain_agent(a, n, m) for a in agents]
+    # the plain agents' numbers as they stand, zeros in the others' rows
+    rows = [a if ok else {} for a, ok in zip(agents, plain)]
+    inputs = [a.get("input", _ZERO) for a in rows]
+    kinds = [d["kind"] for d in inputs]
+    zero_n, zero_m = [0.0] * n, [0.0] * m
+    try:
+        r0 = np.array([a.get("r0") or zero_n for a in rows], dtype=float).reshape(N, n)
+        amp = np.array([d.get("amp", zero_m) for d in inputs], dtype=float).reshape(N, m)
+        const = np.array([d.get("value", zero_m) for d in inputs], dtype=float).reshape(N, m)
+        omega = np.array([d.get("omega", 1.0) if kind == "sinusoid" else 0.0
+                          for d, kind in zip(inputs, kinds)], dtype=float)
+        phase = np.array([d.get("phase", 0.0) for d in inputs], dtype=float)
+        finite = (np.isfinite(r0).all(axis=1) & np.isfinite(amp).all(axis=1)
+                  & np.isfinite(const).all(axis=1) & np.isfinite(omega) & np.isfinite(phase))
+        odd = [k for k in range(N) if not (plain[k] and finite[k])]
+    except OverflowError:    # an int beyond float's range: each agent alone names it
+        r0, amp, const = np.zeros((N, n)), np.zeros((N, m)), np.zeros((N, m))
+        omega, phase, odd = np.zeros(N), np.zeros(N), list(range(N))
+    tables = {}
+    if odd:
+        for k in odd:
+            _numbers_only(agents[k], ("agents", k))
+        checked = [_agent(k, agents[k], n) for k in odd]
+        table = InputTable.of([d for _, d in checked], m)
+        amp[odd], omega[odd], phase[odd], const[odd] = table.amp, table.omega, table.phase, table.const
+        for k, (state, _), kind in zip(odd, checked, table.kinds):
+            kinds[k] = kind
+            if state is not None:
+                r0[k] = state
+        tables = {odd[i]: d for i, d in table.tables.items()}
+    drawn = [k for k, a in enumerate(agents) if a.get("r0") is None]
+    if drawn:
+        # one draw for all null r0s has the bits of one per agent in agent
+        # order; a fully specified scenario builds no generator
+        rng = np.random.default_rng(0 if seed is None else seed)
+        r0[drawn] = rng.standard_normal((len(drawn), n))
+    return ReferenceSet(plant=plant, initial_states=r0,
+                        inputs=InputTable(tuple(kinds), amp, omega, phase, const, tables))
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
@@ -165,24 +258,14 @@ def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
 def _parse(cfg: dict, seed: int | None) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "scenario config")
     for key, value in cfg.items():
-        if key not in _TEXT_KEYS:
+        if key not in _TEXT_KEYS and key != "agents":
             _numbers_only(value, (key,))
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
     g = located("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
     plant = _section(LinearPlant, cfg["plant"], "plant")
 
-    rng = None    # built at the first null r0: a fully specified scenario needs none
-    r0s, inputs = [], []
-    for k, agent in enumerate(cfg["agents"]):
-        _check_keys(agent, {"r0", "input"}, f"agents[{k}]")
-        r0 = agent.get("r0")
-        if r0 is None:
-            rng = rng or np.random.default_rng(0 if seed is None else seed)
-            r0 = rng.standard_normal(plant.n)
-        r0s.append(located(f"agents[{k}].r0", _initial_state, r0, plant.n))
-        inputs.append(_parse_input(agent.get("input", {"kind": "zero"}), f"agents[{k}].input"))
-    rs = ReferenceSet(plant=plant, initial_states=np.array(r0s), inputs=tuple(inputs))
+    rs = _references(cfg["agents"], plant, seed)
     if g.n_nodes != rs.n_agents:
         raise ConfigError("graph node count must equal the number of agents")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,31 +28,7 @@ class Graph:
         if n != self.n_nodes or n < 1:
             raise ConfigError(f"graph needs a whole number of nodes >= 1, got {self.n_nodes!r}")
         object.__setattr__(self, "n_nodes", n)
-        norm_edges = []
-        seen = set()
-        for e in self.edges:
-            # a pair of whole numbers, as n_nodes is one: 1.0 is node 1, 1.7,
-            # inf and nan no node
-            try:
-                a, b = e
-                i, j = int(a), int(b)
-                whole = i == a and j == b
-            except MALFORMED:
-                whole = False
-            if not whole:
-                shown = list(e) if isinstance(e, (list, tuple)) else e
-                raise ConfigError(f"edge {shown!r} is not a pair of whole node indices")
-            if i == j:
-                raise ConfigError(f"self-loop ({i}, {j}) not allowed")
-            if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
-                raise ConfigError(f"edge ({i}, {j}) out of range for {self.n_nodes} nodes")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ConfigError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            norm_edges.append((i, j))
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "edges", _checked_edges(self.edges, n))
 
     @property
     def n_edges(self) -> int:
@@ -61,6 +38,48 @@ class Graph:
     def lambda2(self) -> float:
         """lambda2(self), computed once; NotConnected is raised at every read."""
         return lambda2(self)
+
+
+def _checked_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
+    """The edges as (i, j) with i < j, checked in whole-list passes: pairs of
+    ints in range, no self-loop, no duplicate. Edges in any other form, and
+    a fault, go through the edges one at a time, which names the first bad one."""
+    edges = tuple(edges)
+    if all(type(e) is tuple and len(e) == 2 for e in edges):
+        ends = list(itertools.chain.from_iterable(edges))
+        if {int}.issuperset(map(type, ends)) and (not ends or 0 <= min(ends) and max(ends) < n):
+            pairs = [(a, b) if a < b else (b, a) for a, b in edges]
+            if all(a != b for a, b in pairs) and len(set(pairs)) == len(pairs):
+                return tuple(pairs)
+    return _edges_one_by_one(edges, n)
+
+
+def _edges_one_by_one(edges, n: int) -> tuple[tuple[int, int], ...]:
+    norm_edges = []
+    seen = set()
+    for e in edges:
+        # a pair of whole numbers, as n_nodes is one: 1.0 is node 1, 1.7,
+        # inf and nan no node
+        try:
+            a, b = e
+            i, j = int(a), int(b)
+            whole = i == a and j == b
+        except MALFORMED:
+            whole = False
+        if not whole:
+            shown = list(e) if isinstance(e, (list, tuple)) else e
+            raise ConfigError(f"edge {shown!r} is not a pair of whole node indices")
+        if i == j:
+            raise ConfigError(f"self-loop ({i}, {j}) not allowed")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigError(f"edge ({i}, {j}) out of range for {n} nodes")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise ConfigError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        norm_edges.append((i, j))
+    return tuple(norm_edges)
 
 
 def edge_index(g: Graph) -> NDArray[np.intp]:
@@ -87,7 +106,8 @@ def laplacian(g: Graph) -> NDArray[np.float64]:
     L = np.zeros((g.n_nodes, g.n_nodes))
     i, j = edge_index(g)
     L[i, j] = L[j, i] = -1.0      # simple graph: each pair at most once
-    np.fill_diagonal(L, -L.sum(axis=1))
+    # the degrees, counted from the edge ends in O(E), not summed over N x N
+    np.fill_diagonal(L, np.bincount(np.concatenate([i, j]), minlength=g.n_nodes))
     return L
 
 

@@ -3,10 +3,10 @@ and the variation-of-constants trajectory oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -70,8 +70,9 @@ class InputDescriptor:
             raise ConfigError(f"unknown input kind {self.kind!r}")
         for name in ("value", "amp", "times", "values", "omega", "phase"):
             v = getattr(self, name)
-            if v is not None:
-                scalar = name in ("omega", "phase")
+            scalar = name in ("omega", "phase")
+            # omega and phase have defaults, so a null one is a fault
+            if v is not None or scalar:
                 v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
                 if name in ("value", "amp", "times") and v.ndim != 1:
                     raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
@@ -116,11 +117,17 @@ class InputDescriptor:
         unless over is ignored, as input_bound does."""
         if self.kind == "zero":
             return 0.0
-        v, axis = (self.values, 1) if self.kind == "table" else (
-            self.value if self.kind == "constant" else self.amp, None)
-        nrm = np.linalg.norm(v, axis=axis)
-        top = float(nrm if axis is None else nrm.max())
-        return top if top < math.inf else float(np.max(finite_norms(nrm, v, axis)))
+        if self.kind != "table":
+            return _vector_bound(self.value if self.kind == "constant" else self.amp)
+        nrm = np.linalg.norm(self.values, axis=1)
+        top = float(nrm.max())
+        return top if top < math.inf else float(np.max(finite_norms(nrm, self.values, 1)))
+
+
+def _vector_bound(v: NDArray) -> float:
+    """||v|| of one flat vector, finite where v is, by finite_norms."""
+    nrm = np.linalg.norm(v)
+    return float(nrm) if nrm < math.inf else float(finite_norms(nrm, v, None))
 
 
 def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np.float64]:
@@ -137,13 +144,75 @@ def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np
     return np.stack([np.interp(t, d.times, v) for v in d.values.T], axis=-1)
 
 
+@dataclass(frozen=True, eq=False)
+class InputTable(Sequence):
+    """N inputs as whole arrays: f_i(t) = amp[i] sin(omega[i] t + phase[i]) +
+    const[i] covers the zero, constant and sinusoid kinds in one expression,
+    their unused entries zero; `tables` holds the table inputs by row, each
+    evaluated on its own grid, as is an input of another width than the
+    table's, which ReferenceSet rejects. Row i reads back as an
+    InputDescriptor."""
+
+    kinds: tuple[str, ...]
+    amp: NDArray[np.float64]      # (N, m)
+    omega: NDArray[np.float64]    # (N,)
+    phase: NDArray[np.float64]    # (N,)
+    const: NDArray[np.float64]    # (N, m)
+    tables: dict[int, InputDescriptor] = field(default_factory=dict)
+
+    @classmethod
+    def of(cls, inputs: Sequence[InputDescriptor], m: int) -> InputTable:
+        """The table of m entries per row that holds the descriptors."""
+        N = len(inputs)
+        amp, const = np.zeros((N, m)), np.zeros((N, m))
+        omega, phase = np.zeros(N), np.zeros(N)
+        tables = {}
+        for i, d in enumerate(inputs):
+            if d.kind == "table" or d.dim(m) != m:
+                tables[i] = d
+            elif d.kind == "sinusoid":
+                amp[i], omega[i], phase[i] = d.amp, d.omega, d.phase
+            elif d.kind == "constant":
+                const[i] = d.value
+        return cls(tuple(d.kind for d in inputs), amp, omega, phase, const, tables)
+
+    @classmethod
+    def concat(cls, parts: Sequence[InputTable]) -> InputTable:
+        """The rows of all parts in order."""
+        starts = itertools.accumulate((len(p) for p in parts), initial=0)
+        return cls(
+            kinds=tuple(itertools.chain.from_iterable(p.kinds for p in parts)),
+            amp=np.concatenate([p.amp for p in parts]),
+            omega=np.concatenate([p.omega for p in parts]),
+            phase=np.concatenate([p.phase for p in parts]),
+            const=np.concatenate([p.const for p in parts]),
+            tables={s + i: d for s, p in zip(starts, parts) for i, d in p.tables.items()},
+        )
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> InputDescriptor:
+        i = range(len(self))[i]
+        if i in self.tables:
+            return self.tables[i]
+        kind = self.kinds[i]
+        if kind == "sinusoid":
+            return InputDescriptor(kind, amp=self.amp[i].copy(), omega=float(self.omega[i]),
+                                   phase=float(self.phase[i]))
+        if kind == "constant":
+            return InputDescriptor(kind, value=self.const[i].copy())
+        return InputDescriptor(kind)
+
+
 @dataclass(frozen=True)
 class ReferenceSet:
-    """N reference signals r_i driven by the shared plant and inputs f_i."""
+    """N reference signals r_i driven by the shared plant and inputs f_i,
+    given as descriptors or as their InputTable."""
 
     plant: LinearPlant
     initial_states: NDArray[np.float64]   # (N, n)
-    inputs: tuple[InputDescriptor, ...] = field(default_factory=tuple)
+    inputs: InputTable | Sequence[InputDescriptor] = ()
 
     def __post_init__(self):
         r0 = np.atleast_2d(np.asarray(self.initial_states, dtype=float))
@@ -153,46 +222,28 @@ class ReferenceSet:
             raise ConfigError("initial state dimension must match the plant")
         if len(self.inputs) != r0.shape[0]:
             raise ConfigError("one input descriptor per reference signal required")
-        for d in self.inputs:
-            if d.dim(self.plant.m) != self.plant.m:
-                raise ConfigError("input dimension must match B's column count")
+        m = self.plant.m
+        inputs = self.inputs
+        if not isinstance(inputs, InputTable):
+            inputs = InputTable.of(inputs, m)
+        if inputs.amp.shape[1] != m or any(d.dim(m) != m for d in inputs.tables.values()):
+            raise ConfigError("input dimension must match B's column count")
         object.__setattr__(self, "initial_states", r0)
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        object.__setattr__(self, "inputs", inputs)
 
     @property
     def n_agents(self) -> int:
         return self.initial_states.shape[0]
 
-    @cached_property
-    def _parametric(self):
-        # amp*sin(omega t + phase) + const covers zero/constant/sinusoid in
-        # one vectorized expression; table inputs fall back to eval_input.
-        N, m = self.n_agents, self.plant.m
-        amp = np.zeros((N, m))
-        omega = np.zeros(N)
-        phase = np.zeros(N)
-        const = np.zeros((N, m))
-        tables = []
-        for i, d in enumerate(self.inputs):
-            if d.kind == "sinusoid":
-                amp[i] = d.amp
-                omega[i] = d.omega
-                phase[i] = d.phase
-            elif d.kind == "constant":
-                const[i] = d.value
-            elif d.kind == "table":
-                tables.append(i)
-        return amp, omega, phase, const, tuple(tables)
-
     def eval_inputs(self, t: float | Sequence[float]) -> NDArray[np.float64]:
         """All f_i(t) stacked as an (N, m) array; for a vector of T times,
         one such array per time, (T, N, m), each with the bits of a call at
         its time alone."""
-        amp, omega, phase, const, tables = self._parametric
+        u = self.inputs
         t = np.asarray(t, dtype=float)
-        f = amp * np.sin(omega * t[..., None] + phase)[..., None] + const
-        for i in tables:
-            f[..., i, :] = eval_input(self.inputs[i], t, self.plant.m)
+        f = u.amp * np.sin(u.omega * t[..., None] + u.phase)[..., None] + u.const
+        for i, d in u.tables.items():
+            f[..., i, :] = eval_input(d, t, self.plant.m)
         return f
 
 
@@ -208,15 +259,24 @@ def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
     return ReferenceSet(
         plant=plant,
         initial_states=np.concatenate([s.initial_states for s in sets]),
-        inputs=tuple(d for s in sets for d in s.inputs),
+        inputs=InputTable.concat([s.inputs for s in sets]),
     )
 
 
 def input_bound(rs: ReferenceSet) -> float:
-    """f0 = max_i sup_t ||f_i(t)|| from the declared per-agent bounds."""
-    # one errstate for all agents: entering one costs about as much as a bound
+    """f0 = max_i sup_t ||f_i(t)||: the row norms of the table's amp and
+    const in one pass, each table input by its grid. The largest rows are
+    formed again one at a time, as InputDescriptor.bound does, so f0 has the
+    bits of the largest per-input bound."""
+    u = rs.inputs
+    rows = np.concatenate([u.amp, u.const])
+    # one errstate for all rows: a square may overflow where the norm need not
     with np.errstate(over="ignore"):
-        return max(d.bound() for d in rs.inputs)
+        nrm = finite_norms(np.linalg.norm(rows, axis=1), rows, 1)
+        top = nrm.max(initial=0.0)
+        # a row norm and its one-vector form differ by rounding, far below 1e-12
+        near = rows[nrm >= top * (1.0 - 1e-12)] if top > 0.0 else rows[:0]
+        return max([0.0, *map(_vector_bound, near), *(d.bound() for d in u.tables.values())])
 
 
 def reference_trajectory(

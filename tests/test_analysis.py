@@ -167,6 +167,13 @@ class TestEnvelope:
         np.testing.assert_array_equal(env, stacked)
         assert type(stacked[0]) is float
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_start_is_inf_at_every_t(self):
+        # e^{-gamma t} underflows to 0 at t = 2000, where 0 * inf would be
+        # NaN, with numpy's invalid-value warning
+        env = v1_envelope([0, 1000, 2000], np.inf, 0.64, 17.5, 5, 0.5, 12)
+        np.testing.assert_array_equal(env, [np.inf, np.inf, np.inf])
+
 
 class TestLyapunovV2:
     def consts(self):

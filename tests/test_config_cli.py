@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avgtrack as at
-from avgtrack import cli
+from avgtrack import cli, config
 from avgtrack.cli import main
 from avgtrack.errors import ConfigError
 from avgtrack.report import write_diagnostics_csv, write_trajectory_csv
@@ -864,12 +864,12 @@ def test_blow_up_prints_one_line(tmp_path):
 def test_input_bound_taken_once_per_scenario(tmp_path, monkeypatch, command):
     # the design and the diagnostics (run) or the report (gains) share Scenario.f0
     calls = []
-    bound = at.InputDescriptor.bound
-    monkeypatch.setattr(at.InputDescriptor, "bound", lambda d: calls.append(d) or bound(d))
+    bound = config.input_bound
+    monkeypatch.setattr(config, "input_bound", lambda rs: calls.append(rs) or bound(rs))
     cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
-    assert len(calls) == 6 + 4
+    assert [rs.n_agents for rs in calls] == [6, 4]
 
 
 @pytest.mark.parametrize("command", ["run", "gains"])

@@ -111,6 +111,19 @@ class TestLaplacian:
             D = incidence_matrix(g)
             np.testing.assert_allclose(laplacian(g), D @ D.T, atol=1e-12)
 
+    def test_degrees_have_the_bits_of_the_row_sums(self):
+        # the diagonal counts edge ends; the negated row sums of the
+        # off-diagonal entries, over the dense N x N matrix, gave the same bits
+        network = json.loads(workloads.config_text("network-1k", 1))["graph"]
+        graphs = [at.parse_scenario(at.scenario_config(name)).graph for name in NAMES]
+        graphs.append(Graph(network["n"], tuple(map(tuple, network["edges"]))))
+        for g in graphs:
+            L = np.zeros((g.n_nodes, g.n_nodes))
+            i, j = at.graph.edge_index(g)
+            L[i, j] = L[j, i] = -1.0
+            np.fill_diagonal(L, -L.sum(axis=1))
+            assert laplacian(g).tobytes() == L.tobytes()
+
     def test_row_sums_zero_exact(self):
         rng = np.random.default_rng(8)
         for _ in range(20):

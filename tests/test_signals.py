@@ -280,10 +280,9 @@ def per_time_form(rs, t):
     """f_i(t) for one time, in the form a call at one time always took: the
     parametric kinds as amp sin(omega t + phase) + const over all agents,
     each table column by np.interp."""
-    amp, omega, phase, const, tables = rs._parametric
-    f = amp * np.sin(omega * t + phase)[:, None] + const
-    for i in tables:
-        d = rs.inputs[i]
+    u = rs.inputs
+    f = u.amp * np.sin(u.omega * t + u.phase)[:, None] + u.const
+    for i, d in u.tables.items():
         f[i] = [np.interp(t, d.times, d.values[:, k]) for k in range(rs.plant.m)]
     return f
 
