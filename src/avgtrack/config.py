@@ -147,29 +147,37 @@ _VECTOR = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
 
 
 def _plain_agent(agent, n: int, m: int) -> bool:
-    """True for an agent that the array pass reads as it stands: known keys,
-    r0 null or n numbers, and an input of a parametric kind with its keys,
-    its list of m numbers and number omega and phase."""
+    """True for an agent that InputTable.of and the initial states read as it
+    stands: known keys, r0 null or n numbers, and an input of a parametric
+    kind with its keys, its list of m numbers and number omega and phase,
+    every number finite. Their sum is finite if and only if every number is
+    (an int beyond float's range raises on the way)."""
     if type(agent) is not dict or not agent.keys() <= _AGENT_KEYS:
         return False
     r0 = agent.get("r0")
-    if r0 is not None and not (type(r0) is list and len(r0) == n
-                               and _NUMBER.issuperset(map(type, r0))):
+    if r0 is not None and not (type(r0) is list and len(r0) == n):
         return False
     d = agent.get("input", _ZERO)
     kind = d.get("kind") if type(d) is dict else None
     if type(kind) is not str or kind not in _VECTOR or not d.keys() <= _INPUT_KEYS[kind]:
         return False
+    numbers = [*(r0 or ()), d.get("omega", 1.0), d.get("phase", 0.0)]
     for key in _VECTOR[kind]:
         v = d.get(key)
-        if not (type(v) is list and len(v) == m and _NUMBER.issuperset(map(type, v))):
+        if not (type(v) is list and len(v) == m):
             return False
-    return type(d.get("omega", 1.0)) in _NUMBER and type(d.get("phase", 0.0)) in _NUMBER
+        numbers += v
+    if not _NUMBER.issuperset(map(type, numbers)):
+        return False
+    try:
+        return math.isfinite(sum(numbers, 0.0))
+    except OverflowError:
+        return False
 
 
 def _parse_input(d: dict, where: str) -> InputDescriptor:
     kind = d.get("kind") if isinstance(d, dict) else None
-    if kind not in _INPUT_KEYS:
+    if not isinstance(kind, str) or kind not in _INPUT_KEYS:
         raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(_INPUT_KEYS)}")
     _check_keys(d, _INPUT_KEYS[kind], where)
     # InputDescriptor converts the fields and checks that the kind has them
@@ -187,57 +195,31 @@ def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, InputDescriptor]:
 
 
 def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
-    """The agents' reference set, built in whole-array passes.
-
-    An agent in the plain form goes into the (N, n) initial states and the
-    input table as it stands, and one isfinite per array checks all of them.
-    Any other agent (a table input, a scalar amp, a fault, a non-finite
-    number) is then checked alone by `_agent`, in agent order, after the
-    agents' numbers are checked as every section's are: the first fault is
-    the one an agent-by-agent parse would name."""
-    if type(agents) is not list:
-        _numbers_only(agents, ("agents",))
-        agents = list(agents)
-    N, n, m = len(agents), plant.n, plant.m
-    plain = [_plain_agent(a, n, m) for a in agents]
-    # the plain agents' numbers as they stand, zeros in the others' rows
-    rows = [a if ok else {} for a, ok in zip(agents, plain)]
-    inputs = [a.get("input", _ZERO) for a in rows]
-    kinds = [d["kind"] for d in inputs]
-    zero_n, zero_m = [0.0] * n, [0.0] * m
-    try:
-        r0 = np.array([a.get("r0") or zero_n for a in rows], dtype=float).reshape(N, n)
-        amp = np.array([d.get("amp", zero_m) for d in inputs], dtype=float).reshape(N, m)
-        const = np.array([d.get("value", zero_m) for d in inputs], dtype=float).reshape(N, m)
-        omega = np.array([d.get("omega", 1.0) if kind == "sinusoid" else 0.0
-                          for d, kind in zip(inputs, kinds)], dtype=float)
-        phase = np.array([d.get("phase", 0.0) for d in inputs], dtype=float)
-        finite = (np.isfinite(r0).all(axis=1) & np.isfinite(amp).all(axis=1)
-                  & np.isfinite(const).all(axis=1) & np.isfinite(omega) & np.isfinite(phase))
-        odd = [k for k in range(N) if not (plain[k] and finite[k])]
-    except OverflowError:    # an int beyond float's range: each agent alone names it
-        r0, amp, const = np.zeros((N, n)), np.zeros((N, m)), np.zeros((N, m))
-        omega, phase, odd = np.zeros(N), np.zeros(N), list(range(N))
-    tables = {}
-    if odd:
-        for k in odd:
-            _numbers_only(agents[k], ("agents", k))
-        checked = [_agent(k, agents[k], n) for k in odd]
-        table = InputTable.of([d for _, d in checked], m)
-        amp[odd], omega[odd], phase[odd], const[odd] = table.amp, table.omega, table.phase, table.const
-        for k, (state, _), kind in zip(odd, checked, table.kinds):
-            kinds[k] = kind
-            if state is not None:
-                r0[k] = state
-        tables = {odd[i]: d for i, d in table.tables.items()}
-    drawn = [k for k, a in enumerate(agents) if a.get("r0") is None]
+    """The agents' reference set, with its initial states and InputTable each
+    built once. An agent in the plain form goes in as it stands. Any other
+    agent (a table input, a scalar amp, a fault, a number that is not
+    finite) is checked alone: the odd agents' numbers first, as every
+    section's are, then each odd agent by `_agent`, in agent order, so the
+    first fault is the one an agent-by-agent parse would name. Its r0 and
+    descriptor take its place."""
+    if not isinstance(agents, (list, tuple)):
+        raise ConfigError("agents must be a JSON list")
+    n, m = plant.n, plant.m
+    odd = [k for k, a in enumerate(agents) if not _plain_agent(a, n, m)]
+    for k in odd:
+        _numbers_only(agents[k], ("agents", k))
+    parsed = {k: _agent(k, agents[k], n) for k in odd}
+    rows = [parsed.get(k) or (a.get("r0"), a.get("input", _ZERO)) for k, a in enumerate(agents)]
+    zero = [0.0] * n
+    r0 = np.array([zero if r is None else r for r, _ in rows], dtype=float).reshape(len(rows), n)
+    drawn = [k for k, (r, _) in enumerate(rows) if r is None]
     if drawn:
         # one draw for all null r0s has the bits of one per agent in agent
         # order; a fully specified scenario builds no generator
         rng = np.random.default_rng(0 if seed is None else seed)
         r0[drawn] = rng.standard_normal((len(drawn), n))
     return ReferenceSet(plant=plant, initial_states=r0,
-                        inputs=InputTable(tuple(kinds), amp, omega, phase, const, tables))
+                        inputs=InputTable.of([d for _, d in rows], m))
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:
@@ -262,7 +244,10 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
             _numbers_only(value, (key,))
     gd = cfg["graph"]
     _check_keys(gd, {"n", "edges"}, "graph")
-    g = located("graph", Graph, n_nodes=gd["n"], edges=tuple(tuple(e) for e in gd.get("edges", [])))
+    n, edges = gd["n"], gd.get("edges", [])
+    if not (isinstance(edges, (list, tuple)) and all(isinstance(e, (list, tuple)) for e in edges)):
+        raise ConfigError("graph.edges must be a JSON list of node pairs")
+    g = located("graph", Graph, n_nodes=n, edges=edges)
     plant = _section(LinearPlant, cfg["plant"], "plant")
 
     rs = _references(cfg["agents"], plant, seed)

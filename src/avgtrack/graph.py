@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,20 +40,8 @@ class Graph:
 
 
 def _checked_edges(edges, n: int) -> tuple[tuple[int, int], ...]:
-    """The edges as (i, j) with i < j, checked in whole-list passes: pairs of
-    ints in range, no self-loop, no duplicate. Edges in any other form, and
-    a fault, go through the edges one at a time, which names the first bad one."""
-    edges = tuple(edges)
-    if all(type(e) is tuple and len(e) == 2 for e in edges):
-        ends = list(itertools.chain.from_iterable(edges))
-        if {int}.issuperset(map(type, ends)) and (not ends or 0 <= min(ends) and max(ends) < n):
-            pairs = [(a, b) if a < b else (b, a) for a, b in edges]
-            if all(a != b for a, b in pairs) and len(set(pairs)) == len(pairs):
-                return tuple(pairs)
-    return _edges_one_by_one(edges, n)
-
-
-def _edges_one_by_one(edges, n: int) -> tuple[tuple[int, int], ...]:
+    """The edges as (i, j) with i < j, each a pair of whole node indices in
+    range; the first self-loop, duplicate or other bad edge raises."""
     norm_edges = []
     seen = set()
     for e in edges:

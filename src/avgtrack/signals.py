@@ -145,13 +145,13 @@ def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np
 
 
 @dataclass(frozen=True, eq=False)
-class InputTable(Sequence):
+class InputTable:
     """N inputs as whole arrays: f_i(t) = amp[i] sin(omega[i] t + phase[i]) +
     const[i] covers the zero, constant and sinusoid kinds in one expression,
     their unused entries zero; `tables` holds the table inputs by row, each
     evaluated on its own grid, as is an input of another width than the
-    table's, which ReferenceSet rejects. Row i reads back as an
-    InputDescriptor."""
+    table's, which ReferenceSet rejects. Rows are read through
+    ReferenceSet.eval_inputs."""
 
     kinds: tuple[str, ...]
     amp: NDArray[np.float64]      # (N, m)
@@ -161,25 +161,36 @@ class InputTable(Sequence):
     tables: dict[int, InputDescriptor] = field(default_factory=dict)
 
     @classmethod
-    def of(cls, inputs: Sequence[InputDescriptor], m: int) -> InputTable:
-        """The table of m entries per row that holds the descriptors."""
-        N = len(inputs)
-        amp, const = np.zeros((N, m)), np.zeros((N, m))
-        omega, phase = np.zeros(N), np.zeros(N)
-        tables = {}
+    def of(cls, inputs: Sequence[InputDescriptor | dict], m: int) -> InputTable:
+        """The table of m entries per row that holds the inputs, each an
+        InputDescriptor or a config input object in the plain form: a zero,
+        constant or sinusoid kind with its list of m numbers and number
+        omega and phase, all finite. The only map from kinds to columns."""
+        zero = [0.0] * m
+        kinds, amp, omega, phase, const, tables = [], [], [], [], [], {}
         for i, d in enumerate(inputs):
-            if d.kind == "table" or d.dim(m) != m:
-                tables[i] = d
-            elif d.kind == "sinusoid":
-                amp[i], omega[i], phase[i] = d.amp, d.omega, d.phase
-            elif d.kind == "constant":
-                const[i] = d.value
-        return cls(tuple(d.kind for d in inputs), amp, omega, phase, const, tables)
+            if isinstance(d, InputDescriptor):
+                if d.kind == "table" or d.dim(m) != m:
+                    # evaluated on its own grid, over zeros in the columns
+                    tables[i], d = d, {"kind": d.kind, "amp": zero, "omega": 0.0, "value": zero}
+                else:
+                    d = vars(d)     # its fields by name, as a config object's keys
+            kind = d["kind"]
+            sine = kind == "sinusoid"
+            kinds.append(kind)
+            amp.append(d["amp"] if sine else zero)
+            omega.append(d.get("omega", 1.0) if sine else 0.0)
+            phase.append(d.get("phase", 0.0) if sine else 0.0)
+            const.append(d["value"] if kind == "constant" else zero)
+        N = len(kinds)
+        return cls(tuple(kinds), np.array(amp, dtype=float).reshape(N, m),
+                   np.array(omega, dtype=float), np.array(phase, dtype=float),
+                   np.array(const, dtype=float).reshape(N, m), tables)
 
     @classmethod
     def concat(cls, parts: Sequence[InputTable]) -> InputTable:
         """The rows of all parts in order."""
-        starts = itertools.accumulate((len(p) for p in parts), initial=0)
+        starts = itertools.accumulate((len(p.kinds) for p in parts), initial=0)
         return cls(
             kinds=tuple(itertools.chain.from_iterable(p.kinds for p in parts)),
             amp=np.concatenate([p.amp for p in parts]),
@@ -189,26 +200,12 @@ class InputTable(Sequence):
             tables={s + i: d for s, p in zip(starts, parts) for i, d in p.tables.items()},
         )
 
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __getitem__(self, i: int) -> InputDescriptor:
-        i = range(len(self))[i]
-        if i in self.tables:
-            return self.tables[i]
-        kind = self.kinds[i]
-        if kind == "sinusoid":
-            return InputDescriptor(kind, amp=self.amp[i].copy(), omega=float(self.omega[i]),
-                                   phase=float(self.phase[i]))
-        if kind == "constant":
-            return InputDescriptor(kind, value=self.const[i].copy())
-        return InputDescriptor(kind)
-
 
 @dataclass(frozen=True)
 class ReferenceSet:
     """N reference signals r_i driven by the shared plant and inputs f_i,
-    given as descriptors or as their InputTable."""
+    given as their InputTable or as anything InputTable.of takes, which
+    builds it."""
 
     plant: LinearPlant
     initial_states: NDArray[np.float64]   # (N, n)
@@ -220,12 +217,12 @@ class ReferenceSet:
             raise ConfigError("need at least two reference signals")
         if r0.shape[1] != self.plant.n:
             raise ConfigError("initial state dimension must match the plant")
-        if len(self.inputs) != r0.shape[0]:
-            raise ConfigError("one input descriptor per reference signal required")
         m = self.plant.m
         inputs = self.inputs
         if not isinstance(inputs, InputTable):
             inputs = InputTable.of(inputs, m)
+        if len(inputs.kinds) != r0.shape[0]:
+            raise ConfigError("one input descriptor per reference signal required")
         if inputs.amp.shape[1] != m or any(d.dim(m) != m for d in inputs.tables.values()):
             raise ConfigError("input dimension must match B's column count")
         object.__setattr__(self, "initial_states", r0)
@@ -292,11 +289,11 @@ def reference_trajectory(
         raise ConfigError("t must be nonnegative")
     A, B = rs.plant.A, rs.plant.B
     r = matrix_exp(A, t) @ rs.initial_states[i]
-    d = rs.inputs[i]
-    if t == 0.0 or d.kind == "zero":
+    if t == 0.0 or rs.inputs.kinds[i] == "zero":
         return r
     npts = 2 * max(1, int(quad_steps)) + 1
     taus = np.linspace(0.0, t, npts)
+    f = rs.eval_inputs(taus)[:, i]      # f_i at each node, with the bits of each time alone
     h = taus[1] - taus[0]
     weights = np.ones(npts)
     weights[1:-1:2] = 4.0
@@ -307,7 +304,7 @@ def reference_trajectory(
     acc = np.zeros(rs.plant.n)
     prop = np.eye(rs.plant.n)
     for k in range(npts - 1, -1, -1):
-        acc += weights[k] * (prop @ (B @ eval_input(d, taus[k], rs.plant.m)))
+        acc += weights[k] * (prop @ (B @ f[k]))
         if k > 0:
             prop = Eh @ prop
     return r + acc

@@ -1,6 +1,6 @@
-"""The whole-array set-up passes: a scenario's agents parsed into the initial
-states and the input table, its input bound, and its graph's edge check,
-each against the same values built one agent or one edge at a time."""
+"""The set-up passes over a scenario's agents: the initial states and the
+input table, and the input bound, each against the same values built one
+agent at a time, and the config errors that name an agent."""
 
 import copy
 import importlib.util
@@ -9,13 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import avgtrack as at
-from avgtrack import graph
 from avgtrack.cli import main
-from avgtrack.errors import ConfigError
 from avgtrack.scenarios import scenario_config
 
 # the benchmark's workload generator, from its file
@@ -51,12 +47,12 @@ def two_input_list():
 
 
 def odd_forms():
-    """Agents off the plain form, each checked alone: a constant of ints, a
-    table, a missing input, null r0s, a scalar amp, int omega and r0, a
-    zero input given, a huge amp."""
+    """Agents of odd forms, some checked alone: a constant of ints and an r0
+    whose sum overflows, a table, a missing input, null r0s, a scalar amp,
+    int omega and r0, a zero input given, a huge amp."""
     cfg = scenario_config("paper-sec5-static")
     a = cfg["agents"]
-    a[0]["input"] = {"kind": "constant", "value": [2]}
+    a[0]["r0"], a[0]["input"] = [1e308, 1e308], {"kind": "constant", "value": [2]}
     a[1]["input"] = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, -3.0]}
     del a[2]["input"]
     a[2]["r0"] = None
@@ -116,20 +112,41 @@ def test_parse_has_the_bits_of_the_agent_by_agent_build(cfg, seed):
     for got, want in zip((table.amp, table.omega, table.phase, table.const), columns):
         assert same_bits(got, want)
     assert sorted(table.tables) == [i for i, d in enumerate(inputs) if d.kind == "table"]
-    for got, want in zip(table, inputs, strict=True):
+    for i, got in table.tables.items():
         for name in FIELDS:
-            assert same_bits(getattr(got, name), getattr(want, name)), name
+            assert same_bits(getattr(got, name), getattr(inputs[i], name)), name
     with np.errstate(over="ignore"):
         assert same_bits(scn.f0, max(d.bound() for d in inputs))
 
 
-def test_reference_set_of_descriptors_reads_them_back():
-    _, _, inputs = agent_by_agent(odd_forms(), 7)
+def test_reference_set_of_descriptors_has_the_agent_by_agent_columns():
+    _, columns, inputs = agent_by_agent(odd_forms(), 7)
     rs = at.ReferenceSet(at.LinearPlant([[0.0, 1.0], [-1.0, -2.0]], [[0.0], [1.0]]),
                          np.zeros((6, 2)), tuple(inputs))
-    for got, want in zip(rs.inputs, inputs, strict=True):
-        for name in FIELDS:
-            assert same_bits(getattr(got, name), getattr(want, name)), name
+    table = rs.inputs
+    assert table.kinds == tuple(d.kind for d in inputs)
+    for got, want in zip((table.amp, table.omega, table.phase, table.const), columns):
+        assert same_bits(got, want)
+    assert table.tables == {i: d for i, d in enumerate(inputs) if d.kind == "table"}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("obj", [
+    {"kind": "zero"},
+    {"kind": "constant", "value": [-0.0, 2.5, 1e300]},
+    {"kind": "sinusoid", "amp": [1.5, -0.0, 3e-310], "omega": 2.0, "phase": -0.0},
+    {"kind": "constant", "value": [2, -3, 2**60 + 1]},
+    {"kind": "sinusoid", "amp": [1, 0, -7], "omega": 3, "phase": 1},
+    {"kind": "sinusoid", "amp": [0.5, 0.25, 4.0], "phase": 0.75},
+], ids=["zero", "constant", "sinusoid", "int-constant", "int-sinusoid", "no-omega"])
+def test_table_of_a_config_object_has_the_bits_of_its_descriptor(obj, m):
+    obj = {k: v[:m] if type(v) is list else v for k, v in obj.items()}
+    got = at.InputTable.of([obj, obj], m)
+    want = at.InputTable.of([at.InputDescriptor(**obj)] * 2, m)
+    assert got.kinds == want.kinds == (obj["kind"],) * 2
+    for name in ("amp", "omega", "phase", "const"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.tables == want.tables == {}
 
 
 def error_line(tmp_path, capsys, cfg):
@@ -192,6 +209,18 @@ def test_two_faults_name_the_one_an_agent_by_agent_parse_named(tmp_path, capsys,
     assert error_line(tmp_path, capsys, cfg) == want
 
 
+@pytest.mark.parametrize("path, value, where", [
+    (("r0",), [10**400, -(10**400)], "agents[7].r0: malformed value: "),
+    (("input", "amp"), [10**400], "agents[7].input: malformed value: "),
+])
+def test_int_beyond_float_names_its_agent(tmp_path, capsys, path, value, where):
+    # the int sum of the first is 0, finite; the plain form's check must
+    # not take it for two finite numbers
+    cfg = network(1)
+    put(cfg, 7, path, value)
+    assert error_line(tmp_path, capsys, cfg).startswith("config error: " + where)
+
+
 def test_null_omega_is_a_config_error(tmp_path, capsys):
     # it ran as NaN, and the run failed at its first step
     cfg = scenario_config("paper-sec5-static")
@@ -199,22 +228,3 @@ def test_null_omega_is_a_config_error(tmp_path, capsys):
     assert error_line(tmp_path, capsys, cfg) == (
         "config error: agents[1].input: malformed value: float() argument must be a string or "
         "a real number, not 'NoneType'\n")
-
-
-ENDS = st.one_of(st.integers(-2, 7), st.sampled_from([0.0, 1.0, 2.0, 2.5, float("nan"),
-                                                      float("inf"), 2**64]))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n=st.integers(1, 6),
-       edges=st.lists(st.lists(ENDS, min_size=1, max_size=3).map(tuple), max_size=8))
-def test_whole_array_edge_check_agrees_with_one_by_one(n, edges):
-    def outcome(check):
-        try:
-            pairs = check(tuple(edges), n)
-        except ConfigError as exc:
-            return str(exc)
-        assert all(type(v) is int for pair in pairs for v in pair)
-        return pairs
-
-    assert outcome(graph._checked_edges) == outcome(graph._edges_one_by_one)

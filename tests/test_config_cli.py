@@ -127,10 +127,10 @@ class TestParseScenario:
         # a config and InputDescriptor share one default for omega
         cfg = scenario_config("paper-sec5-static")
         del cfg["agents"][0]["input"]["omega"]
-        parsed = at.parse_scenario(cfg).reference_set.inputs[0]
+        parsed = at.parse_scenario(cfg).reference_set
         built = at.InputDescriptor(kind="sinusoid", amp=cfg["agents"][0]["input"]["amp"])
         for t in (0.0, 0.3, 1.7, 12.5):
-            np.testing.assert_array_equal(at.eval_input(parsed, t), at.eval_input(built, t))
+            np.testing.assert_array_equal(parsed.eval_inputs(t)[0], at.eval_input(built, t))
 
 
 class TestScenarioCommand:
@@ -620,6 +620,16 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("agents", 1), "x", "agents[1] must be a JSON object\n", id="agent-string"),
     pytest.param(("agents", 0, "input"), "zero", "agents[0].input: input kind None ",
                  id="input-string"),
+    # each once a line of Python's own words that named no place, or the
+    # wrong one: an object of agents was read as the list of its keys
+    pytest.param(("graph", "edges"), None, "graph.edges must be a JSON list of node pairs\n",
+                 id="edges-null"),
+    pytest.param(("graph", "edges"), [0, 1], "graph.edges must be a JSON list of node pairs\n",
+                 id="edges-flat"),
+    pytest.param(("agents",), 5, "agents must be a JSON list\n", id="agents-number"),
+    pytest.param(("agents",), {"a": 1}, "agents must be a JSON list\n", id="agents-object"),
+    pytest.param(("agents", 0, "input", "kind"), [1], "agents[0].input: input kind [1] ",
+                 id="kind-list"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")

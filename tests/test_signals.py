@@ -156,12 +156,13 @@ class TestReferenceTrajectory:
             reference_trajectory(rs, 0, 2.0), [1.0 + 3.0 * 2.0, 2.0], atol=1e-9
         )
 
-    def _rk4_reference(self, rs, i, t_end, dt=1e-4):
+    def _rk4_reference(self, rs, i, d, t_end, dt=1e-4):
+        """r_i(t_end) by fine RK4, driven by agent i's descriptor d."""
         A, B = rs.plant.A, rs.plant.B
         r = rs.initial_states[i].copy()
 
         def f(t, y):
-            return A @ y + B @ eval_input(rs.inputs[i], t, rs.plant.m)
+            return A @ y + B @ eval_input(d, t, rs.plant.m)
 
         n = int(round(t_end / dt))
         for k in range(n):
@@ -174,15 +175,9 @@ class TestReferenceTrajectory:
         return r
 
     def test_vs_rk4_sec5_input(self):
-        rs = make_refset(
-            SEC5_PLANT,
-            [[1.0, 0.0], [0.0, 0.0]],
-            [
-                InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0),
-                InputDescriptor(kind="zero"),
-            ],
-        )
-        oracle = self._rk4_reference(rs, 0, 1.0)
+        d = InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0)
+        rs = make_refset(SEC5_PLANT, [[1.0, 0.0], [0.0, 0.0]], [d, InputDescriptor(kind="zero")])
+        oracle = self._rk4_reference(rs, 0, d, 1.0)
         np.testing.assert_allclose(
             reference_trajectory(rs, 0, 1.0, quad_steps=2000), oracle, atol=1e-6
         )
@@ -192,16 +187,10 @@ class TestReferenceTrajectory:
         for _ in range(5):
             n = int(rng.integers(1, 4))
             plant = LinearPlant(A=rng.standard_normal((n, n)) * 0.5, B=rng.standard_normal((n, 1)))
-            rs = make_refset(
-                plant,
-                rng.standard_normal((2, n)),
-                [
-                    InputDescriptor(kind="sinusoid", amp=[1.0], omega=2.0, phase=0.3),
-                    InputDescriptor(kind="zero"),
-                ],
-            )
+            d = InputDescriptor(kind="sinusoid", amp=[1.0], omega=2.0, phase=0.3)
+            rs = make_refset(plant, rng.standard_normal((2, n)), [d, InputDescriptor(kind="zero")])
             t_end = 5.0
-            oracle = self._rk4_reference(rs, 0, t_end)
+            oracle = self._rk4_reference(rs, 0, d, t_end)
             got = reference_trajectory(rs, 0, t_end, quad_steps=4000)
             assert np.linalg.norm(got - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
@@ -248,9 +237,8 @@ GRID = (0.5, 1.0, 2.5, 3.0)          # table inputs' sample times come from here
 
 @st.composite
 def references_and_times(draw):
-    """A reference set of zero, constant, sinusoid and table inputs on m = 1
-    or 2 inputs, and stage times before, on, inside and past the tables'
-    grids."""
+    """Zero, constant, sinusoid and table inputs of m = 1 or 2 entries, m,
+    and stage times before, on, inside and past the tables' grids."""
     m = draw(st.sampled_from([1, 2]))
     values = st.floats(-1e3, 1e3, allow_subnormal=True)
     inputs = []
@@ -270,10 +258,8 @@ def references_and_times(draw):
             rows = draw(st.lists(st.lists(values, min_size=m, max_size=m), min_size=len(times),
                                  max_size=len(times)))
             inputs.append(InputDescriptor(kind="table", times=times, values=rows))
-    plant = LinearPlant(A=-np.eye(2), B=np.ones((2, m)))
-    rs = make_refset(plant, np.zeros((len(inputs), 2)), inputs)
     t = st.one_of(st.sampled_from((0.0, *GRID, 0.75, 2.0, 50.0)), st.floats(0.0, 60.0))
-    return rs, draw(st.lists(t, min_size=1, max_size=8))
+    return inputs, m, draw(st.lists(t, min_size=1, max_size=8))
 
 
 def per_time_form(rs, t):
@@ -289,18 +275,20 @@ def per_time_form(rs, t):
 
 @settings(max_examples=200, deadline=None)
 @given(case=references_and_times())
-@example(case=(make_refset(LinearPlant(A=-np.eye(2), B=np.ones((2, 2))), np.zeros((2, 2)), [
+@example(case=([
     InputDescriptor(kind="table", times=[0.5, 3.0], values=[[1.0, -2.0], [3.0, 0.5]]),
-    InputDescriptor(kind="sinusoid", amp=[1.0, -0.0], omega=1.0, phase=0.0)]),
-    [0.0, 0.5, 1.75, 3.0, 7.0]))
+    InputDescriptor(kind="sinusoid", amp=[1.0, -0.0], omega=1.0, phase=0.0)],
+    2, [0.0, 0.5, 1.75, 3.0, 7.0]))
 def test_eval_over_times_has_the_bits_of_each_time(case):
-    rs, times = case
+    inputs, m, times = case
+    rs = make_refset(LinearPlant(A=-np.eye(2), B=np.ones((2, m))), np.zeros((len(inputs), 2)),
+                     inputs)
     got = rs.eval_inputs(times)
     assert got.shape == (len(times), rs.n_agents, rs.plant.m)
     for t, f in zip(times, got):
         one = rs.eval_inputs(t)
         assert one.tobytes() == f.tobytes() == per_time_form(rs, t).tobytes()
-    for d in rs.inputs:
+    for d in inputs:
         rows = eval_input(d, np.array(times), rs.plant.m)
         assert rows.shape == (len(times), rs.plant.m)
         for t, row in zip(times, rows):
