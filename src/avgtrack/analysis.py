@@ -12,7 +12,7 @@ from numpy.typing import NDArray
 from .errors import RhoExceedsGamma
 from .graph import Graph
 from .numerics import finite_norms, sym_eigvals
-from .signals import ReferenceSet, reference_trajectory
+from .signals import ReferenceSet, _trajectories
 
 
 @dataclass(frozen=True)
@@ -168,11 +168,9 @@ def theorem_constants(
 
 def consensus_manifold(rs: ReferenceSet, t: float, quad_steps: int = 256) -> NDArray[np.float64]:
     """The common trajectory all agents converge to: the average of the
-    reference solutions, by variation of constants."""
-    acc = np.zeros(rs.plant.n)
-    for i in range(rs.n_agents):
-        acc += reference_trajectory(rs, i, t, quad_steps)
-    return acc / rs.n_agents
+    reference solutions, by variation of constants, summed in agent order."""
+    trajectories = _trajectories(rs, range(rs.n_agents), t, quad_steps)
+    return sum(trajectories, np.zeros(rs.plant.n)) / rs.n_agents
 
 
 def direction_flip_count(w: NDArray) -> int:

@@ -135,8 +135,8 @@ class Scenario:
     def build_adaptive_params(self) -> control.AdaptiveParams:
         if self.adaptive is None:
             raise ConfigError("adaptive algorithm needs an 'adaptive' section")
-        P, K = control.feedback_gain(self.reference_set.plant, self.design_Q, self.numerics)
-        return control.AdaptiveParams(K=K, eps=self.eps, phi=self.phi, P=P, **self.adaptive)
+        d = self.build_static_gains()
+        return control.AdaptiveParams(K=d.K, eps=d.eps, phi=d.phi, P=d.P, **self.adaptive)
 
 
 _AGENT_KEYS = {"r0", "input"}

@@ -200,14 +200,6 @@ class NetworkState:
     beta: NDArray[np.float64] | None = None    # (E,)
 
 
-def feedback_gain(
-    plant: LinearPlant, Q: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """(P, K): the stabilizing ARE solution and K = -B^T P, shared by both laws."""
-    P = solve_are(plant.A, plant.B, np.asarray(Q, dtype=float), cfg).P
-    return P, -plant.B.T @ P
-
-
 def design_gains(
     plant: LinearPlant,
     g: graphmod.Graph,
@@ -218,7 +210,8 @@ def design_gains(
     margins: tuple[float, float] = (1.0, 1.0),
     cfg: NumericsConfig = DEFAULT_CONFIG,
 ) -> StaticGains:
-    """Gain design recipe: ARE solve, then minimal compliant couplings.
+    """Gain design recipe of every law: ARE solve for P and K = -B^T P, then
+    minimal compliant couplings. The adaptive law takes its P and K from here.
 
     c1 = margin1 / (2*lambda2), c2 = margin2 * f0 * (N - 1); margins of 1
     sit exactly on the design bounds. g.lambda2 raises NotConnected, before
@@ -226,10 +219,10 @@ def design_gains(
     """
     lam2 = g.lambda2
     margins = located("margins", design_margins, margins)
-    P, K = feedback_gain(plant, Q, cfg)
+    P = solve_are(plant.A, plant.B, np.asarray(Q, dtype=float), cfg).P
     c1 = margins[0] / (2.0 * lam2)
     c2 = margins[1] * f0 * (g.n_nodes - 1)
-    return StaticGains(K=K, c1=c1, c2=c2, eps=eps, phi=phi, P=P)
+    return StaticGains(K=-plant.B.T @ P, c1=c1, c2=c2, eps=eps, phi=phi, P=P)
 
 
 LAWS = ("discontinuous", "static", "adaptive")   # the order of a closed loop's edge slices

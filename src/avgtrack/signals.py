@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,26 +285,34 @@ def reference_trajectory(
     evaluated with composite Simpson quadrature on quad_steps panels. This
     is the oracle path; accuracy beats speed.
     """
+    return next(_trajectories(rs, [i], t, quad_steps))
+
+
+def _trajectories(rs: ReferenceSet, agents: Iterable[int], t: float,
+                  quad_steps: int) -> Iterator[NDArray[np.float64]]:
+    """r_i(t) of each agent in turn, with the bits of its quadrature alone;
+    e^{At}, the powers of e^{Ah} and f at every node are formed once."""
     if t < 0:
         raise ConfigError("t must be nonnegative")
     A, B = rs.plant.A, rs.plant.B
-    r = matrix_exp(A, t) @ rs.initial_states[i]
-    if t == 0.0 or rs.inputs.kinds[i] == "zero":
-        return r
+    eAt = matrix_exp(A, t)
     npts = 2 * max(1, int(quad_steps)) + 1
     taus = np.linspace(0.0, t, npts)
-    f = rs.eval_inputs(taus)[:, i]      # f_i at each node, with the bits of each time alone
+    f = rs.eval_inputs(taus)      # f at each node, with the bits of each time alone
     h = taus[1] - taus[0]
     weights = np.ones(npts)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights *= h / 3.0
-    # e^{A(t - tau_k)} = (e^{A h})^(npts-1-k); accumulate powers backwards
-    Eh = matrix_exp(A, h)
-    acc = np.zeros(rs.plant.n)
-    prop = np.eye(rs.plant.n)
-    for k in range(npts - 1, -1, -1):
-        acc += weights[k] * (prop @ (B @ f[k]))
-        if k > 0:
-            prop = Eh @ prop
-    return r + acc
+    # e^{A(t - tau_k)} = (e^{A h})^(npts-1-k), the powers from the last node back
+    Eh, powers = matrix_exp(A, h), [np.eye(rs.plant.n)]
+    for _ in range(npts - 1):
+        powers.append(Eh @ powers[-1])
+    for i in agents:
+        r = eAt @ rs.initial_states[i]
+        if t != 0.0 and rs.inputs.kinds[i] != "zero":
+            acc = np.zeros(rs.plant.n)
+            for k, prop in zip(range(npts - 1, -1, -1), powers):
+                acc += weights[k] * (prop @ (B @ f[k, i]))
+            r = r + acc
+        yield r

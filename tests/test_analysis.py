@@ -302,6 +302,63 @@ class TestConsensusManifold:
                 consensus_manifold(rs, t, quad_steps=200), mean_traj, atol=1e-9
             )
 
+    def test_bits_of_the_per_agent_average(self):
+        # one evaluation of the inputs shared by all agents keeps the bits of
+        # each agent's own quadrature and of their sum in agent order
+        rng = np.random.default_rng(25)
+        kinds = ["zero", "constant", "sinusoid", "table"]
+        for trial in range(40):
+            n, m, N = int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(2, 6))
+            plant = LinearPlant(A=rng.standard_normal((n, n)) * 0.5,
+                                B=rng.standard_normal((n, m)))
+            inputs = [_random_input(rng, kinds[(trial + i) % 4], m) for i in range(N)]
+            rs = ReferenceSet(plant=plant, initial_states=rng.standard_normal((N, n)),
+                              inputs=inputs)
+            t = 0.0 if trial % 10 == 0 else float(rng.uniform(0.1, 5.0))
+            steps = int(rng.integers(1, 120))
+            alone = [_per_agent_quadrature(rs, i, t, steps) for i in range(N)]
+            for i in range(N):
+                assert reference_trajectory(rs, i, t, steps).tobytes() == alone[i].tobytes()
+            acc = np.zeros(n)
+            for r in alone:
+                acc += r
+            assert consensus_manifold(rs, t, steps).tobytes() == (acc / N).tobytes()
+
+
+def _random_input(rng, kind, m):
+    if kind == "constant":
+        return InputDescriptor(kind="constant", value=rng.standard_normal(m))
+    if kind == "sinusoid":
+        return InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m),
+                               omega=rng.uniform(0.0, 3.0), phase=rng.uniform(-3.0, 3.0))
+    if kind == "table":
+        k = int(rng.integers(1, 5))
+        times = np.cumsum(rng.uniform(0.1, 1.5, k))
+        return InputDescriptor(kind="table", times=times, values=rng.standard_normal((k, m)))
+    return InputDescriptor(kind="zero")
+
+
+def _per_agent_quadrature(rs, i, t, quad_steps):
+    # r_i(t) by composite Simpson on its own: the inputs over every node, its
+    # column read, e^{A(t - tau_k)} built up from the last node back
+    A, B = rs.plant.A, rs.plant.B
+    r = at.matrix_exp(A, t) @ rs.initial_states[i]
+    if t == 0.0 or rs.inputs.kinds[i] == "zero":
+        return r
+    npts = 2 * quad_steps + 1
+    taus = np.linspace(0.0, t, npts)
+    f = rs.eval_inputs(taus)[:, i]
+    h = taus[1] - taus[0]
+    weights = np.ones(npts)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights *= h / 3.0
+    Eh, prop, acc = at.matrix_exp(A, h), np.eye(rs.plant.n), np.zeros(rs.plant.n)
+    for k in range(npts - 1, -1, -1):
+        acc += weights[k] * (prop @ (B @ f[k]))
+        prop = Eh @ prop
+    return r + acc
+
 
 class TestDirectionFlips:
     def test_constant_sign_no_flips(self):

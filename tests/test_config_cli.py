@@ -148,6 +148,21 @@ class TestScenarioCommand:
             assert name in err
 
 
+def adaptive_on_two_triangles():
+    cfg = scenario_config("paper-sec5-adaptive")
+    cfg["graph"]["edges"] = [[0, 1], [1, 2], [2, 0], [3, 4], [4, 5], [5, 3]]
+    return cfg
+
+
+def assert_design_fails_with_no_out(tmp_path, capsys, cfg):
+    out_dir = tmp_path / "out"
+    args = ["--config", write_config(tmp_path, cfg), "--out", str(out_dir), "--t-end", "0.01"]
+    assert main(["run", *args]) == 2
+    out, err = capsys.readouterr()
+    assert err == "design failed: lambda2 requires a connected graph\n"
+    assert out == "" and not out_dir.exists()
+
+
 class TestGainsCommand:
     def test_sec5_report(self, tmp_path, capsys):
         path = write_config(tmp_path, scenario_config("paper-sec5-static"))
@@ -194,12 +209,18 @@ class TestGainsCommand:
         out, err = capsys.readouterr()
         assert err.startswith("design failed: ") and "connected" in err
         assert out == ""
+        # the adaptive law designs as the others do: `run` fails before the
+        # first scenario's group runs, and writes nothing
+        cfgs = [scenario_config("paper-sec5-adaptive"), adaptive_on_two_triangles()]
+        cfgs[1]["name"] = "split"
+        assert_design_fails_with_no_out(tmp_path, capsys, cfgs)
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         cfg = scenario_config("ring-demo")
         cfg["graph"]["edges"] = [[0, 1], [2, 3]]
         assert main(["gains", "--config", write_config(tmp_path, cfg)]) == 2
         assert "connected" in capsys.readouterr().err
+        assert_design_fails_with_no_out(tmp_path, capsys, adaptive_on_two_triangles())
 
     def test_not_stabilizable_exit_2(self, tmp_path, capsys):
         cfg = scenario_config("ring-demo")
@@ -729,14 +750,17 @@ def test_non_finite_reference_values_exit_2(tmp_path, capsys, command, path, val
 
 @pytest.mark.filterwarnings("error")      # numpy's overflow warning was a second line
 @pytest.mark.parametrize("command", ["run", "gains"])
-@pytest.mark.parametrize("value", [
-    pytest.param({"kind": "sinusoid", "amp": [1e308]}, id="sinusoid"),
-    pytest.param({"kind": "constant", "value": [-1e308]}, id="constant"),
-    pytest.param({"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1e308]}, id="table"),
+@pytest.mark.parametrize("name, value", [
+    pytest.param("paper-sec5-static", {"kind": "sinusoid", "amp": [1e308]}, id="sinusoid"),
+    pytest.param("paper-sec5-static", {"kind": "constant", "value": [-1e308]}, id="constant"),
+    pytest.param("paper-sec5-static", {"kind": "table", "times": [0.0, 1.0],
+                                       "values": [1.0, 1e308]}, id="table"),
+    # the adaptive law's design checks c2 too, where its run failed with exit 1
+    pytest.param("paper-sec5-adaptive", {"kind": "sinusoid", "amp": [1e308]}, id="adaptive"),
 ])
-def test_huge_finite_input_exit_2(tmp_path, capsys, command, value):
+def test_huge_finite_input_exit_2(tmp_path, capsys, command, name, value):
     # f0 = 1e308 is finite, but c2 = f0 * (N - 1) is not
-    cfg = scenario_config("paper-sec5-static")
+    cfg = scenario_config(name)
     cfg["agents"][0]["input"] = value
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfg), *args]) == 2
@@ -872,21 +896,24 @@ def test_blow_up_prints_one_line(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "gains"])
 def test_input_bound_taken_once_per_scenario(tmp_path, monkeypatch, command):
-    # the design and the diagnostics (run) or the report (gains) share Scenario.f0
+    # the design and the diagnostics (run) or the report (gains) share
+    # Scenario.f0; the adaptive law's design forms it too, in file order
     calls = []
     bound = config.input_bound
     monkeypatch.setattr(config, "input_bound", lambda rs: calls.append(rs) or bound(rs))
-    cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
+    cfgs = [scenario_config(name) for name in ("paper-sec5-static", "paper-sec5-adaptive",
+                                               "ring-demo")]
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
-    assert [rs.n_agents for rs in calls] == [6, 4]
+    assert [rs.n_agents for rs in calls] == [6, 6, 4]
 
 
 @pytest.mark.parametrize("command", ["run", "gains"])
 def test_laplacian_spectrum_taken_once_per_scenario(tmp_path, monkeypatch, command):
     # the design, the diagnostics and the summary (run) or the report (gains)
-    # share Graph.lambda2
-    cfgs = [scenario_config("paper-sec5-static"), scenario_config("ring-demo")]
+    # share Graph.lambda2; the adaptive law's design forms it too, in file order
+    cfgs = [scenario_config(name) for name in ("paper-sec5-static", "paper-sec5-adaptive",
+                                               "ring-demo")]
     laplacians = [at.laplacian(at.parse_scenario(cfg).graph) for cfg in cfgs]
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -894,7 +921,7 @@ def test_laplacian_spectrum_taken_once_per_scenario(tmp_path, monkeypatch, comma
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
     taken = [a for a in calls if any(np.array_equal(a, L) for L in laplacians)]
-    assert len(taken) == 2 and all(map(np.array_equal, taken, laplacians))
+    assert len(taken) == 3 and all(map(np.array_equal, taken, laplacians))
 
 
 def test_flat_table_input_runs(tmp_path):
