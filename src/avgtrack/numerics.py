@@ -2,9 +2,9 @@
 solvers, matrix exponential, and the PBH stabilizability test.
 
 Everything here targets the small matrices of a plant (n up to ~10), so
-dense O(n^3)-and-worse methods are deliberate. Graph Laplacians do not come
-here: graph.lambda2 calls eigvalsh on them directly, up to the 1000 nodes of
-the network-1k benchmark.
+dense O(n^3)-and-worse methods are deliberate; a Lyapunov or Riccati solve is
+judged by its residual alone. Graph Laplacians do not come here: graph.lambda2
+calls eigvalsh on them directly, up to the 1000 nodes of network-1k.
 """
 
 from __future__ import annotations
@@ -90,16 +90,21 @@ def solve_lyapunov(
 
     Vectorizes into the n^2 x n^2 Kronecker-sum system
     (I (x) F^T + F^T (x) I) vec(X) = -vec(Q). O(n^6), fine at these sizes.
+    X is exactly symmetric. Its one failure test is the residual: SingularSystem
+    unless ||F^T X + X F + Q||_F <= lyap_residual_tol * max(1, ||Q||_F), NaN
+    failing, and for an exactly singular sum; LinAlgError for a sum not finite.
     """
     F = np.asarray(F, dtype=float)
     Q = np.asarray(Q, dtype=float)
     n = F.shape[0]
     eye = np.eye(n)
     M = np.kron(eye, F.T) + np.kron(F.T, eye)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= cfg.rank_rtol * sv[0]:
-        raise SingularSystem("Lyapunov operator is singular (eigenvalue pair sums to zero)")
-    vecX = np.linalg.solve(M, -Q.reshape(-1, order="F"))
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("the Lyapunov operator I (x) F^T + F^T (x) I is not finite")
+    try:
+        vecX = np.linalg.solve(M, -Q.reshape(-1, order="F"))
+    except np.linalg.LinAlgError:
+        raise SingularSystem("Lyapunov operator is singular (eigenvalue pair sums to zero)") from None
     # one round of iterative refinement recovers a digit or two on
     # ill-conditioned closed loops
     defect = M @ vecX + Q.reshape(-1, order="F")
@@ -107,7 +112,7 @@ def solve_lyapunov(
     X = vecX.reshape((n, n), order="F")
     X = (X + X.T) / 2.0
     resid = np.linalg.norm(F.T @ X + X @ F + Q, "fro")
-    if resid > cfg.lyap_residual_tol * max(1.0, np.linalg.norm(Q, "fro")):
+    if not resid <= cfg.lyap_residual_tol * max(1.0, np.linalg.norm(Q, "fro")):
         raise SingularSystem(f"Lyapunov residual {resid:.3e} above tolerance")
     return X
 
@@ -192,8 +197,9 @@ def solve_are(
     Newton-Kleinman iteration: from a stabilizing gain K_k, solve the
     Lyapunov equation of the closed loop A - B K_k for P_k and update
     K_{k+1} = B^T P_k. Quadratically convergent; the initial stabilizing
-    gain comes from the Hamiltonian stable subspace. A LinAlgError on the
-    way, such as an SVD that does not converge, raises SingularSystem.
+    gain comes from the Hamiltonian stable subspace; the first step that meets
+    are_residual_tol is returned. A LinAlgError on the way, such as a closed
+    loop whose Lyapunov operator is not finite, raises SingularSystem.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
@@ -214,25 +220,16 @@ def _newton_kleinman(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) ->
 
     K = _initial_gain(A, B, Q)
     P_prev = None
-    best = None  # (residual, P, iteration); rounding can jitter late iterates
     for it in range(1, cfg.are_max_iter + 1):
         F = A - B @ K
-        # closed-loop Lyapunov: F^T P + P F + (Q + K^T K) = 0
+        # closed-loop Lyapunov: F^T P + P F + (Q + K^T K) = 0; P comes back symmetric
         P = solve_lyapunov(F, Q + K.T @ K, cfg)
-        P = (P + P.T) / 2.0
         K = B.T @ P
         resid = float(np.linalg.norm(P @ A + A.T @ P - P @ B @ B.T @ P + Q, "fro"))
-        if best is None or resid < best[0]:
-            best = (resid, P, it)
         if resid <= cfg.are_residual_tol:
-            break
-        if P_prev is not None and np.linalg.norm(P - P_prev, "fro") <= cfg.are_step_tol * max(
-            1.0, np.linalg.norm(P, "fro")
-        ):
+            return AreSolution(P=P, residual_norm=resid, iterations=it)
+        if P_prev is not None and (np.linalg.norm(P - P_prev, "fro")
+                                   <= cfg.are_step_tol * max(1.0, np.linalg.norm(P, "fro"))):
             break
         P_prev = P
-
-    resid, P, it = best
-    if resid > cfg.are_residual_tol:
-        raise NoConvergence(f"ARE residual {resid:.3e} above tolerance {cfg.are_residual_tol:.1e}")
-    return AreSolution(P=P, residual_norm=resid, iterations=it)
+    raise NoConvergence(f"ARE residual {resid:.3e} above tolerance {cfg.are_residual_tol:.1e}")

@@ -138,7 +138,5 @@ def write_outputs(
     summary = build_summary(scn, gains, traj, diag)
     write_trajectory_csv(out_dir / "trajectory.csv", scn, traj)
     write_diagnostics_csv(out_dir / "diagnostics.csv", diag)
-    with (out_dir / "summary.json").open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

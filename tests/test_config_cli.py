@@ -683,6 +683,9 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     (("graph", "n"), "6", 'graph.n: must be a number, got "6"'),
     (("numerics", "are_residual_tol"), "1e-9",
      'numerics.are_residual_tol: must be a number, got "1e-9"'),
+    # deep in a long list, which fails its one-pass check and is walked item by item
+    (("graph", "edges"), [[0, True] if k == 1500 else [k % 6, (k + 1) % 6] for k in range(2000)],
+     "graph.edges[1500][1]: must be a number, got true"),
 ])
 def test_config_number_must_be_a_json_number(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
@@ -801,8 +804,8 @@ def test_design_overflow_exit_2(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("error")      # numpy's overflow warnings would be more lines
 @pytest.mark.parametrize("command", ["run", "gains"])
 def test_design_linalg_failure_exit_2(tmp_path, capsys, command):
-    # a finite A whose Kronecker sum overflows in the Lyapunov solve, where
-    # the SVD's LinAlgError escaped as a traceback
+    # a finite A whose Kronecker sum overflows in the Lyapunov solve: its
+    # finiteness check raises numpy's LinAlgError, which solve_are reports
     cfg = scenario_config("ring-demo")
     cfg["plant"]["A"][1][1] = -1e308
     args = ["--out", str(tmp_path / "out")] if command == "run" else []

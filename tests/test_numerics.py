@@ -10,7 +10,7 @@ from avgtrack import (
     solve_lyapunov,
     sym_eigvals,
 )
-from avgtrack.errors import NotStabilizable, NotSymmetric, SingularSystem
+from avgtrack.errors import NoConvergence, NotStabilizable, NotSymmetric, SingularSystem
 from avgtrack.numerics import finite_norms
 from conftest import random_stabilizable
 
@@ -80,6 +80,23 @@ class TestLyapunov:
         with pytest.raises(SingularSystem):
             solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_nan_in_q_raises(self):
+        # the residual test is the one failure test, and a NaN residual fails it
+        with pytest.raises(SingularSystem, match="Lyapunov residual nan"):
+            solve_lyapunov(-np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_tiny_eigenvalue_pair_is_not_singular(self):
+        # the pair sum -2e-300 is tiny against the other of -2, but the
+        # closed loop is Hurwitz and X = diag(1/2, 1/(2e-300)) solves it
+        X = solve_lyapunov(np.diag([-1.0, -1e-300]), np.eye(2))
+        np.testing.assert_array_equal(X, np.diag([0.5, 5e299]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_operator_not_finite_raises_linalg_error(self):
+        # -1e308 - 1e308 overflows on the diagonal of the Kronecker sum
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve_lyapunov(np.diag([-1.0, -1e308]), np.eye(2))
+
     def test_random_hurwitz(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -148,6 +165,37 @@ class TestAre:
             assert np.linalg.eigvals(A - B @ B.T @ sol.P).real.max() < 0
             P_ref = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(B.shape[1]))
             np.testing.assert_allclose(sol.P, P_ref, atol=1e-6 * max(1, np.abs(P_ref).max()))
+
+    def test_hard_plants_solve_to_scipy_or_raise(self):
+        # scaled A, weak B and shifted integrator chains, harder than
+        # random_stabilizable draws: a returned P is scipy's and stabilizes,
+        # and a failure is one of the solver's own errors
+        rng = np.random.default_rng(7)
+        solved = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(1, min(n, 3) + 1))
+            kind = rng.integers(3)
+            if kind == 0:
+                A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+                B = rng.standard_normal((n, m))
+            elif kind == 1:
+                A = rng.standard_normal((n, n))
+                B = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-6, -2)
+            else:
+                A = np.eye(n, k=1) + rng.uniform(-2, 2) * np.eye(n)
+                B = np.zeros((n, m))
+                B[-1] = rng.standard_normal(m)
+            Q = np.eye(n) if rng.random() < 0.5 else np.diag(10.0 ** rng.uniform(-3, 3, n))
+            try:
+                P = solve_are(A, B, Q).P
+            except (NoConvergence, SingularSystem, NotStabilizable):
+                continue
+            solved += 1
+            P_ref = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(m))
+            assert np.abs(P - P_ref).max() <= 1e-8 * max(1.0, np.abs(P_ref).max())
+            assert np.linalg.eigvals(A - B @ B.T @ P).real.max() < 0
+        assert 0 < solved < 60
 
     def test_solution_satisfies_own_closed_loop_lyapunov(self):
         A = np.array([[0.0, 1.0], [-1.0, -2.0]])
