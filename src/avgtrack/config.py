@@ -6,7 +6,6 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -59,16 +58,13 @@ def _numbers_only(value, where: tuple) -> None:
     """Reject a boolean or a string anywhere but at the text keys: Python
     reads true as 1, and numpy reads "2.5" as 2.5. One in place of a
     section, an agent or its input is left to their parsers, which say that
-    an object belongs there. A list of plain numbers or of such lists (as
-    graph.edges) is checked in one pass; a fault in it is found item by item."""
+    an object belongs there. A list of plain numbers is checked in one pass,
+    as most of a config's values sit in such lists."""
     if isinstance(value, (bool, str)):
         if (len(where) > 1 and where != ("sim", "integrator")
                 and where[:1] + where[2:] not in _AGENT_NOT_NUMBERS):
             path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in where)[1:]
             raise ConfigError(f"{path}: must be a number, got {json.dumps(value)}")
-        return
-    if (type(value) is list and {list}.issuperset(map(type, value))
-            and _PLAIN.issuperset(map(type, chain.from_iterable(value)))):
         return
     items = (enumerate(value) if isinstance(value, list)
              else value.items() if isinstance(value, dict) else ())

@@ -683,7 +683,7 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     (("graph", "n"), "6", 'graph.n: must be a number, got "6"'),
     (("numerics", "are_residual_tol"), "1e-9",
      'numerics.are_residual_tol: must be a number, got "1e-9"'),
-    # deep in a long list, which fails its one-pass check and is walked item by item
+    # deep in a long list of lists, which is walked item by item
     (("graph", "edges"), [[0, True] if k == 1500 else [k % 6, (k + 1) % 6] for k in range(2000)],
      "graph.edges[1500][1]: must be a number, got true"),
 ])

@@ -195,7 +195,7 @@ class TestAre:
             P_ref = scipy.linalg.solve_continuous_are(A, B, Q, np.eye(m))
             assert np.abs(P - P_ref).max() <= 1e-8 * max(1.0, np.abs(P_ref).max())
             assert np.linalg.eigvals(A - B @ B.T @ P).real.max() < 0
-        assert 0 < solved < 60
+        assert solved > 0
 
     def test_solution_satisfies_own_closed_loop_lyapunov(self):
         A = np.array([[0.0, 1.0], [-1.0, -2.0]])
