@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -20,8 +20,14 @@ _TOP_KEYS = {
     "name", "graph", "plant", "agents", "algorithm", "design", "adaptive",
     "sim", "numerics", "assumptions",
 }
-_DESIGN_KEYS = {"Q", "margins", "eps", "phi"}
-_ADAPTIVE_KEYS = {"mu", "nu", "theta", "chi", "alpha0", "beta0"}
+# each design key's check, in the order they run, after Q's; design_gains holds their defaults
+_DESIGN_CHECKS = {"margins": control.design_margins,
+                  "eps": partial(control.in_range, "eps"), "phi": partial(control.in_range, "phi")}
+# AdaptiveParams' fields but those the design gives; the ones without a default are needed
+_ADAPTIVE = [f for f in fields(control.AdaptiveParams)
+             if f.init and f.name not in {"K", "eps", "phi", "P"}]
+_ADAPTIVE_KEYS = {f.name for f in _ADAPTIVE}
+_ADAPTIVE_NEEDED = {f.name for f in _ADAPTIVE if f.default is MISSING}
 _INPUT_KEYS = {
     "zero": {"kind"},
     "constant": {"kind", "value"},
@@ -107,9 +113,7 @@ class Scenario:
     reference_set: ReferenceSet
     algorithm: str
     design_Q: np.ndarray
-    margins: tuple[float, float]
-    eps: float
-    phi: float
+    design: dict             # the design keywords the config gives, checked
     adaptive: dict | None
     sim: SimConfig
     numerics: NumericsConfig
@@ -126,10 +130,8 @@ class Scenario:
             self.graph,
             self.design_Q,
             self.f0,
-            eps=self.eps,
-            phi=self.phi,
-            margins=self.margins,
             cfg=self.numerics,
+            **self.design,
         )
 
     def build_adaptive_params(self) -> control.AdaptiveParams:
@@ -161,7 +163,8 @@ def _plain_agent(agent, n: int, m: int) -> bool:
     kind = d.get("kind") if type(d) is dict else None
     if type(kind) is not str or kind not in _VECTOR or not d.keys() <= _INPUT_KEYS[kind]:
         return False
-    numbers = [*(r0 or ()), d.get("omega", 1.0), d.get("phase", 0.0)]
+    numbers = [*(r0 or ()), d.get("omega", InputDescriptor.omega),
+               d.get("phase", InputDescriptor.phase)]
     for key in _VECTOR[kind]:
         v = d.get(key)
         if not (type(v) is list and len(v) == m):
@@ -259,11 +262,10 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
 
     dd = cfg.get("design", {})
-    _check_keys(dd, _DESIGN_KEYS, "design")
+    _check_keys(dd, {"Q", *_DESIGN_CHECKS}, "design")
     Q = located("design.Q", _design_q, dd["Q"] if "Q" in dd else np.eye(plant.n), plant.n)
-    margins = located("design.margins", control.design_margins, dd.get("margins", (1.0, 1.0)))
-    eps, phi = (located(f"design.{k}", control.in_range, k, dd.get(k, v))
-                for k, v in (("eps", 5.0), ("phi", 0.5)))
+    design = {k: located(f"design.{k}", check, dd[k])
+              for k, check in _DESIGN_CHECKS.items() if k in dd}
 
     # AdaptiveParams fields, all numbers, checked whatever the algorithm
     ad = cfg.get("adaptive")
@@ -271,7 +273,7 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
         ad = {k: located(f"adaptive.{k}", control.in_range, k, v) for k, v in ad.items()}
     if algorithm == "adaptive":
-        missing = sorted({"mu", "nu", "theta", "chi"} - set(ad or ()))
+        missing = sorted(_ADAPTIVE_NEEDED - set(ad or ()))
         if missing:
             raise ConfigError(f"adaptive algorithm needs {missing} in an 'adaptive' section")
 
@@ -281,9 +283,7 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         reference_set=rs,
         algorithm=algorithm,
         design_Q=Q,
-        margins=margins,
-        eps=eps,
-        phi=phi,
+        design=design,
         adaptive=ad,
         sim=_section(SimConfig, cfg["sim"], "sim"),
         numerics=_section(NumericsConfig, cfg.get("numerics", {}), "numerics"),

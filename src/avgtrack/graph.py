@@ -100,8 +100,6 @@ def laplacian(g: Graph) -> NDArray[np.float64]:
 
 def is_connected(g: Graph) -> bool:
     """True iff every node pair is joined by a path (BFS from node 0)."""
-    if g.n_nodes == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(g.n_nodes)]
     for i, j in g.edges:
         adj[i].append(j)
@@ -121,8 +119,11 @@ def lambda2(g: Graph) -> float:
     """Algebraic connectivity: second-smallest Laplacian eigenvalue.
 
     Raises NotConnected on disconnected graphs (the zero eigenvalue would
-    not be simple). `laplacian` builds L exactly symmetric, so eigvalsh reads it as built.
+    not be simple), and ConfigError on one node, which has no second eigenvalue.
+    `laplacian` builds L exactly symmetric, so eigvalsh reads it as built.
     """
+    if g.n_nodes < 2:
+        raise ConfigError(f"lambda2 needs at least 2 nodes, got {g.n_nodes}")
     if not is_connected(g):
         raise NotConnected("lambda2 requires a connected graph")
     return float(np.linalg.eigvalsh(laplacian(g))[1])

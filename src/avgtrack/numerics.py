@@ -32,9 +32,7 @@ class NumericsConfig:
 
     lyap_residual_tol: float = 1e-10
     are_residual_tol: float = 1e-9
-    are_step_tol: float = 1e-12     # successive-iterate Frobenius tolerance
     are_max_iter: int = 100
-    rank_rtol: float = 1e-10        # relative singular-value cutoff (PBH)
 
     def __post_init__(self):
         for f in fields(self):
@@ -50,6 +48,8 @@ class NumericsConfig:
 
 
 DEFAULT_CONFIG = NumericsConfig()
+_ARE_STEP_TOL = 1e-12       # successive-iterate Frobenius tolerance of the ARE solve
+_RANK_RTOL = 1e-10          # relative singular-value cutoff of the PBH test
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def matrix_exp(A: NDArray, t: float = 1.0) -> NDArray[np.float64]:
     return E
 
 
-def is_stabilizable(A: NDArray, B: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG) -> bool:
+def is_stabilizable(A: NDArray, B: NDArray) -> bool:
     """PBH test: [A - lam*I, B] has full row rank at every eigenvalue with Re >= 0."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
@@ -157,7 +157,7 @@ def is_stabilizable(A: NDArray, B: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
             continue
         M = np.hstack([A - lam * np.eye(n), B]).astype(complex)
         sv = np.linalg.svd(M, compute_uv=False)
-        if sv[-1] <= cfg.rank_rtol * sv[0]:
+        if sv[-1] <= _RANK_RTOL * sv[0]:
             return False
     return True
 
@@ -213,7 +213,7 @@ def solve_are(
 
 
 def _newton_kleinman(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) -> AreSolution:
-    if not is_stabilizable(A, B, cfg):
+    if not is_stabilizable(A, B):
         raise NotStabilizable("(A, B) is not stabilizable: it fails the PBH test")
     if sym_eigvals(Q)[0] <= 0:
         raise SingularSystem("Q must be positive definite")
@@ -229,7 +229,7 @@ def _newton_kleinman(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) ->
         if resid <= cfg.are_residual_tol:
             return AreSolution(P=P, residual_norm=resid, iterations=it)
         if P_prev is not None and (np.linalg.norm(P - P_prev, "fro")
-                                   <= cfg.are_step_tol * max(1.0, np.linalg.norm(P, "fro"))):
+                                   <= _ARE_STEP_TOL * max(1.0, np.linalg.norm(P, "fro"))):
             break
         P_prev = P
     raise NoConvergence(f"ARE residual {resid:.3e} above tolerance {cfg.are_residual_tol:.1e}")

@@ -88,6 +88,8 @@ class InputDescriptor:
         if self.kind == "table":
             if self.times is None or self.values is None:
                 raise ConfigError("table input needs times and values")
+            if not len(self.times):
+                raise ConfigError("table input needs at least one sample time")
             t = self.times
             v = self.values
             # a flat list as long as the grid is the one input's column
@@ -179,8 +181,8 @@ class InputTable:
             sine = kind == "sinusoid"
             kinds.append(kind)
             amp.append(d["amp"] if sine else zero)
-            omega.append(d.get("omega", 1.0) if sine else 0.0)
-            phase.append(d.get("phase", 0.0) if sine else 0.0)
+            omega.append(d.get("omega", InputDescriptor.omega) if sine else 0.0)
+            phase.append(d.get("phase", InputDescriptor.phase) if sine else 0.0)
             const.append(d["value"] if kind == "constant" else zero)
         N = len(kinds)
         return cls(tuple(kinds), np.array(amp, dtype=float).reshape(N, m),

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -286,6 +287,17 @@ class TestRunCommand:
             kinds = {row[0] for row in csv.reader(fh)}
         assert {"agent", "edge"} <= kinds
 
+    def test_adaptive_rho_at_least_gamma(self, tmp_path):
+        # theta = chi = 1 puts rho = max{mu theta, nu chi} above gamma: the
+        # omega2 radius is vacuous and left null, and the omega1 bound stays
+        cfg = scenario_config("paper-sec5-adaptive")
+        cfg["adaptive"].update(theta=1.0, chi=1.0)
+        code, out = run_cli(tmp_path, cfg, "--t-end", "0.05")
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["omega2_radius"] is None
+        assert math.isfinite(summary["omega1_bound"])
+
     def test_scenario_to_run_round_trip(self, tmp_path, capsys):
         assert main(["scenario", "ring-demo"]) == 0
         cfg = json.loads(capsys.readouterr().out)
@@ -542,6 +554,11 @@ SEC5_RATES = {"mu": 10.0, "nu": 10.0, "theta": 0.01, "chi": 0.01}
     pytest.param(("adaptive",), dict(SEC5_RATES, alpha0=float("nan")), id="alpha0-nan"),
     pytest.param(("numerics", "are_max_iter"), "x", id="are_max_iter-string"),
     pytest.param(("numerics", "sym_tol"), 1e-10, id="sym_tol-removed"),
+    pytest.param(("numerics", "are_step_tol"), 1e-12, id="are_step_tol-removed"),
+    pytest.param(("numerics", "rank_rtol"), 1e-10, id="rank_rtol-removed"),
+    # an empty table passed the parse and raised numpy's ValueError in the input bound
+    pytest.param(("agents", 0, "input"), {"kind": "table", "times": [], "values": []},
+                 id="table-empty"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, path, value):
     """A malformed value ends in exit code 2 and one error line, never in a
@@ -651,6 +668,9 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("agents",), {"a": 1}, "agents must be a JSON list\n", id="agents-object"),
     pytest.param(("agents", 0, "input", "kind"), [1], "agents[0].input: input kind [1] ",
                  id="kind-list"),
+    pytest.param(("agents", 3, "input"), {"kind": "table", "times": [], "values": []},
+                 "agents[3].input: table input needs at least one sample time\n",
+                 id="table-empty"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")

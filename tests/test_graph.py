@@ -193,6 +193,17 @@ class TestLambda2:
         with pytest.raises(NotConnected):
             lambda2(Graph(3))
 
+    def test_one_node_names_its_node_count(self):
+        # one node is connected but has no second eigenvalue: this was a
+        # bare IndexError, also from design_gains
+        g = Graph(1)
+        assert is_connected(g)
+        plant = at.LinearPlant(A=[[0.0]], B=[[1.0]])
+        for read in (lambda: lambda2(g), lambda: g.lambda2,
+                     lambda: at.design_gains(plant, g, np.eye(1), f0=1.0)):
+            with pytest.raises(ConfigError, match="lambda2 needs at least 2 nodes, got 1"):
+                read()
+
     def test_property_raises_at_every_read(self):
         g = Graph(3)
         for _ in range(2):
