@@ -23,11 +23,10 @@ _TOP_KEYS = {
 # each design key's check, in the order they run, after Q's; design_gains holds their defaults
 _DESIGN_CHECKS = {"margins": control.design_margins,
                   "eps": partial(control.in_range, "eps"), "phi": partial(control.in_range, "phi")}
-# AdaptiveParams' fields but those the design gives; the ones without a default are needed
-_ADAPTIVE = [f for f in fields(control.AdaptiveParams)
-             if f.init and f.name not in {"K", "eps", "phi", "P"}]
-_ADAPTIVE_KEYS = {f.name for f in _ADAPTIVE}
-_ADAPTIVE_NEEDED = {f.name for f in _ADAPTIVE if f.default is MISSING}
+# the adaptive keys: AdaptiveParams' fields that the design does not give, each
+# mapped to whether it is needed (has no default)
+_ADAPTIVE = {f.name: f.default is MISSING for f in fields(control.AdaptiveParams)
+             if f.init and f.name not in {"K", "eps", "phi", "P"}}
 _INPUT_KEYS = {
     "zero": {"kind"},
     "constant": {"kind", "value"},
@@ -163,8 +162,7 @@ def _plain_agent(agent, n: int, m: int) -> bool:
     kind = d.get("kind") if type(d) is dict else None
     if type(kind) is not str or kind not in _VECTOR or not d.keys() <= _INPUT_KEYS[kind]:
         return False
-    numbers = [*(r0 or ()), d.get("omega", InputDescriptor.omega),
-               d.get("phase", InputDescriptor.phase)]
+    numbers = [*(r0 or ()), *(d[k] for k in ("omega", "phase") if k in d)]
     for key in _VECTOR[kind]:
         v = d.get(key)
         if not (type(v) is list and len(v) == m):
@@ -270,10 +268,10 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
     # AdaptiveParams fields, all numbers, checked whatever the algorithm
     ad = cfg.get("adaptive")
     if ad is not None:
-        _check_keys(ad, _ADAPTIVE_KEYS, "adaptive")
+        _check_keys(ad, set(_ADAPTIVE), "adaptive")
         ad = {k: located(f"adaptive.{k}", control.in_range, k, v) for k, v in ad.items()}
     if algorithm == "adaptive":
-        missing = sorted(_ADAPTIVE_NEEDED - set(ad or ()))
+        missing = sorted(k for k, needed in _ADAPTIVE.items() if needed and k not in (ad or ()))
         if missing:
             raise ConfigError(f"adaptive algorithm needs {missing} in an 'adaptive' section")
 

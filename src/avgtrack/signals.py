@@ -86,10 +86,8 @@ class InputDescriptor:
         if self.kind == "sinusoid" and self.amp is None:
             raise ConfigError("sinusoid input needs an amplitude")
         if self.kind == "table":
-            if self.times is None or self.values is None:
-                raise ConfigError("table input needs times and values")
-            if not len(self.times):
-                raise ConfigError("table input needs at least one sample time")
+            if self.times is None or self.values is None or not len(self.times):
+                raise ConfigError("table input needs values and at least one sample time")
             t = self.times
             v = self.values
             # a flat list as long as the grid is the one input's column

@@ -669,7 +669,7 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("agents", 0, "input", "kind"), [1], "agents[0].input: input kind [1] ",
                  id="kind-list"),
     pytest.param(("agents", 3, "input"), {"kind": "table", "times": [], "values": []},
-                 "agents[3].input: table input needs at least one sample time\n",
+                 "agents[3].input: table input needs values and at least one sample time\n",
                  id="table-empty"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
