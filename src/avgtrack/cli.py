@@ -118,6 +118,9 @@ def _run_group(group: list[tuple[Scenario, StaticGains | AdaptiveParams, Path]])
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # checked for every config, also one whose r0s are all given and draw no seed
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: must be a non-negative integer")
     scns = _load_configs(args.config, seed=args.seed, sim={"dt": args.dt, "t_end": args.t_end})
     names = Counter(s.name for s in scns) if len(scns) > 1 else Counter()  # a list's directories
     bad = sorted(name for name, k in names.items()

@@ -13,7 +13,10 @@ from . import control
 from .errors import MALFORMED, ConfigError, NotSymmetric, located
 from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
-from .signals import InputDescriptor, InputTable, LinearPlant, ReferenceSet, input_bound
+from .signals import (
+    INPUT_KEYS, INPUT_VECTORS, ZERO_INPUT, InputDescriptor, InputTable, LinearPlant, ReferenceSet,
+    input_bound, input_keys,
+)
 from .sim import SimConfig
 
 _TOP_KEYS = {
@@ -27,12 +30,6 @@ _DESIGN_CHECKS = {"margins": control.design_margins,
 # mapped to whether it is needed (has no default)
 _ADAPTIVE = {f.name: f.default is MISSING for f in fields(control.AdaptiveParams)
              if f.init and f.name not in {"K", "eps", "phi", "P"}}
-_INPUT_KEYS = {
-    "zero": {"kind"},
-    "constant": {"kind", "value"},
-    "sinusoid": {"kind", "amp", "omega", "phase"},
-    "table": {"kind", "times", "values"},
-}
 
 
 def _check_keys(d: dict, allowed: set, where: str) -> None:
@@ -141,10 +138,7 @@ class Scenario:
 
 
 _AGENT_KEYS = {"r0", "input"}
-_ZERO = {"kind": "zero"}
 _NUMBER = {int, float}
-# the list each parametric kind needs, of one entry per input
-_VECTOR = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
 
 
 def _plain_agent(agent, n: int, m: int) -> bool:
@@ -158,12 +152,12 @@ def _plain_agent(agent, n: int, m: int) -> bool:
     r0 = agent.get("r0")
     if r0 is not None and not (type(r0) is list and len(r0) == n):
         return False
-    d = agent.get("input", _ZERO)
+    d = agent.get("input", ZERO_INPUT)
     kind = d.get("kind") if type(d) is dict else None
-    if type(kind) is not str or kind not in _VECTOR or not d.keys() <= _INPUT_KEYS[kind]:
+    if type(kind) is not str or kind not in INPUT_VECTORS or not d.keys() <= INPUT_KEYS[kind]:
         return False
     numbers = [*(r0 or ()), *(d[k] for k in ("omega", "phase") if k in d)]
-    for key in _VECTOR[kind]:
+    for key in INPUT_VECTORS[kind]:
         v = d.get(key)
         if not (type(v) is list and len(v) == m):
             return False
@@ -177,10 +171,8 @@ def _plain_agent(agent, n: int, m: int) -> bool:
 
 
 def _parse_input(d: dict, where: str) -> InputDescriptor:
-    kind = d.get("kind") if isinstance(d, dict) else None
-    if not isinstance(kind, str) or kind not in _INPUT_KEYS:
-        raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(_INPUT_KEYS)}")
-    _check_keys(d, _INPUT_KEYS[kind], where)
+    keys = located(where, input_keys, d.get("kind") if isinstance(d, dict) else None)
+    _check_keys(d, keys, where)
     # InputDescriptor converts the fields and checks that the kind has them
     return located(where, InputDescriptor, **d)
 
@@ -192,7 +184,7 @@ def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, InputDescriptor]:
     r0 = agent.get("r0")
     if r0 is not None:
         r0 = located(f"agents[{k}].r0", _initial_state, r0, n)
-    return r0, _parse_input(agent.get("input", _ZERO), f"agents[{k}].input")
+    return r0, _parse_input(agent.get("input", ZERO_INPUT), f"agents[{k}].input")
 
 
 def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
@@ -202,7 +194,8 @@ def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
     finite) is checked alone: the odd agents' numbers first, as every
     section's are, then each odd agent by `_agent`, in agent order, so the
     first fault is the one an agent-by-agent parse would name. Its r0 and
-    descriptor take its place."""
+    descriptor take its place, and InputTable.of checks each descriptor's
+    width after all agents."""
     if not isinstance(agents, (list, tuple)):
         raise ConfigError("agents must be a JSON list")
     n, m = plant.n, plant.m
@@ -210,7 +203,8 @@ def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
     for k in odd:
         _numbers_only(agents[k], ("agents", k))
     parsed = {k: _agent(k, agents[k], n) for k in odd}
-    rows = [parsed.get(k) or (a.get("r0"), a.get("input", _ZERO)) for k, a in enumerate(agents)]
+    rows = [parsed.get(k) or (a.get("r0"), a.get("input", ZERO_INPUT))
+            for k, a in enumerate(agents)]
     zero = [0.0] * n
     r0 = np.array([zero if r is None else r for r, _ in rows], dtype=float).reshape(len(rows), n)
     drawn = [k for k, (r, _) in enumerate(rows) if r is None]

@@ -45,6 +45,24 @@ class LinearPlant:
         return self.B.shape[1]
 
 
+# each kind's config keys, each parametric kind's list of m entries, the default input
+INPUT_KEYS = {
+    "zero": {"kind"},
+    "constant": {"kind", "value"},
+    "sinusoid": {"kind", "amp", "omega", "phase"},
+    "table": {"kind", "times", "values"},
+}
+INPUT_VECTORS = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
+ZERO_INPUT = {"kind": "zero"}
+
+
+def input_keys(kind) -> set[str]:
+    """The keys of a config input object of this kind, one of INPUT_KEYS."""
+    if not isinstance(kind, str) or kind not in INPUT_KEYS:
+        raise ConfigError(f"input kind {kind!r} is not one of {sorted(INPUT_KEYS)}")
+    return INPUT_KEYS[kind]
+
+
 @dataclass(frozen=True)
 class InputDescriptor:
     """Closed-form bounded input f(t) in R^m.
@@ -66,8 +84,7 @@ class InputDescriptor:
     values: NDArray[np.float64] | None = None      # table, shape (len(times), m)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "sinusoid", "table"):
-            raise ConfigError(f"unknown input kind {self.kind!r}")
+        input_keys(self.kind)
         for name in ("value", "amp", "times", "values", "omega", "phase"):
             v = getattr(self, name)
             scalar = name in ("omega", "phase")
@@ -102,46 +119,19 @@ class InputDescriptor:
             object.__setattr__(self, "values", v)
 
     def dim(self, m: int) -> int:
-        if self.kind == "constant":
-            return len(self.value)
-        if self.kind == "sinusoid":
-            return len(self.amp)
-        if self.kind == "table":
-            return self.values.shape[1]
-        return m
+        v = {"constant": self.value, "sinusoid": self.amp, "table": self.values}.get(self.kind)
+        return m if v is None else v.shape[-1]
 
     def bound(self) -> float:
         """Declared bound on sup_t ||f(t)|| (exact for parametric kinds,
-        max over the grid for tables). A finite norm comes out finite, by
-        finite_norms; numpy warns of the overflow of its sum of squares
-        unless over is ignored, as input_bound does."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind != "table":
-            return _vector_bound(self.value if self.kind == "constant" else self.amp)
-        nrm = np.linalg.norm(self.values, axis=1)
-        top = float(nrm.max())
-        return top if top < math.inf else float(np.max(finite_norms(nrm, self.values, 1)))
-
-
-def _vector_bound(v: NDArray) -> float:
-    """||v|| of one flat vector, finite where v is, by finite_norms."""
-    nrm = np.linalg.norm(v)
-    return float(nrm) if nrm < math.inf else float(finite_norms(nrm, v, None))
+        max over the grid for tables), by InputTable.bound."""
+        return InputTable.of([self], self.dim(1)).bound()
 
 
 def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np.float64]:
     """Evaluate f(t) for t >= 0, or f at each of an array of times, one row
-    of m entries per time."""
-    t = np.asarray(t, dtype=float)
-    if d.kind == "zero":
-        return np.zeros(t.shape + (m,))
-    if d.kind == "constant":
-        return np.broadcast_to(d.value, t.shape + d.value.shape).copy()
-    if d.kind == "sinusoid":
-        return d.amp * np.sin(d.omega * t[..., None] + d.phase)
-    # table: hold-last beyond grid, hold-first before it
-    return np.stack([np.interp(t, d.times, v) for v in d.values.T], axis=-1)
+    of m entries per time, by InputTable.eval."""
+    return InputTable.of([d], d.dim(m)).eval(t)[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +139,8 @@ class InputTable:
     """N inputs as whole arrays: f_i(t) = amp[i] sin(omega[i] t + phase[i]) +
     const[i] covers the zero, constant and sinusoid kinds in one expression,
     their unused entries zero; `tables` holds the table inputs by row, each
-    evaluated on its own grid, as is an input of another width than the
-    table's, which ReferenceSet rejects. Rows are read through
-    ReferenceSet.eval_inputs."""
+    evaluated on its own grid. The only code that evaluates or bounds an
+    input."""
 
     kinds: tuple[str, ...]
     amp: NDArray[np.float64]      # (N, m)
@@ -163,16 +152,21 @@ class InputTable:
     @classmethod
     def of(cls, inputs: Sequence[InputDescriptor | dict], m: int) -> InputTable:
         """The table of m entries per row that holds the inputs, each an
-        InputDescriptor or a config input object in the plain form: a zero,
-        constant or sinusoid kind with its list of m numbers and number
+        InputDescriptor of width m or a config input object in the plain form:
+        a zero, constant or sinusoid kind with its list of m numbers and number
         omega and phase, all finite. The only map from kinds to columns."""
         zero = [0.0] * m
         kinds, amp, omega, phase, const, tables = [], [], [], [], [], {}
         for i, d in enumerate(inputs):
             if isinstance(d, InputDescriptor):
-                if d.kind == "table" or d.dim(m) != m:
+                width = d.dim(m)
+                if width != m:
+                    entries = "1 entry" if width == 1 else f"{width} entries"
+                    raise ConfigError(f"agents[{i}].input: {entries} per time, B has {m} "
+                                      f"column{'' if m == 1 else 's'}")
+                if d.kind == "table":
                     # evaluated on its own grid, over zeros in the columns
-                    tables[i], d = d, {"kind": d.kind, "amp": zero, "omega": 0.0, "value": zero}
+                    tables[i], d = d, {"kind": d.kind}
                 else:
                     d = vars(d)     # its fields by name, as a config object's keys
             kind = d["kind"]
@@ -200,6 +194,32 @@ class InputTable:
             tables={s + i: d for s, p in zip(starts, parts) for i, d in p.tables.items()},
         )
 
+    def eval(self, t: float | Sequence[float]) -> NDArray[np.float64]:
+        """All f_i(t) as an (N, m) array, or (T, N, m) for T times, each time
+        with the bits of a call at it alone; a table holds its end values."""
+        t = np.asarray(t, dtype=float)
+        f = self.amp * np.sin(self.omega * t[..., None] + self.phase)[..., None] + self.const
+        for i, d in self.tables.items():
+            for k, v in enumerate(d.values.T):
+                f[..., i, k] = np.interp(t, d.times, v)
+        return f
+
+    def bound(self) -> float:
+        """f0 = max_i sup_t ||f_i(t)||: the row norms of amp and const in one
+        pass, the largest formed again as one vector each (the bits of the
+        input's own norm), and each table input's largest over its grid."""
+        rows = np.concatenate([self.amp, self.const])
+        # a square may overflow where the norm need not; finite_norms forms it again
+        with np.errstate(over="ignore"):
+            nrm = finite_norms(np.linalg.norm(rows, axis=1), rows, 1)
+            top = nrm.max(initial=0.0)
+            # a row norm and its one-vector form differ by rounding, far below 1e-12
+            near = rows[nrm >= top * (1.0 - 1e-12)] if top > 0.0 else rows[:0]
+            vectors = [finite_norms(np.linalg.norm(v), v, None) for v in near]
+            grids = [finite_norms(np.linalg.norm(d.values, axis=1), d.values, 1).max()
+                     for d in self.tables.values()]
+            return float(max([0.0, *vectors, *grids]))
+
 
 @dataclass(frozen=True)
 class ReferenceSet:
@@ -223,7 +243,7 @@ class ReferenceSet:
             inputs = InputTable.of(inputs, m)
         if len(inputs.kinds) != r0.shape[0]:
             raise ConfigError("one input descriptor per reference signal required")
-        if inputs.amp.shape[1] != m or any(d.dim(m) != m for d in inputs.tables.values()):
+        if inputs.amp.shape[1] != m:
             raise ConfigError("input dimension must match B's column count")
         object.__setattr__(self, "initial_states", r0)
         object.__setattr__(self, "inputs", inputs)
@@ -233,15 +253,9 @@ class ReferenceSet:
         return self.initial_states.shape[0]
 
     def eval_inputs(self, t: float | Sequence[float]) -> NDArray[np.float64]:
-        """All f_i(t) stacked as an (N, m) array; for a vector of T times,
-        one such array per time, (T, N, m), each with the bits of a call at
-        its time alone."""
-        u = self.inputs
-        t = np.asarray(t, dtype=float)
-        f = u.amp * np.sin(u.omega * t[..., None] + u.phase)[..., None] + u.const
-        for i, d in u.tables.items():
-            f[..., i, :] = eval_input(d, t, self.plant.m)
-        return f
+        """All f_i(t) as an (N, m) array, or (T, N, m) for T times, by
+        InputTable.eval."""
+        return self.inputs.eval(t)
 
 
 def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
@@ -261,19 +275,8 @@ def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
 
 
 def input_bound(rs: ReferenceSet) -> float:
-    """f0 = max_i sup_t ||f_i(t)||: the row norms of the table's amp and
-    const in one pass, each table input by its grid. The largest rows are
-    formed again one at a time, as InputDescriptor.bound does, so f0 has the
-    bits of the largest per-input bound."""
-    u = rs.inputs
-    rows = np.concatenate([u.amp, u.const])
-    # one errstate for all rows: a square may overflow where the norm need not
-    with np.errstate(over="ignore"):
-        nrm = finite_norms(np.linalg.norm(rows, axis=1), rows, 1)
-        top = nrm.max(initial=0.0)
-        # a row norm and its one-vector form differ by rounding, far below 1e-12
-        near = rows[nrm >= top * (1.0 - 1e-12)] if top > 0.0 else rows[:0]
-        return max([0.0, *map(_vector_bound, near), *(d.bound() for d in u.tables.values())])
+    """f0 = max_i sup_t ||f_i(t)||, by InputTable.bound."""
+    return rs.inputs.bound()
 
 
 def reference_trajectory(

@@ -200,7 +200,7 @@ def test_fault_in_a_thousand_agents_names_its_agent(tmp_path, capsys, bad, k):
     ([(1, ("input", "amp"), [1.0, 2.0]), (800, ("r0",), [float("inf"), 0.0])],
      "config error: agents[800].r0: must hold 2 finite numbers, got [inf, 0.0]\n"),
     ([(1, ("input", "amp"), [1.0, 2.0])],
-     "config error: input dimension must match B's column count\n"),
+     "config error: agents[1].input: 2 entries per time, B has 1 column\n"),
 ])
 def test_two_faults_name_the_one_an_agent_by_agent_parse_named(tmp_path, capsys, faults, want):
     cfg = network(1)

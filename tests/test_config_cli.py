@@ -397,6 +397,18 @@ class TestRunCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("null_r0", [False, True], ids=["fully-specified", "null-r0"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, null_r0):
+        # a fully specified config draws no seed, and ran
+        cfg = scenario_config("twin-integrator")
+        if null_r0:
+            cfg["agents"][0]["r0"] = None
+        code, out = run_cli(tmp_path, cfg, "--seed", "-1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --seed -1: must be a non-negative integer\n"
+        assert not out.exists()
+
     def test_summary_records_overrides(self, tmp_path):
         cfg = scenario_config("twin-integrator")
         code, out = run_cli(tmp_path, cfg, "--dt", "5e-4", "--t-end", "0.2")

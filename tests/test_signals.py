@@ -117,8 +117,8 @@ class TestInputBound:
             (InputDescriptor(kind="constant", value=[1.5e308, 1.5e308]), np.inf),
         ):
             assert input_bound(make_refset(plant, [[0, 0], [0, 0]], [d, d])) == f0
-            with np.errstate(over="ignore"):
-                assert d.bound() == f0
+            # with no overflow warning, as input_bound
+            assert d.bound() == f0
 
 
 class TestValidation:
@@ -133,6 +133,15 @@ class TestValidation:
                 [[0.0], [1.0]],
                 [InputDescriptor(kind="zero"), InputDescriptor(kind="zero")],
             )
+
+    @pytest.mark.parametrize("d, entries", [
+        (InputDescriptor(kind="constant", value=[1.0, 2.0]), "2 entries"),
+        (InputDescriptor(kind="table", times=[0.0], values=[[1.0, 2.0, 3.0]]), "3 entries"),
+    ])
+    def test_input_width_names_its_row(self, d, entries):
+        with pytest.raises(ConfigError) as exc:
+            make_refset(SEC5_PLANT, [[0.0, 0.0], [1.0, 1.0]], [InputDescriptor(kind="zero"), d])
+        assert str(exc.value) == f"agents[1].input: {entries} per time, B has 1 column"
 
 
 class TestReferenceTrajectory:
@@ -156,13 +165,13 @@ class TestReferenceTrajectory:
             reference_trajectory(rs, 0, 2.0), [1.0 + 3.0 * 2.0, 2.0], atol=1e-9
         )
 
-    def _rk4_reference(self, rs, i, d, t_end, dt=1e-4):
-        """r_i(t_end) by fine RK4, driven by agent i's descriptor d."""
+    def _rk4_reference(self, rs, i, t_end, dt=1e-4):
+        """r_i(t_end) by fine RK4, driven by agent i's input f_i."""
         A, B = rs.plant.A, rs.plant.B
         r = rs.initial_states[i].copy()
 
         def f(t, y):
-            return A @ y + B @ eval_input(d, t, rs.plant.m)
+            return A @ y + B @ rs.eval_inputs(t)[i]
 
         n = int(round(t_end / dt))
         for k in range(n):
@@ -177,7 +186,7 @@ class TestReferenceTrajectory:
     def test_vs_rk4_sec5_input(self):
         d = InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0)
         rs = make_refset(SEC5_PLANT, [[1.0, 0.0], [0.0, 0.0]], [d, InputDescriptor(kind="zero")])
-        oracle = self._rk4_reference(rs, 0, d, 1.0)
+        oracle = self._rk4_reference(rs, 0, 1.0)
         np.testing.assert_allclose(
             reference_trajectory(rs, 0, 1.0, quad_steps=2000), oracle, atol=1e-6
         )
@@ -190,7 +199,7 @@ class TestReferenceTrajectory:
             d = InputDescriptor(kind="sinusoid", amp=[1.0], omega=2.0, phase=0.3)
             rs = make_refset(plant, rng.standard_normal((2, n)), [d, InputDescriptor(kind="zero")])
             t_end = 5.0
-            oracle = self._rk4_reference(rs, 0, d, t_end)
+            oracle = self._rk4_reference(rs, 0, t_end)
             got = reference_trajectory(rs, 0, t_end, quad_steps=4000)
             assert np.linalg.norm(got - oracle) <= 1e-6 * max(1.0, np.linalg.norm(oracle))
 
@@ -279,6 +288,13 @@ def per_time_form(rs, t):
     InputDescriptor(kind="table", times=[0.5, 3.0], values=[[1.0, -2.0], [3.0, 0.5]]),
     InputDescriptor(kind="sinusoid", amp=[1.0, -0.0], omega=1.0, phase=0.0)],
     2, [0.0, 0.5, 1.75, 3.0, 7.0]))
+# a -0.0 entry of a constant and a -0.0 amplitude are +0.0 in a run, and so
+# in eval_input
+@example(case=([
+    InputDescriptor(kind="constant", value=[-0.0, 1.0]),
+    InputDescriptor(kind="sinusoid", amp=[-0.0, 2.0], omega=1.0, phase=0.0),
+    InputDescriptor(kind="zero")],
+    2, [0.0, 1.0, 4.0]))
 def test_eval_over_times_has_the_bits_of_each_time(case):
     inputs, m, times = case
     rs = make_refset(LinearPlant(A=-np.eye(2), B=np.ones((2, m))), np.zeros((len(inputs), 2)),
@@ -288,8 +304,10 @@ def test_eval_over_times_has_the_bits_of_each_time(case):
     for t, f in zip(times, got):
         one = rs.eval_inputs(t)
         assert one.tobytes() == f.tobytes() == per_time_form(rs, t).tobytes()
-    for d in inputs:
+    for i, d in enumerate(inputs):
         rows = eval_input(d, np.array(times), rs.plant.m)
         assert rows.shape == (len(times), rs.plant.m)
-        for t, row in zip(times, rows):
+        for t, row, f in zip(times, rows, got):
             assert row.tobytes() == eval_input(d, t, rs.plant.m).tobytes()
+            # one input alone has the bits of its row in the set's evaluation
+            assert eval_input(d, t, rs.plant.m).tobytes() == f[i].tobytes()
