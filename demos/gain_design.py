@@ -20,7 +20,7 @@ def main() -> None:
     print(f"Riccati residual: {sol.residual_norm:.2e} ({sol.iterations} Newton steps)")
 
     lam2 = scn.graph.lambda2
-    f0 = at.input_bound(scn.reference_set)
+    f0 = scn.f0
     print(f"graph Fiedler value lambda2 = {lam2:.4f}")
     print(f"input amplitude bound f0 = {f0:.4f}")
 

@@ -21,7 +21,6 @@ from .signals import (
     LinearPlant,
     ReferenceSet,
     eval_input,
-    input_bound,
     reference_trajectory,
 )
 from .control import (
@@ -54,7 +53,7 @@ __all__ = [
     "AreSolution", "NumericsConfig", "is_stabilizable", "matrix_exp",
     "solve_are", "solve_lyapunov", "sym_eigvals",
     "InputDescriptor", "InputTable", "LinearPlant", "ReferenceSet", "eval_input",
-    "input_bound", "reference_trajectory",
+    "reference_trajectory",
     "AdaptiveParams", "StaticGains", "boundary_layer", "design_gains",
     "discontinuous_sign",
     "SimConfig", "Trajectory", "integrate", "run",

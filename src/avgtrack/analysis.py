@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import RhoExceedsGamma
 from .graph import Graph
 from .numerics import finite_norms, sym_eigvals
 from .signals import ReferenceSet, _trajectories
@@ -129,12 +128,11 @@ def omega2_radius(
     chi: float,
     P: NDArray,
     edge_count_sum: int,
-) -> float:
-    """Ultimate-bound radius on ||xi|| when varrho < gamma."""
+) -> float | None:
+    """Ultimate-bound radius on ||xi||, or None where the bound is vacuous:
+    varrho >= gamma."""
     if consts.varrho >= consts.gamma:
-        raise RhoExceedsGamma(
-            f"varrho={consts.varrho:g} >= gamma={consts.gamma:g}: bound vacuous"
-        )
+        return None
     lam_min_p = float(sym_eigvals(P)[0])
     per_pair = theta * consts.alpha_bar**2 + chi * consts.beta_bar**2
     return float(

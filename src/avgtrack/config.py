@@ -15,7 +15,7 @@ from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
 from .signals import (
     INPUT_KEYS, INPUT_VECTORS, ZERO_INPUT, InputDescriptor, InputTable, LinearPlant, ReferenceSet,
-    input_bound, input_keys,
+    input_keys,
 )
 from .sim import SimConfig
 
@@ -118,7 +118,7 @@ class Scenario:
     @cached_property
     def f0(self) -> float:
         """The input bound f0, computed once: design, diagnostics and `gains` read it."""
-        return input_bound(self.reference_set)
+        return self.reference_set.inputs.bound()
 
     def build_static_gains(self) -> control.StaticGains:
         return control.design_gains(
@@ -250,7 +250,7 @@ def _parse(cfg: dict, seed: int | None) -> Scenario:
         raise ConfigError("graph node count must equal the number of agents")
 
     algorithm = cfg["algorithm"]
-    if algorithm not in ("static", "adaptive", "discontinuous"):
+    if algorithm not in control.LAWS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
 
     dd = cfg.get("design", {})

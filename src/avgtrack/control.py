@@ -4,6 +4,7 @@ design recipe."""
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -148,6 +149,7 @@ class AdaptiveParams:
 
 
 _fields_init = AdaptiveParams.__init__
+_fields_signature = inspect.signature(_fields_init)
 
 
 def _init_taking_gamma(self, *args, Gamma=None, **kwargs):
@@ -156,6 +158,10 @@ def _init_taking_gamma(self, *args, Gamma=None, **kwargs):
         located("Gamma", _is_gram, Gamma, np.asarray(self.K, dtype=float), self.Gamma)
 
 
+# help() and editors show the fields, then the keyword-only Gamma
+_init_taking_gamma.__signature__ = _fields_signature.replace(parameters=[
+    *_fields_signature.parameters.values(),
+    inspect.Parameter("Gamma", inspect.Parameter.KEYWORD_ONLY, default=None)])
 AdaptiveParams.__init__ = _init_taking_gamma
 
 

@@ -43,10 +43,6 @@ class NonFinite(AvgTrackError):
         self.block = block
 
 
-class RhoExceedsGamma(AvgTrackError):
-    """The ultimate bound is vacuous: max{mu*theta, nu*chi} >= gamma."""
-
-
 # what converting a value of the wrong type or shape raises
 MALFORMED = (TypeError, ValueError, IndexError, OverflowError)
 

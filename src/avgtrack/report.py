@@ -10,7 +10,6 @@ import numpy as np
 from . import __version__, analysis
 from .config import Scenario
 from .control import AdaptiveParams, StaticGains
-from .errors import RhoExceedsGamma
 from .numerics import finite_norms
 from .sim import Trajectory
 
@@ -62,12 +61,7 @@ def diagnostics_series(
             xi, P, traj.alpha, traj.beta, consts, gains.mu, gains.nu
         )
         out["omega1_bound"] = analysis.omega1_bound(consts, gains.theta, gains.chi, edge_sum)
-        try:
-            out["omega2_radius"] = analysis.omega2_radius(
-                consts, gains.theta, gains.chi, P, edge_sum
-            )
-        except RhoExceedsGamma:
-            out["omega2_radius"] = None
+        out["omega2_radius"] = analysis.omega2_radius(consts, gains.theta, gains.chi, P, edge_sum)
     return out
 
 

@@ -274,11 +274,6 @@ def concat_references(sets: Sequence[ReferenceSet]) -> ReferenceSet:
     )
 
 
-def input_bound(rs: ReferenceSet) -> float:
-    """f0 = max_i sup_t ||f_i(t)||, by InputTable.bound."""
-    return rs.inputs.bound()
-
-
 def reference_trajectory(
     rs: ReferenceSet, i: int, t: float, quad_steps: int = 256
 ) -> NDArray[np.float64]:

@@ -20,7 +20,6 @@ from avgtrack import (
     tracking_error,
     v1_envelope,
 )
-from avgtrack.errors import RhoExceedsGamma
 from conftest import SEC5_A, SEC5_B, ring_graph
 
 
@@ -237,9 +236,11 @@ class TestOmegaBounds:
         assert r4 == pytest.approx(2.0 * r1)
 
     def test_rho_exceeds_gamma(self):
-        c = TheoremConstants(gamma=0.05, alpha_bar=0.5, beta_bar=17.5, delta=0.05, varrho=0.1)
-        with pytest.raises(RhoExceedsGamma):
-            omega2_radius(c, 0.01, 0.01, np.eye(2), 12)
+        # the bound is vacuous for varrho >= gamma, above it or equal: no radius
+        for varrho in (0.1, 0.05):
+            c = TheoremConstants(gamma=0.05, alpha_bar=0.5, beta_bar=17.5, delta=0.05,
+                                 varrho=varrho)
+            assert omega2_radius(c, 0.01, 0.01, np.eye(2), 12) is None
 
     def test_omega1_formula(self):
         c = TheoremConstants(gamma=0.6, alpha_bar=2.0, beta_bar=3.0, delta=0.2, varrho=0.1)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import avgtrack as at
-from avgtrack import cli, config
+from avgtrack import cli, signals
 from avgtrack.cli import main
 from avgtrack.errors import ConfigError
 from avgtrack.report import write_diagnostics_csv, write_trajectory_csv
@@ -70,7 +70,7 @@ class TestParseScenario:
     def test_unknown_algorithm(self):
         cfg = scenario_config("ring-demo")
         cfg["algorithm"] = "magic"
-        with pytest.raises(ConfigError, match="magic"):
+        with pytest.raises(ConfigError, match="^unknown algorithm 'magic'$"):
             at.parse_scenario(cfg)
 
     def test_adaptive_requires_section(self):
@@ -78,6 +78,12 @@ class TestParseScenario:
         cfg["algorithm"] = "adaptive"
         with pytest.raises(ConfigError, match="adaptive"):
             at.parse_scenario(cfg)
+
+    def test_adaptive_params_need_the_section(self):
+        # a static scenario parses, but has no rates for the adaptive law
+        scn = at.parse_scenario(scenario_config("ring-demo"))
+        with pytest.raises(ConfigError, match="^adaptive algorithm needs an 'adaptive' section$"):
+            scn.build_adaptive_params()
 
     def test_adaptive_missing_rate(self):
         cfg = scenario_config("paper-sec5-adaptive")
@@ -683,6 +689,10 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
     pytest.param(("agents", 3, "input"), {"kind": "table", "times": [], "values": []},
                  "agents[3].input: table input needs values and at least one sample time\n",
                  id="table-empty"),
+    pytest.param(("agents", 2, "input"),
+                 {"kind": "table", "times": [0.0, 1.0, 1.0], "values": [[0.0], [1.0], [2.0]]},
+                 "agents[2].input: table times must be strictly increasing\n",
+                 id="table-times-repeat"),
 ])
 def test_config_error_names_where(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
@@ -934,13 +944,13 @@ def test_input_bound_taken_once_per_scenario(tmp_path, monkeypatch, command):
     # the design and the diagnostics (run) or the report (gains) share
     # Scenario.f0; the adaptive law's design forms it too, in file order
     calls = []
-    bound = config.input_bound
-    monkeypatch.setattr(config, "input_bound", lambda rs: calls.append(rs) or bound(rs))
+    bound = signals.InputTable.bound
+    monkeypatch.setattr(signals.InputTable, "bound", lambda t: calls.append(t) or bound(t))
     cfgs = [scenario_config(name) for name in ("paper-sec5-static", "paper-sec5-adaptive",
                                                "ring-demo")]
     args = ["--out", str(tmp_path / "out"), "--t-end", "0.01"] if command == "run" else []
     assert main([command, "--config", write_config(tmp_path, cfgs), *args]) == 0
-    assert [rs.n_agents for rs in calls] == [6, 6, 4]
+    assert [len(t.kinds) for t in calls] == [6, 6, 4]
 
 
 @pytest.mark.parametrize("command", ["run", "gains"])

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -424,6 +425,14 @@ class TestAdaptiveGamma:
         with pytest.raises(ConfigError, match="^Gamma: "):
             AdaptiveParams(K=K, Gamma=params.Gamma, P=params.P, mu=1.0, nu=1.0, theta=0.1,
                            chi=0.1, eps=1.0, phi=0.5)
+
+    def test_signature_shows_the_fields(self):
+        # __init__ takes a Gamma besides the fields; help() shows both
+        params = inspect.signature(AdaptiveParams).parameters
+        assert list(params) == ["K", "mu", "nu", "theta", "chi", "eps", "phi", "P", "alpha0",
+                                "beta0", "Gamma"]
+        assert params["Gamma"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["Gamma"].default is None
 
     def test_drive_is_the_paper_quadratic_form(self):
         # with alpha = beta = 0 the rates are mu and nu times the drives:

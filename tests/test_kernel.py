@@ -177,6 +177,11 @@ class TestEdgeKernel:
         with pytest.raises(ConfigError):
             ClosedLoop([(g, rs, gains)], "sliding")
 
+    def test_one_mode_per_block(self):
+        g, rs, gains, *_ = random_network(4, 5, "static")
+        with pytest.raises(ConfigError, match="^1 modes for 2 blocks$"):
+            ClosedLoop([(g, rs, gains)] * 2, ["static"])
+
 
     def test_call_needs_one_row_per_agent(self):
         # the gather does not check its indices against x, so the wrapper does

@@ -10,7 +10,7 @@ from avgtrack import (
     solve_lyapunov,
     sym_eigvals,
 )
-from avgtrack.errors import NoConvergence, NotStabilizable, NotSymmetric, SingularSystem
+from avgtrack.errors import NoConvergence, NonFinite, NotStabilizable, NotSymmetric, SingularSystem
 from avgtrack.numerics import finite_norms
 from conftest import random_stabilizable
 
@@ -208,6 +208,22 @@ class TestAre:
 
 
 class TestMatrixExp:
+    # the failure is the one NonFinite, with no numpy warning before it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A, t, message", [
+        pytest.param([[np.nan]], 1.0, r"non-finite entries in A\*t", id="nan"),
+        pytest.param([[0.0, np.inf], [0.0, 0.0]], 1.0, r"non-finite entries in A\*t", id="inf"),
+        pytest.param([[1000.0]], 1.0, "matrix exponential overflowed", id="squaring"),
+        # inf * 0 in the squaring: NaN entries
+        pytest.param([[1000.0, 0.0], [0.0, 0.0]], 1.0, "matrix exponential overflowed",
+                     id="squaring-nan"),
+        # A*t itself beyond the double range
+        pytest.param([[1e300]], 1e10, r"non-finite entries in A\*t", id="scaling"),
+    ])
+    def test_failure_is_one_nonfinite(self, A, t, message):
+        with pytest.raises(NonFinite, match=f"^{message}$"):
+            matrix_exp(A, t)
+
     def test_zero(self):
         np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3)), 2.0), np.eye(3))
 

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from avgtrack import (
     InputDescriptor,
+    InputTable,
     LinearPlant,
     ReferenceSet,
     eval_input,
-    input_bound,
     matrix_exp,
     reference_trajectory,
 )
@@ -76,14 +76,14 @@ class TestInputBound:
             [[0, 0], [1, 1]],
             [InputDescriptor(kind="zero"), InputDescriptor(kind="zero")],
         )
-        assert input_bound(rs) == 0.0
+        assert rs.inputs.bound() == 0.0
 
     def test_sec5_bound(self):
         inputs = [
             InputDescriptor(kind="sinusoid", amp=[(i + 1) / 2.0], omega=1.0) for i in range(1, 7)
         ]
         rs = make_refset(SEC5_PLANT, [[i, -i] for i in range(1, 7)], inputs)
-        assert input_bound(rs) == pytest.approx(3.5)
+        assert rs.inputs.bound() == pytest.approx(3.5)
 
     def test_constants(self):
         rs = make_refset(
@@ -94,7 +94,7 @@ class TestInputBound:
                 InputDescriptor(kind="constant", value=[0.0, 2.0]),
             ],
         )
-        assert input_bound(rs) == pytest.approx(2.0)
+        assert rs.inputs.bound() == pytest.approx(2.0)
 
 
     def test_norm_bits_of_ordinary_inputs_kept(self):
@@ -116,8 +116,8 @@ class TestInputBound:
             # the norm itself beyond the double range
             (InputDescriptor(kind="constant", value=[1.5e308, 1.5e308]), np.inf),
         ):
-            assert input_bound(make_refset(plant, [[0, 0], [0, 0]], [d, d])) == f0
-            # with no overflow warning, as input_bound
+            assert make_refset(plant, [[0, 0], [0, 0]], [d, d]).inputs.bound() == f0
+            # with no overflow warning, as the table's bound
             assert d.bound() == f0
 
 
@@ -134,6 +134,21 @@ class TestValidation:
                 [InputDescriptor(kind="zero"), InputDescriptor(kind="zero")],
             )
 
+    def test_flat_b_is_one_column(self):
+        plant = LinearPlant(A=SEC5_PLANT.A, B=[0.0, 1.0])
+        assert plant.m == 1
+        np.testing.assert_array_equal(plant.B, SEC5_PLANT.B)
+
+    def test_one_input_per_initial_state(self):
+        with pytest.raises(ConfigError, match="^one input descriptor per reference signal"):
+            make_refset(SEC5_PLANT, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
+                        [InputDescriptor(kind="zero")] * 2)
+
+    def test_prebuilt_table_width_must_match_b(self):
+        table = InputTable.of([InputDescriptor(kind="zero")] * 2, 2)
+        with pytest.raises(ConfigError, match="^input dimension must match B's column count$"):
+            ReferenceSet(plant=SEC5_PLANT, initial_states=np.zeros((2, 2)), inputs=table)
+
     @pytest.mark.parametrize("d, entries", [
         (InputDescriptor(kind="constant", value=[1.0, 2.0]), "2 entries"),
         (InputDescriptor(kind="table", times=[0.0], values=[[1.0, 2.0, 3.0]]), "3 entries"),
@@ -145,6 +160,11 @@ class TestValidation:
 
 
 class TestReferenceTrajectory:
+    def test_negative_time_rejected(self):
+        rs = make_refset(SEC5_PLANT, [[1.0, 0.0], [0.0, 1.0]], [InputDescriptor(kind="zero")] * 2)
+        with pytest.raises(ConfigError, match="^t must be nonnegative$"):
+            reference_trajectory(rs, 0, -0.5)
+
     def test_homogeneous(self):
         rs = make_refset(
             SEC5_PLANT,
