@@ -18,8 +18,8 @@ def main() -> None:
         plant=plant,
         initial_states=np.array([[1.0, 0.0], [-1.0, 0.5]]),
         inputs=(
-            at.InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0),
-            at.InputDescriptor(kind="sinusoid", amp=[0.5], omega=2.0, phase=1.0),
+            {"kind": "sinusoid", "amp": [1.0], "omega": 1.0},
+            {"kind": "sinusoid", "amp": [0.5], "omega": 2.0, "phase": 1.0},
         ),
     )
     g = at.Graph(2, ((0, 1),))

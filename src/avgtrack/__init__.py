@@ -15,14 +15,7 @@ from .numerics import (
     solve_lyapunov,
     sym_eigvals,
 )
-from .signals import (
-    InputDescriptor,
-    InputTable,
-    LinearPlant,
-    ReferenceSet,
-    eval_input,
-    reference_trajectory,
-)
+from .signals import InputTable, LinearPlant, ReferenceSet, reference_trajectory
 from .control import (
     AdaptiveParams,
     StaticGains,
@@ -52,8 +45,7 @@ __all__ = [
     "Graph", "laplacian", "is_connected", "lambda2",
     "AreSolution", "NumericsConfig", "is_stabilizable", "matrix_exp",
     "solve_are", "solve_lyapunov", "sym_eigvals",
-    "InputDescriptor", "InputTable", "LinearPlant", "ReferenceSet", "eval_input",
-    "reference_trajectory",
+    "InputTable", "LinearPlant", "ReferenceSet", "reference_trajectory",
     "AdaptiveParams", "StaticGains", "boundary_layer", "design_gains",
     "discontinuous_sign",
     "SimConfig", "Trajectory", "integrate", "run",

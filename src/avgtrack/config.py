@@ -14,8 +14,7 @@ from .errors import MALFORMED, ConfigError, NotSymmetric, located
 from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
 from .signals import (
-    INPUT_KEYS, INPUT_VECTORS, ZERO_INPUT, InputDescriptor, InputTable, LinearPlant, ReferenceSet,
-    input_keys,
+    ZERO_INPUT, InputTable, LinearPlant, ReferenceSet, check_input, finite_numbers, plain_input,
 )
 from .sim import SimConfig
 
@@ -138,53 +137,28 @@ class Scenario:
 
 
 _AGENT_KEYS = {"r0", "input"}
-_NUMBER = {int, float}
 
 
 def _plain_agent(agent, n: int, m: int) -> bool:
-    """True for an agent that InputTable.of and the initial states read as it
-    stands: known keys, r0 null or n numbers, and an input of a parametric
-    kind with its keys, its list of m numbers and number omega and phase,
-    every number finite. Their sum is finite if and only if every number is
-    (an int beyond float's range raises on the way)."""
+    """True for an agent that the initial states and InputTable read as it
+    stands: known keys, r0 null or n finite numbers, and an input in the
+    plain form (signals.plain_input)."""
     if type(agent) is not dict or not agent.keys() <= _AGENT_KEYS:
         return False
     r0 = agent.get("r0")
-    if r0 is not None and not (type(r0) is list and len(r0) == n):
+    if r0 is not None and not (type(r0) is list and len(r0) == n and finite_numbers(r0)):
         return False
-    d = agent.get("input", ZERO_INPUT)
-    kind = d.get("kind") if type(d) is dict else None
-    if type(kind) is not str or kind not in INPUT_VECTORS or not d.keys() <= INPUT_KEYS[kind]:
-        return False
-    numbers = [*(r0 or ()), *(d[k] for k in ("omega", "phase") if k in d)]
-    for key in INPUT_VECTORS[kind]:
-        v = d.get(key)
-        if not (type(v) is list and len(v) == m):
-            return False
-        numbers += v
-    if not _NUMBER.issuperset(map(type, numbers)):
-        return False
-    try:
-        return math.isfinite(sum(numbers, 0.0))
-    except OverflowError:
-        return False
+    return plain_input(agent.get("input", ZERO_INPUT), m)
 
 
-def _parse_input(d: dict, where: str) -> InputDescriptor:
-    keys = located(where, input_keys, d.get("kind") if isinstance(d, dict) else None)
-    _check_keys(d, keys, where)
-    # InputDescriptor converts the fields and checks that the kind has them
-    return located(where, InputDescriptor, **d)
-
-
-def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, InputDescriptor]:
-    """Agent k checked alone: its r0 (None where it is drawn) and its input.
-    Its first fault raises, named by its index."""
+def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, dict]:
+    """Agent k checked alone: its r0 (None where it is drawn) and its input,
+    by signals.check_input. Its first fault raises, named by its index."""
     _check_keys(agent, _AGENT_KEYS, f"agents[{k}]")
     r0 = agent.get("r0")
     if r0 is not None:
         r0 = located(f"agents[{k}].r0", _initial_state, r0, n)
-    return r0, _parse_input(agent.get("input", ZERO_INPUT), f"agents[{k}].input")
+    return r0, check_input(agent.get("input", ZERO_INPUT), f"agents[{k}].input")
 
 
 def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
@@ -194,8 +168,8 @@ def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
     finite) is checked alone: the odd agents' numbers first, as every
     section's are, then each odd agent by `_agent`, in agent order, so the
     first fault is the one an agent-by-agent parse would name. Its r0 and
-    descriptor take its place, and InputTable.of checks each descriptor's
-    width after all agents."""
+    checked input take its place; each input is recognized or checked once,
+    and the table checks the widths after all agents."""
     if not isinstance(agents, (list, tuple)):
         raise ConfigError("agents must be a JSON list")
     n, m = plant.n, plant.m
@@ -214,7 +188,7 @@ def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
         rng = np.random.default_rng(0 if seed is None else seed)
         r0[drawn] = rng.standard_normal((len(drawn), n))
     return ReferenceSet(plant=plant, initial_states=r0,
-                        inputs=InputTable.of([d for _, d in rows], m))
+                        inputs=InputTable._of_checked([d for _, d in rows], m))
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:

@@ -30,9 +30,7 @@ class NumericsConfig:
     """Tolerances for the numerics kernel. Defaults match the documented
     contracts; every value is positive and finite, and has its default's type."""
 
-    lyap_residual_tol: float = 1e-10
     are_residual_tol: float = 1e-9
-    are_max_iter: int = 100
 
     def __post_init__(self):
         for f in fields(self):
@@ -49,6 +47,8 @@ class NumericsConfig:
 
 DEFAULT_CONFIG = NumericsConfig()
 _ARE_STEP_TOL = 1e-12       # successive-iterate Frobenius tolerance of the ARE solve
+_ARE_MAX_ITER = 100         # Newton steps of the ARE solve
+_LYAP_RESIDUAL_TOL = 1e-10  # relative residual tolerance of the Lyapunov solve
 _RANK_RTOL = 1e-10          # relative singular-value cutoff of the PBH test
 
 
@@ -83,15 +83,13 @@ def finite_norms(nrm: NDArray, v: NDArray, axis: int | None = -1) -> NDArray[np.
     return np.where(bad, again.reshape(np.shape(nrm)), nrm)[()]
 
 
-def solve_lyapunov(
-    F: NDArray, Q: NDArray, cfg: NumericsConfig = DEFAULT_CONFIG
-) -> NDArray[np.float64]:
+def solve_lyapunov(F: NDArray, Q: NDArray) -> NDArray[np.float64]:
     """Solve F^T X + X F + Q = 0 for symmetric X.
 
     Vectorizes into the n^2 x n^2 Kronecker-sum system
     (I (x) F^T + F^T (x) I) vec(X) = -vec(Q). O(n^6), fine at these sizes.
     X is exactly symmetric. Its one failure test is the residual: SingularSystem
-    unless ||F^T X + X F + Q||_F <= lyap_residual_tol * max(1, ||Q||_F), NaN
+    unless ||F^T X + X F + Q||_F <= _LYAP_RESIDUAL_TOL * max(1, ||Q||_F), NaN
     failing, and for an exactly singular sum; LinAlgError for a sum not finite.
     """
     F = np.asarray(F, dtype=float)
@@ -112,7 +110,7 @@ def solve_lyapunov(
     X = vecX.reshape((n, n), order="F")
     X = (X + X.T) / 2.0
     resid = np.linalg.norm(F.T @ X + X @ F + Q, "fro")
-    if not resid <= cfg.lyap_residual_tol * max(1.0, np.linalg.norm(Q, "fro")):
+    if not resid <= _LYAP_RESIDUAL_TOL * max(1.0, np.linalg.norm(Q, "fro")):
         raise SingularSystem(f"Lyapunov residual {resid:.3e} above tolerance")
     return X
 
@@ -222,10 +220,10 @@ def _newton_kleinman(A: NDArray, B: NDArray, Q: NDArray, cfg: NumericsConfig) ->
 
     K = _initial_gain(A, B, Q)
     P_prev = None
-    for it in range(1, cfg.are_max_iter + 1):
+    for it in range(1, _ARE_MAX_ITER + 1):
         F = A - B @ K
         # closed-loop Lyapunov: F^T P + P F + (Q + K^T K) = 0; P comes back symmetric
-        P = solve_lyapunov(F, Q + K.T @ K, cfg)
+        P = solve_lyapunov(F, Q + K.T @ K)
         K = B.T @ P
         resid = float(np.linalg.norm(P @ A + A.T @ P - P @ B @ B.T @ P + Q, "fro"))
         if resid <= cfg.are_residual_tol:

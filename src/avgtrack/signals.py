@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError
+from .errors import ConfigError, located
 from .numerics import finite_norms, matrix_exp
 
 
@@ -45,7 +45,8 @@ class LinearPlant:
         return self.B.shape[1]
 
 
-# each kind's config keys, each parametric kind's list of m entries, the default input
+# each kind's config keys, each parametric kind's list of m entries, the
+# default input and a sinusoid's defaults
 INPUT_KEYS = {
     "zero": {"kind"},
     "constant": {"kind", "value"},
@@ -54,128 +55,141 @@ INPUT_KEYS = {
 }
 INPUT_VECTORS = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
 ZERO_INPUT = {"kind": "zero"}
+SINE_DEFAULTS = {"omega": 1.0, "phase": 0.0}
+# the order in which check_input converts an input's fields
+_FIELDS = ("value", "amp", "times", "values", "omega", "phase")
+_NUMBER = {int, float}
 
 
-def input_keys(kind) -> set[str]:
-    """The keys of a config input object of this kind, one of INPUT_KEYS."""
+def finite_numbers(values: list) -> bool:
+    """True if every value is an int or a float, and their sum is finite, so
+    every value is (an int beyond float's range raises on the way). False
+    only sends the values to the full check."""
+    if not _NUMBER.issuperset(map(type, values)):
+        return False
+    try:
+        return math.isfinite(sum(values, 0.0))
+    except OverflowError:
+        return False
+
+
+def plain_input(d, m: int) -> bool:
+    """True for a config input object that InputTable reads as it stands: a
+    zero, constant or sinusoid kind with only its own keys, its list of m
+    numbers and number omega and phase, every number finite."""
+    kind = d.get("kind") if type(d) is dict else None
+    if type(kind) is not str or kind not in INPUT_VECTORS or not d.keys() <= INPUT_KEYS[kind]:
+        return False
+    numbers = [d[k] for k in SINE_DEFAULTS if k in d]
+    for key in INPUT_VECTORS[kind]:
+        v = d.get(key)
+        if not (type(v) is list and len(v) == m):
+            return False
+        numbers += v
+    return finite_numbers(numbers)
+
+
+def check_input(d, where: str) -> dict:
+    """The config input object d checked and converted: its kind one of
+    INPUT_KEYS with only that kind's keys; value, amp and times flat arrays,
+    values one row per time (a flat list as long as times is one column),
+    a sinusoid's omega and phase floats (SINE_DEFAULTS where absent), every
+    number finite; a table's times strictly increasing. Its output passes
+    again unchanged. A fault raises ConfigError naming `where`."""
+    kind = d.get("kind") if isinstance(d, dict) else None
     if not isinstance(kind, str) or kind not in INPUT_KEYS:
-        raise ConfigError(f"input kind {kind!r} is not one of {sorted(INPUT_KEYS)}")
-    return INPUT_KEYS[kind]
+        raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(INPUT_KEYS)}")
+    unknown = set(d) - INPUT_KEYS[kind]
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    return located(where, _converted, d)
 
 
-@dataclass(frozen=True)
-class InputDescriptor:
-    """Closed-form bounded input f(t) in R^m.
-
-    Kinds:
-      zero      -- f(t) = 0
-      constant  -- f(t) = value
-      sinusoid  -- f(t) = amp * sin(omega*t + phase), amp in R^m
-      table     -- linear interpolation on a sample grid; held at the last
-                   value beyond the grid (out-of-range policy: hold).
-    """
-
-    kind: str
-    value: NDArray[np.float64] | None = None       # constant
-    amp: NDArray[np.float64] | None = None         # sinusoid
-    omega: float = 1.0
-    phase: float = 0.0
-    times: NDArray[np.float64] | None = None       # table
-    values: NDArray[np.float64] | None = None      # table, shape (len(times), m)
-
-    def __post_init__(self):
-        input_keys(self.kind)
-        for name in ("value", "amp", "times", "values", "omega", "phase"):
-            v = getattr(self, name)
-            scalar = name in ("omega", "phase")
-            # omega and phase have defaults, so a null one is a fault
-            if v is not None or scalar:
-                v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
-                if name in ("value", "amp", "times") and v.ndim != 1:
-                    raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
-                # an input holds few numbers, and a loop over them beats np.isfinite
-                numbers = [v] if scalar else v.ravel().tolist()
-                if not all(map(math.isfinite, numbers)):
-                    raise ConfigError(f"{name} must be finite, got {numbers}")
-                object.__setattr__(self, name, v)
-        if self.kind == "constant" and self.value is None:
-            raise ConfigError("constant input needs a value")
-        if self.kind == "sinusoid" and self.amp is None:
-            raise ConfigError("sinusoid input needs an amplitude")
-        if self.kind == "table":
-            if self.times is None or self.values is None or not len(self.times):
-                raise ConfigError("table input needs values and at least one sample time")
-            t = self.times
-            v = self.values
-            # a flat list as long as the grid is the one input's column
-            v = v[:, None] if v.ndim == 1 and len(v) == len(t) else np.atleast_2d(v)
-            if v.ndim != 2:
-                raise ConfigError(f"values must be one row of numbers per time, got shape "
-                                  f"{v.shape}")
-            if v.shape[0] != t.shape[0]:
-                raise ConfigError("table times/values length mismatch")
-            if np.any(np.diff(t) <= 0):
-                raise ConfigError("table times must be strictly increasing")
-            object.__setattr__(self, "values", v)
-
-    def dim(self, m: int) -> int:
-        v = {"constant": self.value, "sinusoid": self.amp, "table": self.values}.get(self.kind)
-        return m if v is None else v.shape[-1]
-
-    def bound(self) -> float:
-        """Declared bound on sup_t ||f(t)|| (exact for parametric kinds,
-        max over the grid for tables), by InputTable.bound."""
-        return InputTable.of([self], self.dim(1)).bound()
-
-
-def eval_input(d: InputDescriptor, t: float | NDArray, m: int = 1) -> NDArray[np.float64]:
-    """Evaluate f(t) for t >= 0, or f at each of an array of times, one row
-    of m entries per time, by InputTable.eval."""
-    return InputTable.of([d], d.dim(m)).eval(t)[..., 0, :]
+def _converted(d: dict) -> dict:
+    kind = d["kind"]
+    out = {"kind": kind}
+    for name in _FIELDS:
+        scalar = name in SINE_DEFAULTS
+        v = d.get(name, SINE_DEFAULTS.get(name))
+        # omega and phase have defaults, so a null one is a fault
+        if name not in INPUT_KEYS[kind] or (v is None and not scalar):
+            continue
+        v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
+        if name in ("value", "amp", "times") and v.ndim != 1:
+            raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
+        # an input holds few numbers, and a loop over them beats np.isfinite
+        numbers = [v] if scalar else v.ravel().tolist()
+        if not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"{name} must be finite, got {numbers}")
+        out[name] = v
+    if kind == "constant" and "value" not in out:
+        raise ConfigError("constant input needs a value")
+    if kind == "sinusoid" and "amp" not in out:
+        raise ConfigError("sinusoid input needs an amplitude")
+    if kind == "table":
+        if "times" not in out or "values" not in out or not len(out["times"]):
+            raise ConfigError("table input needs values and at least one sample time")
+        t, v = out["times"], out["values"]
+        # a flat list as long as the grid is the one input's column
+        v = v[:, None] if v.ndim == 1 and len(v) == len(t) else np.atleast_2d(v)
+        if v.ndim != 2:
+            raise ConfigError(f"values must be one row of numbers per time, got shape {v.shape}")
+        if v.shape[0] != t.shape[0]:
+            raise ConfigError("table times/values length mismatch")
+        if np.any(np.diff(t) <= 0):
+            raise ConfigError("table times must be strictly increasing")
+        out["values"] = v
+    return out
 
 
 @dataclass(frozen=True, eq=False)
 class InputTable:
     """N inputs as whole arrays: f_i(t) = amp[i] sin(omega[i] t + phase[i]) +
     const[i] covers the zero, constant and sinusoid kinds in one expression,
-    their unused entries zero; `tables` holds the table inputs by row, each
-    evaluated on its own grid. The only code that evaluates or bounds an
-    input."""
+    their unused entries zero; `tables` maps each table input's row to its
+    (times, values), evaluated on its own grid. The only code that evaluates
+    or bounds an input."""
 
     kinds: tuple[str, ...]
     amp: NDArray[np.float64]      # (N, m)
     omega: NDArray[np.float64]    # (N,)
     phase: NDArray[np.float64]    # (N,)
     const: NDArray[np.float64]    # (N, m)
-    tables: dict[int, InputDescriptor] = field(default_factory=dict)
+    tables: dict[int, tuple[NDArray[np.float64], NDArray[np.float64]]] = field(
+        default_factory=dict)
 
     @classmethod
-    def of(cls, inputs: Sequence[InputDescriptor | dict], m: int) -> InputTable:
-        """The table of m entries per row that holds the inputs, each an
-        InputDescriptor of width m or a config input object in the plain form:
-        a zero, constant or sinusoid kind with its list of m numbers and number
-        omega and phase, all finite. The only map from kinds to columns."""
+    def of(cls, objects: Sequence[dict], m: int) -> InputTable:
+        """The table of m entries per row that holds the config input
+        objects, each checked: one in the plain form (plain_input) as it
+        stands, any other by check_input. A fault raises ConfigError naming
+        the row as agents[i].input; a width other than m is named after
+        every row's own checks."""
+        return cls._of_checked([d if plain_input(d, m) else check_input(d, f"agents[{i}].input")
+                                for i, d in enumerate(objects)], m)
+
+    @classmethod
+    def _of_checked(cls, objects: Sequence[dict], m: int) -> InputTable:
+        """The table of objects that plain_input or check_input passed, with
+        the width of each checked: the only map from kinds to columns."""
         zero = [0.0] * m
         kinds, amp, omega, phase, const, tables = [], [], [], [], [], {}
-        for i, d in enumerate(inputs):
-            if isinstance(d, InputDescriptor):
-                width = d.dim(m)
-                if width != m:
-                    entries = "1 entry" if width == 1 else f"{width} entries"
-                    raise ConfigError(f"agents[{i}].input: {entries} per time, B has {m} "
-                                      f"column{'' if m == 1 else 's'}")
-                if d.kind == "table":
-                    # evaluated on its own grid, over zeros in the columns
-                    tables[i], d = d, {"kind": d.kind}
-                else:
-                    d = vars(d)     # its fields by name, as a config object's keys
+        for i, d in enumerate(objects):
             kind = d["kind"]
             sine = kind == "sinusoid"
+            row = d["values"][0] if kind == "table" else d.get("amp" if sine else "value", zero)
+            if len(row) != m:
+                entries = "1 entry" if len(row) == 1 else f"{len(row)} entries"
+                raise ConfigError(f"agents[{i}].input: {entries} per time, B has {m} "
+                                  f"column{'' if m == 1 else 's'}")
+            if kind == "table":
+                # evaluated on its own grid, over zeros in the columns
+                tables[i] = d["times"], d["values"]
             kinds.append(kind)
-            amp.append(d["amp"] if sine else zero)
-            omega.append(d.get("omega", InputDescriptor.omega) if sine else 0.0)
-            phase.append(d.get("phase", InputDescriptor.phase) if sine else 0.0)
-            const.append(d["value"] if kind == "constant" else zero)
+            amp.append(row if sine else zero)
+            omega.append(d.get("omega", SINE_DEFAULTS["omega"]) if sine else 0.0)
+            phase.append(d.get("phase", SINE_DEFAULTS["phase"]) if sine else 0.0)
+            const.append(row if kind == "constant" else zero)
         N = len(kinds)
         return cls(tuple(kinds), np.array(amp, dtype=float).reshape(N, m),
                    np.array(omega, dtype=float), np.array(phase, dtype=float),
@@ -196,12 +210,20 @@ class InputTable:
 
     def eval(self, t: float | Sequence[float]) -> NDArray[np.float64]:
         """All f_i(t) as an (N, m) array, or (T, N, m) for T times, each time
-        with the bits of a call at it alone; a table holds its end values."""
-        t = np.asarray(t, dtype=float)
-        f = self.amp * np.sin(self.omega * t[..., None] + self.phase)[..., None] + self.const
-        for i, d in self.tables.items():
-            for k, v in enumerate(d.values.T):
-                f[..., i, k] = np.interp(t, d.times, v)
+        with the bits of a call at it alone. A table interpolates linearly on
+        its grid and holds its end values beyond it; a row with omega = 0
+        reads amp sin(phase) + const at every t, t = inf included."""
+        t = np.asarray(t, dtype=float)[..., None]
+        if np.isfinite(t).all():
+            arg = self.omega * t + self.phase
+        else:
+            # 0 t is nan at t = inf, so a row with omega = 0 takes 0 for omega t
+            arg = np.multiply(self.omega, t, where=self.omega != 0.0, out=np.zeros(
+                np.broadcast_shapes(t.shape, self.omega.shape))) + self.phase
+        f = self.amp * np.sin(arg)[..., None] + self.const
+        for i, (times, values) in self.tables.items():
+            for k, v in enumerate(values.T):
+                f[..., i, k] = np.interp(t[..., 0], times, v)
         return f
 
     def bound(self) -> float:
@@ -216,20 +238,20 @@ class InputTable:
             # a row norm and its one-vector form differ by rounding, far below 1e-12
             near = rows[nrm >= top * (1.0 - 1e-12)] if top > 0.0 else rows[:0]
             vectors = [finite_norms(np.linalg.norm(v), v, None) for v in near]
-            grids = [finite_norms(np.linalg.norm(d.values, axis=1), d.values, 1).max()
-                     for d in self.tables.values()]
+            grids = [finite_norms(np.linalg.norm(v, axis=1), v, 1).max()
+                     for _, v in self.tables.values()]
             return float(max([0.0, *vectors, *grids]))
 
 
 @dataclass(frozen=True)
 class ReferenceSet:
     """N reference signals r_i driven by the shared plant and inputs f_i,
-    given as their InputTable or as anything InputTable.of takes, which
-    builds it."""
+    given as their InputTable or as config input objects, which
+    InputTable.of checks into one."""
 
     plant: LinearPlant
     initial_states: NDArray[np.float64]   # (N, n)
-    inputs: InputTable | Sequence[InputDescriptor] = ()
+    inputs: InputTable | Sequence[dict] = ()
 
     def __post_init__(self):
         r0 = np.atleast_2d(np.asarray(self.initial_states, dtype=float))

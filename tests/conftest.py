@@ -96,8 +96,8 @@ def random_blocks(seed, laws, n, m, own_rates=False):
             gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
                                    eps=eps, phi=phi, P=np.eye(n))
         inputs = tuple(
-            at.InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m),
-                               omega=rng.uniform(0.5, 2), phase=rng.uniform(0, 6))
+            {"kind": "sinusoid", "amp": rng.standard_normal(m),
+             "omega": rng.uniform(0.5, 2), "phase": rng.uniform(0, 6)}
             for _ in range(N)
         )
         rs = at.ReferenceSet(plant=plant, initial_states=0.5 * rng.standard_normal((N, n)),
@@ -121,4 +121,4 @@ def loop_coupling(loop, t, x, alpha=None, beta=None):
 def zero_references(plant, n):
     """n agents of the plant at rest with zero inputs."""
     return at.ReferenceSet(plant=plant, initial_states=np.zeros((n, plant.n)),
-                           inputs=tuple(at.InputDescriptor(kind="zero") for _ in range(n)))
+                           inputs=tuple({"kind": "zero"} for _ in range(n)))

@@ -12,7 +12,6 @@ import pytest
 import avgtrack as at
 from avgtrack import (
     Graph,
-    InputDescriptor,
     LinearPlant,
     ReferenceSet,
     SimConfig,
@@ -161,12 +160,8 @@ def test_criterion_6_consensus_manifold_oracle():
         N = int(rng.integers(2, 5))
         plant = LinearPlant(A=rng.standard_normal((n, n)) * 0.4, B=rng.standard_normal((n, 1)))
         inputs = tuple(
-            InputDescriptor(
-                kind="sinusoid",
-                amp=rng.standard_normal(1),
-                omega=rng.uniform(0.5, 3.0),
-                phase=rng.uniform(0.0, 6.0),
-            )
+            {"kind": "sinusoid", "amp": rng.standard_normal(1),
+             "omega": rng.uniform(0.5, 3.0), "phase": rng.uniform(0.0, 6.0)}
             for _ in range(N)
         )
         rs = ReferenceSet(plant=plant, initial_states=rng.standard_normal((N, n)), inputs=inputs)
@@ -255,8 +250,8 @@ def test_criterion_9_chattering_comparison():
         plant=plant,
         initial_states=np.array([[1.0, 0.0], [-1.0, 0.5]]),
         inputs=(
-            InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0),
-            InputDescriptor(kind="sinusoid", amp=[0.5], omega=2.0, phase=1.0),
+            {"kind": "sinusoid", "amp": [1.0], "omega": 1.0},
+            {"kind": "sinusoid", "amp": [0.5], "omega": 2.0, "phase": 1.0},
         ),
     )
     g = Graph(2, ((0, 1),))

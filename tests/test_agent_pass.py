@@ -13,15 +13,13 @@ import pytest
 import avgtrack as at
 from avgtrack.cli import main
 from avgtrack.scenarios import scenario_config
+from avgtrack.signals import check_input
 
 # the benchmark's workload generator, from its file
 _spec = importlib.util.spec_from_file_location(
     "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
-
-FIELDS = ("kind", "value", "amp", "omega", "phase", "times", "values")
-
 
 def network(seed):
     return json.loads(workloads.config_text("network-1k", seed))
@@ -63,9 +61,9 @@ def odd_forms():
 
 
 def agent_by_agent(cfg, seed):
-    """The initial states, the input table and the descriptors of cfg's
-    agents, one agent at a time, as the parse built them before the array
-    pass."""
+    """The initial states, the input table and the checked input objects of
+    cfg's agents, one agent at a time, each input by check_input, as the
+    parse built them before the array pass."""
     n = len(cfg["plant"]["A"])
     m = np.atleast_2d(np.asarray(cfg["plant"]["B"], dtype=float)).shape[1]
     rng = None
@@ -76,14 +74,14 @@ def agent_by_agent(cfg, seed):
             rng = rng or np.random.default_rng(0 if seed is None else seed)
             r0 = rng.standard_normal(n)
         r0s.append(np.asarray(r0, dtype=float))
-        inputs.append(at.InputDescriptor(**agent.get("input", {"kind": "zero"})))
+        inputs.append(check_input(agent.get("input", {"kind": "zero"}), "input"))
     N = len(inputs)
     amp, const, omega, phase = np.zeros((N, m)), np.zeros((N, m)), np.zeros(N), np.zeros(N)
     for i, d in enumerate(inputs):
-        if d.kind == "sinusoid":
-            amp[i], omega[i], phase[i] = d.amp, d.omega, d.phase
-        elif d.kind == "constant":
-            const[i] = d.value
+        if d["kind"] == "sinusoid":
+            amp[i], omega[i], phase[i] = d["amp"], d["omega"], d["phase"]
+        elif d["kind"] == "constant":
+            const[i] = d["value"]
     return np.array(r0s), (amp, omega, phase, const), inputs
 
 
@@ -108,15 +106,15 @@ def test_parse_has_the_bits_of_the_agent_by_agent_build(cfg, seed):
     r0, columns, inputs = agent_by_agent(cfg, seed)
     assert same_bits(rs.initial_states, r0)
     table = rs.inputs
-    assert table.kinds == tuple(d.kind for d in inputs)
+    assert table.kinds == tuple(d["kind"] for d in inputs)
     for got, want in zip((table.amp, table.omega, table.phase, table.const), columns):
         assert same_bits(got, want)
-    assert sorted(table.tables) == [i for i, d in enumerate(inputs) if d.kind == "table"]
-    for i, got in table.tables.items():
-        for name in FIELDS:
-            assert same_bits(getattr(got, name), getattr(inputs[i], name)), name
+    assert sorted(table.tables) == [i for i, d in enumerate(inputs) if d["kind"] == "table"]
+    for i, (times, values) in table.tables.items():
+        assert same_bits(times, inputs[i]["times"]) and same_bits(values, inputs[i]["values"])
+    m = table.amp.shape[1]
     with np.errstate(over="ignore"):
-        assert same_bits(scn.f0, max(d.bound() for d in inputs))
+        assert same_bits(scn.f0, max(at.InputTable.of([d], m).bound() for d in inputs))
 
 
 def test_reference_set_of_descriptors_has_the_agent_by_agent_columns():
@@ -124,10 +122,12 @@ def test_reference_set_of_descriptors_has_the_agent_by_agent_columns():
     rs = at.ReferenceSet(at.LinearPlant([[0.0, 1.0], [-1.0, -2.0]], [[0.0], [1.0]]),
                          np.zeros((6, 2)), tuple(inputs))
     table = rs.inputs
-    assert table.kinds == tuple(d.kind for d in inputs)
+    assert table.kinds == tuple(d["kind"] for d in inputs)
     for got, want in zip((table.amp, table.omega, table.phase, table.const), columns):
         assert same_bits(got, want)
-    assert table.tables == {i: d for i, d in enumerate(inputs) if d.kind == "table"}
+    assert sorted(table.tables) == [i for i, d in enumerate(inputs) if d["kind"] == "table"]
+    for i, (times, values) in table.tables.items():
+        assert same_bits(times, inputs[i]["times"]) and same_bits(values, inputs[i]["values"])
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -142,7 +142,8 @@ def test_reference_set_of_descriptors_has_the_agent_by_agent_columns():
 def test_table_of_a_config_object_has_the_bits_of_its_descriptor(obj, m):
     obj = {k: v[:m] if type(v) is list else v for k, v in obj.items()}
     got = at.InputTable.of([obj, obj], m)
-    want = at.InputTable.of([at.InputDescriptor(**obj)] * 2, m)
+    # against its checked form, check_input's arrays in place of lists
+    want = at.InputTable.of([check_input(obj, "input")] * 2, m)
     assert got.kinds == want.kinds == (obj["kind"],) * 2
     for name in ("amp", "omega", "phase", "const"):
         assert same_bits(getattr(got, name), getattr(want, name)), name

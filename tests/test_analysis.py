@@ -3,7 +3,6 @@ import pytest
 
 import avgtrack as at
 from avgtrack import (
-    InputDescriptor,
     LinearPlant,
     ReferenceSet,
     TheoremConstants,
@@ -275,7 +274,7 @@ class TestConsensusManifold:
         rs = ReferenceSet(
             plant=plant,
             initial_states=np.array([[1.0, 2.0], [3.0, -1.0]]),
-            inputs=(InputDescriptor(kind="zero"), InputDescriptor(kind="zero")),
+            inputs=({"kind": "zero"}, {"kind": "zero"}),
         )
         np.testing.assert_allclose(consensus_manifold(rs, 30.0), 0.0, atol=1e-10)
 
@@ -286,12 +285,8 @@ class TestConsensusManifold:
             N = int(rng.integers(2, 5))
             plant = LinearPlant(A=rng.standard_normal((n, n)) * 0.4, B=rng.standard_normal((n, 1)))
             inputs = tuple(
-                InputDescriptor(
-                    kind="sinusoid",
-                    amp=rng.standard_normal(1),
-                    omega=rng.uniform(0.5, 3.0),
-                    phase=rng.uniform(0, 6),
-                )
+                {"kind": "sinusoid", "amp": rng.standard_normal(1),
+                 "omega": rng.uniform(0.5, 3.0), "phase": rng.uniform(0, 6)}
                 for _ in range(N)
             )
             rs = ReferenceSet(plant=plant, initial_states=rng.standard_normal((N, n)), inputs=inputs)
@@ -328,15 +323,15 @@ class TestConsensusManifold:
 
 def _random_input(rng, kind, m):
     if kind == "constant":
-        return InputDescriptor(kind="constant", value=rng.standard_normal(m))
+        return {"kind": "constant", "value": rng.standard_normal(m)}
     if kind == "sinusoid":
-        return InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m),
-                               omega=rng.uniform(0.0, 3.0), phase=rng.uniform(-3.0, 3.0))
+        return {"kind": "sinusoid", "amp": rng.standard_normal(m),
+                "omega": rng.uniform(0.0, 3.0), "phase": rng.uniform(-3.0, 3.0)}
     if kind == "table":
         k = int(rng.integers(1, 5))
         times = np.cumsum(rng.uniform(0.1, 1.5, k))
-        return InputDescriptor(kind="table", times=times, values=rng.standard_normal((k, m)))
-    return InputDescriptor(kind="zero")
+        return {"kind": "table", "times": times, "values": rng.standard_normal((k, m))}
+    return {"kind": "zero"}
 
 
 def _per_agent_quadrature(rs, i, t, quad_steps):

@@ -126,18 +126,20 @@ class TestParseScenario:
 
     def test_numerics_overrides(self):
         cfg = scenario_config("ring-demo")
-        cfg["numerics"] = {"are_max_iter": 50}
+        cfg["numerics"] = {"are_residual_tol": 1e-8}
         scn = at.parse_scenario(cfg)
-        assert scn.numerics.are_max_iter == 50
+        assert scn.numerics.are_residual_tol == 1e-8
 
     def test_sinusoid_omega_default_matches_library(self):
-        # a config and InputDescriptor share one default for omega
+        # a config and a library input share one default for omega; an array
+        # amp takes the library's checked route
         cfg = scenario_config("paper-sec5-static")
         del cfg["agents"][0]["input"]["omega"]
         parsed = at.parse_scenario(cfg).reference_set
-        built = at.InputDescriptor(kind="sinusoid", amp=cfg["agents"][0]["input"]["amp"])
+        built = at.InputTable.of(
+            [{"kind": "sinusoid", "amp": np.array(cfg["agents"][0]["input"]["amp"])}], 1)
         for t in (0.0, 0.3, 1.7, 12.5):
-            np.testing.assert_array_equal(parsed.eval_inputs(t)[0], at.eval_input(built, t))
+            np.testing.assert_array_equal(parsed.eval_inputs(t)[0], built.eval(t)[0])
 
 
 class TestScenarioCommand:
@@ -570,6 +572,7 @@ SEC5_RATES = {"mu": 10.0, "nu": 10.0, "theta": 0.01, "chi": 0.01}
     pytest.param(("agents", 0, "input", "amp"), ["x"], id="amp-string"),
     pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), id="mu-string"),
     pytest.param(("adaptive",), dict(SEC5_RATES, alpha0=float("nan")), id="alpha0-nan"),
+    # a removed key: the number check comes before the key check
     pytest.param(("numerics", "are_max_iter"), "x", id="are_max_iter-string"),
     pytest.param(("numerics", "sym_tol"), 1e-10, id="sym_tol-removed"),
     pytest.param(("numerics", "are_step_tol"), 1e-12, id="are_step_tol-removed"),
@@ -640,6 +643,7 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
                  "agents[0].input: values must be one row of numbers per time",
                  id="values-nested"),
     pytest.param(("adaptive",), dict(SEC5_RATES, mu="a"), "adaptive.mu: ", id="mu-string"),
+    # a removed key: the number check comes before the key check
     pytest.param(("numerics", "are_max_iter"), "x",
                  'numerics.are_max_iter: must be a number, got "x"', id="are_max_iter-string"),
     pytest.param(("plant", "A"), [[1.0, 2.0]], "plant: ", id="A-not-square"),
@@ -649,9 +653,15 @@ def test_q_not_positive_definite_exit_2(tmp_path, capsys, Q):
                  "plant: B must be a matrix of A's 2 rows, got shape (2, 1, 2, 2)", id="B-4d"),
     pytest.param(("plant", "A"), [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
                  "plant: A must be square, got shape (2, 2, 2)", id="A-3d"),
-    # int(inf) raises OverflowError, which escaped as a traceback
-    pytest.param(("numerics", "are_max_iter"), float("inf"), "numerics: are_max_iter ",
-                 id="are_max_iter-inf"),
+    # an infinite tolerance is no tolerance
+    pytest.param(("numerics", "are_residual_tol"), float("inf"),
+                 "numerics: are_residual_tol must be a positive finite float, got inf",
+                 id="are_residual_tol-inf"),
+    pytest.param(("numerics", "are_max_iter"), 100,
+                 "unknown keys in numerics: ['are_max_iter']\n", id="are_max_iter-removed"),
+    pytest.param(("numerics", "lyap_residual_tol"), 1e-10,
+                 "unknown keys in numerics: ['lyap_residual_tol']\n",
+                 id="lyap_residual_tol-removed"),
     pytest.param(("graph", "n"), float("inf"), "graph: ", id="n-inf"),
     pytest.param(("graph", "edges"), [[0, float("inf")]], "graph: ", id="edge-inf"),
     # once truncated to (1, 2) or cut to its first two entries, and run
@@ -817,7 +827,6 @@ def test_huge_finite_input_exit_2(tmp_path, capsys, command, name, value):
 @pytest.mark.parametrize("command", ["run", "gains"])
 @pytest.mark.parametrize("tol, error", [
     ("are_residual_tol", "ARE residual"),             # NoConvergence
-    ("lyap_residual_tol", "Lyapunov residual"),       # SingularSystem
 ])
 def test_solver_failure_in_design_exit_2(tmp_path, capsys, command, tol, error):
     cfg = scenario_config("paper-sec5-static")

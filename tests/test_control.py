@@ -11,7 +11,6 @@ from avgtrack import graph as graphmod
 from avgtrack import (
     AdaptiveParams,
     Graph,
-    InputDescriptor,
     LinearPlant,
     ReferenceSet,
     StaticGains,
@@ -27,7 +26,7 @@ from conftest import SEC5_A, SEC5_B, loop_coupling, random_stabilizable, ring_gr
 def sec5_refset(n_agents=6):
     plant = LinearPlant(A=SEC5_A, B=SEC5_B)
     inputs = [
-        InputDescriptor(kind="sinusoid", amp=[(i + 1) / 2.0], omega=1.0)
+        {"kind": "sinusoid", "amp": [(i + 1) / 2.0], "omega": 1.0}
         for i in range(1, n_agents + 1)
     ]
     r0 = np.array([[float(i), float(-i)] for i in range(1, n_agents + 1)])
@@ -247,7 +246,7 @@ class TestStaticRhs:
         rs0 = ReferenceSet(
             plant=rs.plant,
             initial_states=rs.initial_states,
-            inputs=tuple(InputDescriptor(kind="zero") for _ in range(6)),
+            inputs=tuple({"kind": "zero"} for _ in range(6)),
         )
         x = np.tile([1.0, -2.0], (6, 1))
         d = static_rhs(NetworkState(t=0.3, x=x), rs0, sec5_gains(), ring_graph(6))
@@ -259,8 +258,8 @@ class TestStaticRhs:
             plant=plant,
             initial_states=np.array([[1.0, 0.0], [0.0, 1.0]]),
             inputs=(
-                InputDescriptor(kind="constant", value=[2.0]),
-                InputDescriptor(kind="zero"),
+                {"kind": "constant", "value": [2.0]},
+                {"kind": "zero"},
             ),
         )
         x = np.array([[1.0, 2.0], [3.0, 4.0]])

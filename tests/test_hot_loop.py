@@ -526,7 +526,7 @@ def identity_blocks(laws, m):
         else:
             gains = at.StaticGains(K=K, c1=rng.uniform(0, 3), c2=rng.uniform(0, 3),
                                    eps=eps, phi=phi, P=np.eye(m))
-        inputs = tuple(at.InputDescriptor(kind="constant", value=np.zeros(m)) for _ in range(8))
+        inputs = tuple({"kind": "constant", "value": np.zeros(m)} for _ in range(8))
         rs = ReferenceSet(plant=plant, initial_states=np.zeros((8, m)), inputs=inputs)
         blocks.append((at.Graph(8, tuple((i, (i + 1) % 8) for i in range(7)) + ((0, 7),)),
                        rs, gains))

@@ -15,7 +15,6 @@ import avgtrack as at
 from avgtrack import (
     AdaptiveParams,
     Graph,
-    InputDescriptor,
     LinearPlant,
     ReferenceSet,
     StaticGains,
@@ -60,7 +59,7 @@ def random_network(seed, n_nodes, law):
         plant=plant,
         initial_states=np.zeros((n_nodes, n)),
         inputs=tuple(
-            InputDescriptor(kind="sinusoid", amp=rng.standard_normal(m), omega=1.0)
+            {"kind": "sinusoid", "amp": rng.standard_normal(m), "omega": 1.0}
             for _ in range(n_nodes)
         ),
     )

@@ -272,9 +272,11 @@ class TestMatrixExp:
 
 class TestConfig:
     def test_tolerances_overridable(self):
-        cfg = NumericsConfig(are_max_iter=3)
+        # a tolerance the config sets reaches the solve: no residual meets 1e-300
+        cfg = NumericsConfig(are_residual_tol=1e-300)
         A = np.array([[0.0, 1.0], [-1.0, -2.0]])
         B = np.array([[0.0], [1.0]])
         sol = solve_are(A, B, np.eye(2))  # default converges
         assert sol.iterations <= 100
-        assert cfg.are_max_iter == 3
+        with pytest.raises(NoConvergence, match="above tolerance 1.0e-300$"):
+            solve_are(A, B, np.eye(2), cfg)

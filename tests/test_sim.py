@@ -4,7 +4,6 @@ import pytest
 import avgtrack as at
 from avgtrack import (
     Graph,
-    InputDescriptor,
     LinearPlant,
     ReferenceSet,
     SimConfig,
@@ -116,7 +115,7 @@ def two_agent_setup(r0, inputs):
 class TestRun:
     def test_symmetric_start_stays_at_homogeneous_flow(self):
         r0 = [[1.0, -0.5], [1.0, -0.5]]
-        rs, gains = two_agent_setup(r0, [InputDescriptor(kind="zero")] * 2)
+        rs, gains = two_agent_setup(r0, [{"kind": "zero"}] * 2)
         traj = at.run(Graph(2, ((0, 1),)), rs, gains, SimConfig(2.0, 1e-3, record_every=10))
         expected = matrix_exp(SEC5_A, 2.0) @ np.array([1.0, -0.5])
         for i in range(2):
@@ -125,7 +124,7 @@ class TestRun:
     def test_initial_condition_is_reference(self):
         r0 = [[1.0, 2.0], [-3.0, 4.0]]
         rs, gains = two_agent_setup(
-            r0, [InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0), InputDescriptor(kind="zero")]
+            r0, [{"kind": "sinusoid", "amp": [1.0], "omega": 1.0}, {"kind": "zero"}]
         )
         traj = at.run(Graph(2, ((0, 1),)), rs, gains, SimConfig(0.5, 1e-3))
         np.testing.assert_array_equal(traj.x[0], np.array(r0))
@@ -134,7 +133,7 @@ class TestRun:
     def test_opposite_starts_converge_to_average(self):
         # P2, equal inputs, opposite r0: both agents approach the average signal
         r0 = [[2.0, 0.0], [-2.0, 0.0]]
-        inp = InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0)
+        inp = {"kind": "sinusoid", "amp": [1.0], "omega": 1.0}
         rs, gains = two_agent_setup(r0, [inp, inp])
         traj = at.run(Graph(2, ((0, 1),)), rs, gains, SimConfig(15.0, 1e-3, record_every=10))
         avg_oracle = at.consensus_manifold(rs, 15.0, quad_steps=4000)
@@ -144,7 +143,7 @@ class TestRun:
     def test_determinism(self):
         rs, gains = two_agent_setup(
             [[1.0, 0.0], [0.0, 1.0]],
-            [InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0), InputDescriptor(kind="zero")],
+            [{"kind": "sinusoid", "amp": [1.0], "omega": 1.0}, {"kind": "zero"}],
         )
         g = Graph(2, ((0, 1),))
         cfg = SimConfig(1.0, 1e-3, record_every=5)
@@ -156,7 +155,7 @@ class TestRun:
     def test_coreference_matches_quadrature_oracle(self):
         rs, gains = two_agent_setup(
             [[1.0, 0.0], [0.0, 1.0]],
-            [InputDescriptor(kind="sinusoid", amp=[1.0], omega=1.0), InputDescriptor(kind="zero")],
+            [{"kind": "sinusoid", "amp": [1.0], "omega": 1.0}, {"kind": "zero"}],
         )
         traj = at.run(Graph(2, ((0, 1),)), rs, gains, SimConfig(5.0, 1e-3, record_every=10))
         for i in range(2):
@@ -165,20 +164,20 @@ class TestRun:
 
     def test_graph_size_mismatch(self):
         rs, gains = two_agent_setup(
-            [[1.0, 0.0], [0.0, 1.0]], [InputDescriptor(kind="zero")] * 2
+            [[1.0, 0.0], [0.0, 1.0]], [{"kind": "zero"}] * 2
         )
         with pytest.raises(ConfigError):
             at.run(ring_graph(3), rs, gains, SimConfig(1.0, 0.1))
 
     def test_adaptive_needs_params(self):
         rs, gains = two_agent_setup(
-            [[1.0, 0.0], [0.0, 1.0]], [InputDescriptor(kind="zero")] * 2
+            [[1.0, 0.0], [0.0, 1.0]], [{"kind": "zero"}] * 2
         )
         with pytest.raises(ConfigError):
             at.run(Graph(2, ((0, 1),)), rs, gains, SimConfig(1.0, 0.1), mode="adaptive")
 
     def test_adaptive_records_edge_gains(self):
-        rs, _ = two_agent_setup([[1.0, 0.0], [0.0, 1.0]], [InputDescriptor(kind="zero")] * 2)
+        rs, _ = two_agent_setup([[1.0, 0.0], [0.0, 1.0]], [{"kind": "zero"}] * 2)
         sol = at.solve_are(SEC5_A, SEC5_B, np.eye(2))
         K = -SEC5_B.T @ sol.P
         params = at.AdaptiveParams(
