@@ -13,9 +13,7 @@ from . import control
 from .errors import MALFORMED, ConfigError, NotSymmetric, located
 from .graph import Graph
 from .numerics import NumericsConfig, sym_eigvals
-from .signals import (
-    ZERO_INPUT, InputTable, LinearPlant, ReferenceSet, check_input, finite_numbers, plain_input,
-)
+from .signals import ZERO_INPUT, InputTable, LinearPlant, ReferenceSet, check_input, float_list
 from .sim import SimConfig
 
 _TOP_KEYS = {
@@ -34,9 +32,8 @@ _ADAPTIVE = {f.name: f.default is MISSING for f in fields(control.AdaptiveParams
 def _check_keys(d: dict, allowed: set, where: str) -> None:
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    if not d.keys() <= allowed:
+        raise ConfigError(f"unknown keys in {where}: {sorted(d.keys() - allowed)}")
 
 
 def _section(cls, d: dict, where: str):
@@ -75,11 +72,14 @@ def _numbers_only(value, where: tuple) -> None:
             _numbers_only(child, (*where, key))
 
 
-def _initial_state(r0, n: int) -> np.ndarray:
-    r0 = np.asarray(r0, dtype=float)
-    if r0.shape != (n,) or not all(map(math.isfinite, r0.tolist())):
-        raise ConfigError(f"must hold {n} finite numbers, got {r0.tolist()}")
-    return r0
+def _initial_state(r0, n: int) -> list[float]:
+    """r0 as n finite floats; a flat list of numbers is read with no array."""
+    r = float_list(r0)
+    if r is None:
+        r = float_list(np.asarray(r0, dtype=float).tolist())
+    if r is None or len(r) != n or not all(map(math.isfinite, r)):
+        raise ConfigError(f"must hold {n} finite numbers, got {np.asarray(r0, float).tolist()}")
+    return r
 
 
 def _design_q(value, n: int) -> np.ndarray:
@@ -139,19 +139,7 @@ class Scenario:
 _AGENT_KEYS = {"r0", "input"}
 
 
-def _plain_agent(agent, n: int, m: int) -> bool:
-    """True for an agent that the initial states and InputTable read as it
-    stands: known keys, r0 null or n finite numbers, and an input in the
-    plain form (signals.plain_input)."""
-    if type(agent) is not dict or not agent.keys() <= _AGENT_KEYS:
-        return False
-    r0 = agent.get("r0")
-    if r0 is not None and not (type(r0) is list and len(r0) == n and finite_numbers(r0)):
-        return False
-    return plain_input(agent.get("input", ZERO_INPUT), m)
-
-
-def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, dict]:
+def _agent(k: int, agent, n: int) -> tuple[list[float] | None, dict]:
     """Agent k checked alone: its r0 (None where it is drawn) and its input,
     by signals.check_input. Its first fault raises, named by its index."""
     _check_keys(agent, _AGENT_KEYS, f"agents[{k}]")
@@ -163,22 +151,16 @@ def _agent(k: int, agent, n: int) -> tuple[np.ndarray | None, dict]:
 
 def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
     """The agents' reference set, with its initial states and InputTable each
-    built once. An agent in the plain form goes in as it stands. Any other
-    agent (a table input, a scalar amp, a fault, a number that is not
-    finite) is checked alone: the odd agents' numbers first, as every
-    section's are, then each odd agent by `_agent`, in agent order, so the
-    first fault is the one an agent-by-agent parse would name. Its r0 and
-    checked input take its place; each input is recognized or checked once,
-    and the table checks the widths after all agents."""
+    built once: the agents' numbers checked first, as every section's are,
+    then each agent by `_agent`, in agent order, so the first fault is the
+    one an agent-by-agent parse would name. The table is built from the
+    checked rows, and checks the widths after all agents."""
     if not isinstance(agents, (list, tuple)):
         raise ConfigError("agents must be a JSON list")
-    n, m = plant.n, plant.m
-    odd = [k for k, a in enumerate(agents) if not _plain_agent(a, n, m)]
-    for k in odd:
-        _numbers_only(agents[k], ("agents", k))
-    parsed = {k: _agent(k, agents[k], n) for k in odd}
-    rows = [parsed.get(k) or (a.get("r0"), a.get("input", ZERO_INPUT))
-            for k, a in enumerate(agents)]
+    for k, agent in enumerate(agents):
+        _numbers_only(agent, ("agents", k))
+    n = plant.n
+    rows = [_agent(k, agent, n) for k, agent in enumerate(agents)]
     zero = [0.0] * n
     r0 = np.array([zero if r is None else r for r, _ in rows], dtype=float).reshape(len(rows), n)
     drawn = [k for k, (r, _) in enumerate(rows) if r is None]
@@ -188,7 +170,7 @@ def _references(agents, plant: LinearPlant, seed: int | None) -> ReferenceSet:
         rng = np.random.default_rng(0 if seed is None else seed)
         r0[drawn] = rng.standard_normal((len(drawn), n))
     return ReferenceSet(plant=plant, initial_states=r0,
-                        inputs=InputTable._of_checked([d for _, d in rows], m))
+                        inputs=InputTable._of_checked([d for _, d in rows], plant.m))
 
 
 def parse_scenario(cfg: dict, seed: int | None = None) -> Scenario:

@@ -45,61 +45,36 @@ class LinearPlant:
         return self.B.shape[1]
 
 
-# each kind's config keys, each parametric kind's list of m entries, the
-# default input and a sinusoid's defaults
+# each kind's config keys in the order check_input reads them, the default
+# input and a sinusoid's defaults
 INPUT_KEYS = {
-    "zero": {"kind"},
-    "constant": {"kind", "value"},
-    "sinusoid": {"kind", "amp", "omega", "phase"},
-    "table": {"kind", "times", "values"},
+    "zero": ("kind",),
+    "constant": ("kind", "value"),
+    "sinusoid": ("kind", "amp", "omega", "phase"),
+    "table": ("kind", "times", "values"),
 }
-INPUT_VECTORS = {"zero": (), "constant": ("value",), "sinusoid": ("amp",)}
 ZERO_INPUT = {"kind": "zero"}
 SINE_DEFAULTS = {"omega": 1.0, "phase": 0.0}
-# the order in which check_input converts an input's fields
-_FIELDS = ("value", "amp", "times", "values", "omega", "phase")
 _NUMBER = {int, float}
 
 
-def finite_numbers(values: list) -> bool:
-    """True if every value is an int or a float, and their sum is finite, so
-    every value is (an int beyond float's range raises on the way). False
-    only sends the values to the full check."""
-    if not _NUMBER.issuperset(map(type, values)):
-        return False
-    try:
-        return math.isfinite(sum(values, 0.0))
-    except OverflowError:
-        return False
-
-
-def plain_input(d, m: int) -> bool:
-    """True for a config input object that InputTable reads as it stands: a
-    zero, constant or sinusoid kind with only its own keys, its list of m
-    numbers and number omega and phase, every number finite."""
-    kind = d.get("kind") if type(d) is dict else None
-    if type(kind) is not str or kind not in INPUT_VECTORS or not d.keys() <= INPUT_KEYS[kind]:
-        return False
-    numbers = [d[k] for k in SINE_DEFAULTS if k in d]
-    for key in INPUT_VECTORS[kind]:
-        v = d.get(key)
-        if not (type(v) is list and len(v) == m):
-            return False
-        numbers += v
-    return finite_numbers(numbers)
+def float_list(v) -> list[float] | None:
+    """v as floats if it is a list of ints and floats, as most vectors are, else None."""
+    return list(map(float, v)) if type(v) is list and _NUMBER.issuperset(map(type, v)) else None
 
 
 def check_input(d, where: str) -> dict:
     """The config input object d checked and converted: its kind one of
-    INPUT_KEYS with only that kind's keys; value, amp and times flat arrays,
-    values one row per time (a flat list as long as times is one column),
-    a sinusoid's omega and phase floats (SINE_DEFAULTS where absent), every
-    number finite; a table's times strictly increasing. Its output passes
-    again unchanged. A fault raises ConfigError naming `where`."""
+    INPUT_KEYS with only that kind's keys, read in that order; value and amp
+    lists of floats, a table's times an array and values one row per time
+    (a flat list as long as times is one column), a sinusoid's omega and
+    phase floats (SINE_DEFAULTS where absent); no bool or str for a number,
+    every number finite, a table's times strictly increasing. Its output
+    passes again unchanged. A fault raises ConfigError naming `where`."""
     kind = d.get("kind") if isinstance(d, dict) else None
     if not isinstance(kind, str) or kind not in INPUT_KEYS:
         raise ConfigError(f"{where}: input kind {kind!r} is not one of {sorted(INPUT_KEYS)}")
-    unknown = set(d) - INPUT_KEYS[kind]
+    unknown = d.keys() - INPUT_KEYS[kind]
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     return located(where, _converted, d)
@@ -108,20 +83,24 @@ def check_input(d, where: str) -> dict:
 def _converted(d: dict) -> dict:
     kind = d["kind"]
     out = {"kind": kind}
-    for name in _FIELDS:
-        scalar = name in SINE_DEFAULTS
+    for name in INPUT_KEYS[kind][1:]:
         v = d.get(name, SINE_DEFAULTS.get(name))
-        # omega and phase have defaults, so a null one is a fault
-        if name not in INPUT_KEYS[kind] or (v is None and not scalar):
+        if name in SINE_DEFAULTS:
+            # omega and phase have defaults, so a null one is a fault
+            out[name] = v = float(v if type(v) in _NUMBER else _numbers(name, v))
+            if math.isfinite(v):
+                continue
+            numbers = [v]
+        elif v is None:
             continue
-        v = float(v) if scalar else np.atleast_1d(np.asarray(v, dtype=float))
-        if name in ("value", "amp", "times") and v.ndim != 1:
-            raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
-        # an input holds few numbers, and a loop over them beats np.isfinite
-        numbers = [v] if scalar else v.ravel().tolist()
+        elif (numbers := float_list(v)) is None:
+            v = np.atleast_1d(np.asarray(_numbers(name, v), dtype=float))
+            if name in ("value", "amp", "times") and v.ndim != 1:
+                raise ConfigError(f"{name} must be a flat list of numbers, got shape {v.shape}")
+            numbers = v.ravel().tolist()
         if not all(map(math.isfinite, numbers)):
             raise ConfigError(f"{name} must be finite, got {numbers}")
-        out[name] = v
+        out[name] = numbers if name in ("value", "amp", "times") else v
     if kind == "constant" and "value" not in out:
         raise ConfigError("constant input needs a value")
     if kind == "sinusoid" and "amp" not in out:
@@ -129,7 +108,7 @@ def _converted(d: dict) -> dict:
     if kind == "table":
         if "times" not in out or "values" not in out or not len(out["times"]):
             raise ConfigError("table input needs values and at least one sample time")
-        t, v = out["times"], out["values"]
+        t, v = np.array(out["times"]), np.asarray(out["values"], dtype=float)
         # a flat list as long as the grid is the one input's column
         v = v[:, None] if v.ndim == 1 and len(v) == len(t) else np.atleast_2d(v)
         if v.ndim != 2:
@@ -138,8 +117,20 @@ def _converted(d: dict) -> dict:
             raise ConfigError("table times/values length mismatch")
         if np.any(np.diff(t) <= 0):
             raise ConfigError("table times must be strictly increasing")
-        out["values"] = v
+        out["times"], out["values"] = t, v
     return out
+
+
+def _numbers(name: str, v):
+    """v with no bool or str in it: Python reads True as 1, and numpy "2.5" as 2.5."""
+    if isinstance(v, (bool, np.bool_, str, bytes)):
+        raise ConfigError(f"{name} holds {v!r}, not a number")
+    if isinstance(v, np.ndarray) and v.dtype.kind not in "iuf":
+        _numbers(name, v.tolist())
+    elif isinstance(v, (list, tuple)):
+        for x in v:
+            _numbers(name, x)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,17 +152,16 @@ class InputTable:
     @classmethod
     def of(cls, objects: Sequence[dict], m: int) -> InputTable:
         """The table of m entries per row that holds the config input
-        objects, each checked: one in the plain form (plain_input) as it
-        stands, any other by check_input. A fault raises ConfigError naming
-        the row as agents[i].input; a width other than m is named after
-        every row's own checks."""
-        return cls._of_checked([d if plain_input(d, m) else check_input(d, f"agents[{i}].input")
+        objects, each checked by check_input. A fault raises ConfigError
+        naming the row as agents[i].input; a width other than m is named
+        after every row's own checks."""
+        return cls._of_checked([check_input(d, f"agents[{i}].input")
                                 for i, d in enumerate(objects)], m)
 
     @classmethod
     def _of_checked(cls, objects: Sequence[dict], m: int) -> InputTable:
-        """The table of objects that plain_input or check_input passed, with
-        the width of each checked: the only map from kinds to columns."""
+        """The table of objects that check_input returned, with the width of
+        each checked: the only map from kinds to columns."""
         zero = [0.0] * m
         kinds, amp, omega, phase, const, tables = [], [], [], [], [], {}
         for i, d in enumerate(objects):
@@ -187,8 +177,8 @@ class InputTable:
                 tables[i] = d["times"], d["values"]
             kinds.append(kind)
             amp.append(row if sine else zero)
-            omega.append(d.get("omega", SINE_DEFAULTS["omega"]) if sine else 0.0)
-            phase.append(d.get("phase", SINE_DEFAULTS["phase"]) if sine else 0.0)
+            omega.append(d["omega"] if sine else 0.0)
+            phase.append(d["phase"] if sine else 0.0)
             const.append(row if kind == "constant" else zero)
         N = len(kinds)
         return cls(tuple(kinds), np.array(amp, dtype=float).reshape(N, m),
@@ -260,11 +250,9 @@ class ReferenceSet:
         if r0.shape[1] != self.plant.n:
             raise ConfigError("initial state dimension must match the plant")
         m = self.plant.m
-        inputs = self.inputs
-        if not isinstance(inputs, InputTable):
-            inputs = InputTable.of(inputs, m)
+        inputs = self.inputs if isinstance(self.inputs, InputTable) else InputTable.of(self.inputs, m)
         if len(inputs.kinds) != r0.shape[0]:
-            raise ConfigError("one input descriptor per reference signal required")
+            raise ConfigError("one input per reference signal required")
         if inputs.amp.shape[1] != m:
             raise ConfigError("input dimension must match B's column count")
         object.__setattr__(self, "initial_states", r0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import avgtrack as at
+from avgtrack import config, signals
 from avgtrack.cli import main
 from avgtrack.scenarios import scenario_config
 from avgtrack.signals import check_input
@@ -142,12 +143,30 @@ def test_reference_set_of_descriptors_has_the_agent_by_agent_columns():
 def test_table_of_a_config_object_has_the_bits_of_its_descriptor(obj, m):
     obj = {k: v[:m] if type(v) is list else v for k, v in obj.items()}
     got = at.InputTable.of([obj, obj], m)
-    # against its checked form, check_input's arrays in place of lists
+    # against its checked form, check_input's floats in place of ints
     want = at.InputTable.of([check_input(obj, "input")] * 2, m)
     assert got.kinds == want.kinds == (obj["kind"],) * 2
     for name in ("amp", "omega", "phase", "const"):
         assert same_bits(getattr(got, name), getattr(want, name)), name
     assert got.tables == want.tables == {}
+
+
+def test_every_input_is_checked_once(monkeypatch):
+    # a plain agent's input went into the table unchecked
+    calls = []
+
+    def counted(d, where):
+        calls.append(where)
+        return check_input(d, where)
+
+    cfg = network(1)
+    monkeypatch.setattr(config, "check_input", counted)
+    at.parse_scenario(copy.deepcopy(cfg))
+    assert calls == [f"agents[{k}].input" for k in range(1000)]
+    calls.clear()
+    monkeypatch.setattr(signals, "check_input", counted)
+    at.InputTable.of([a["input"] for a in cfg["agents"]], 1)
+    assert calls == [f"agents[{k}].input" for k in range(1000)]
 
 
 def error_line(tmp_path, capsys, cfg):
@@ -215,8 +234,8 @@ def test_two_faults_name_the_one_an_agent_by_agent_parse_named(tmp_path, capsys,
     (("input", "amp"), [10**400], "agents[7].input: malformed value: "),
 ])
 def test_int_beyond_float_names_its_agent(tmp_path, capsys, path, value, where):
-    # the int sum of the first is 0, finite; the plain form's check must
-    # not take it for two finite numbers
+    # the int sum of the first is 0, finite; a check of the sum must not
+    # take it for two finite numbers
     cfg = network(1)
     put(cfg, 7, path, value)
     assert error_line(tmp_path, capsys, cfg).startswith("config error: " + where)

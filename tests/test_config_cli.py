@@ -720,6 +720,8 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     (("sim", "t_end"), True, "sim.t_end: must be a number, got true"),
     (("numerics", "are_max_iter"), True, "numerics.are_max_iter: must be a number, got true"),
     (("agents", 0, "r0"), [True, False], "agents[0].r0[0]: must be a number, got true"),
+    # named first, before the input's own check
+    (("agents", 0, "input", "omega"), True, "agents[0].input.omega: must be a number, got true"),
     (("graph", "edges", 0), [False, True], "graph.edges[0][0]: must be a number, got false"),
     (("design", "eps"), True, "design.eps: must be a number, got true"),
     (("adaptive", "mu"), True, "adaptive.mu: must be a number, got true"),

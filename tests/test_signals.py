@@ -160,7 +160,7 @@ class TestValidation:
         np.testing.assert_array_equal(plant.B, SEC5_PLANT.B)
 
     def test_one_input_per_initial_state(self):
-        with pytest.raises(ConfigError, match="^one input descriptor per reference signal"):
+        with pytest.raises(ConfigError, match="^one input per reference signal required$"):
             make_refset(SEC5_PLANT, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],
                         [{"kind": "zero"}] * 2)
 
@@ -199,6 +199,32 @@ class TestValidation:
             ReferenceSet(SEC5_PLANT, np.zeros((2, 2)), [obj, obj])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("objects, message", [
+        # each was read as a number: amp 1.5, omega 1.0, a value of 1.0
+        ([{"kind": "sinusoid", "amp": ["1.5"], "omega": True},
+          {"kind": "constant", "value": [True]}], "agents[0].input: amp holds '1.5', not a number"),
+        ([{"kind": "zero"}, {"kind": "sinusoid", "amp": [1.0], "omega": True}],
+         "agents[1].input: omega holds True, not a number"),
+        ([{"kind": "zero"}, {"kind": "constant", "value": [True]}],
+         "agents[1].input: value holds True, not a number"),
+        ([{"kind": "sinusoid", "amp": 2.0, "phase": "0.3"}, {"kind": "zero"}],
+         "agents[0].input: phase holds '0.3', not a number"),
+        ([{"kind": "zero"}, {"kind": "table", "times": [0.0, "1"], "values": [1.0, 2.0]}],
+         "agents[1].input: times holds '1', not a number"),
+        ([{"kind": "zero"}, {"kind": "table", "times": [0.0, 1.0], "values": [[1.0], [False]]}],
+         "agents[1].input: values holds False, not a number"),
+        ([{"kind": "sinusoid", "amp": np.array([True])}, {"kind": "zero"}],
+         "agents[0].input: amp holds True, not a number"),
+    ], ids=["str-amp", "bool-omega", "bool-value", "str-phase", "str-time", "bool-row",
+            "bool-array"])
+    def test_bool_or_str_is_not_a_number(self, objects, message):
+        plant = LinearPlant([[0.0]], [[1.0]])
+        for build in (lambda: ReferenceSet(plant, [[0.0], [1.0]], objects),
+                      lambda: InputTable.of(objects, 1)):
+            with pytest.raises(ConfigError) as exc:
+                build()
+            assert str(exc.value) == message
+
     def test_table_object_is_read_as_its_table(self):
         # it ran as the zero input, with f0 = 0
         obj = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, -3.0]}
@@ -235,20 +261,18 @@ class TestReferenceTrajectory:
         )
 
     def _rk4_reference(self, rs, i, t_end, dt=1e-4):
-        """r_i(t_end) by fine RK4, driven by agent i's input f_i."""
+        """r_i(t_end) by fine RK4, driven by agent i's input f_i. B f_i is
+        read by one eval_inputs call for each stage's times, k dt plus 0,
+        dt/2 or dt, each time formed as a step at it forms it."""
         A, B = rs.plant.A, rs.plant.B
         r = rs.initial_states[i].copy()
-
-        def f(t, y):
-            return A @ y + B @ rs.eval_inputs(t)[i]
-
-        n = int(round(t_end / dt))
-        for k in range(n):
-            t = k * dt
-            k1 = f(t, r)
-            k2 = f(t + dt / 2, r + dt / 2 * k1)
-            k3 = f(t + dt / 2, r + dt / 2 * k2)
-            k4 = f(t + dt, r + dt * k3)
+        t = np.arange(int(round(t_end / dt))) * dt
+        start, mid, end = (rs.eval_inputs(t + h)[:, i] @ B.T for h in (0.0, dt / 2, dt))
+        for u1, u2, u4 in zip(start, mid, end):
+            k1 = A @ r + u1
+            k2 = A @ (r + dt / 2 * k1) + u2
+            k3 = A @ (r + dt / 2 * k2) + u2
+            k4 = A @ (r + dt * k3) + u4
             r = r + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         return r
 
