@@ -720,8 +720,6 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     (("sim", "t_end"), True, "sim.t_end: must be a number, got true"),
     (("numerics", "are_max_iter"), True, "numerics.are_max_iter: must be a number, got true"),
     (("agents", 0, "r0"), [True, False], "agents[0].r0[0]: must be a number, got true"),
-    # named first, before the input's own check
-    (("agents", 0, "input", "omega"), True, "agents[0].input.omega: must be a number, got true"),
     (("graph", "edges", 0), [False, True], "graph.edges[0][0]: must be a number, got false"),
     (("design", "eps"), True, "design.eps: must be a number, got true"),
     (("adaptive", "mu"), True, "adaptive.mu: must be a number, got true"),
@@ -740,6 +738,8 @@ def test_config_error_names_where(tmp_path, capsys, path, value, where):
     # deep in a long list of lists, which is walked item by item
     (("graph", "edges"), [[0, True] if k == 1500 else [k % 6, (k + 1) % 6] for k in range(2000)],
      "graph.edges[1500][1]: must be a number, got true"),
+    # named first, before the input's own check
+    (("agents", 0, "input", "omega"), True, "agents[0].input.omega: must be a number, got true"),
 ])
 def test_config_number_must_be_a_json_number(tmp_path, capsys, path, value, where):
     cfg = scenario_config("paper-sec5-static")
